@@ -11,7 +11,7 @@ IntSight::IntSight(IntSightConfig config) : config_(config) {}
 
 void IntSight::on_ingress(net::SwitchContext& ctx, net::Packet& pkt) {
   if (ctx.id != pkt.flow.source) return;
-  auto& sc = source_counts_[pkt.flow];
+  auto& sc = flows_[pkt.flow].source_count;
   const auto epoch = telemetry::epoch_of(ctx.sim.now(), config_.epoch_period);
   if (epoch != sc.epoch) {
     sc.previous = (epoch == sc.epoch + 1) ? sc.count : 0;
@@ -25,7 +25,7 @@ void IntSight::on_egress(net::SwitchContext& ctx, net::Packet& pkt,
                          net::PortId /*out*/, sim::Time hop_latency) {
   overheads_.telemetry_bytes += config_.header_bytes;
   if (hop_latency > config_.contention_threshold && ctx.id < 64) {
-    carried_mask_[pkt.id] |= (1ull << ctx.id);
+    pkt.intsight_contention |= (1ull << ctx.id);
   }
 }
 
@@ -37,7 +37,6 @@ void IntSight::flush(const net::FlowId& flow, EpochState& state) {
   report.contention_mask = state.contention_mask;
   report.violations = state.violations;
   report.packets = state.packets;
-  report.sample_path = state.sample_path;
   overheads_.diagnosis_bytes += config_.report_bytes;
   reports_.push_back(std::move(report));
 }
@@ -45,7 +44,8 @@ void IntSight::flush(const net::FlowId& flow, EpochState& state) {
 void IntSight::on_deliver(net::SwitchContext& ctx, net::Packet& pkt) {
   const sim::Time now = ctx.sim.now();
   const auto epoch = telemetry::epoch_of(now, config_.epoch_period);
-  auto& state = sink_state_[pkt.flow];
+  FlowState& flow = flows_[pkt.flow];
+  auto& state = flow.sink;
   if (epoch != state.epoch) {
     flush(pkt.flow, state);
     state = EpochState{};
@@ -53,23 +53,17 @@ void IntSight::on_deliver(net::SwitchContext& ctx, net::Packet& pkt) {
   }
   ++state.packets;
 
-  std::uint64_t mask = 0;
-  if (const auto it = carried_mask_.find(pkt.id); it != carried_mask_.end()) {
-    mask = it->second;
-    carried_mask_.erase(it);
-  }
   const sim::Time e2e = now - pkt.source_switch_time;
   if (e2e > config_.slo) {
     ++state.violations;
-    state.contention_mask |= mask;
-    if (state.sample_path.empty()) state.sample_path = pkt.true_path;
+    state.contention_mask |= pkt.intsight_contention;
   }
 
   // Flow-level end-to-end count tracking (drop detection).
-  auto& kc = sink_counts_[pkt.flow];
+  auto& kc = flow.sink_count;
   if (epoch != kc.epoch) {
     // Compare the closed epoch's sink count against the source's.
-    const auto& sc = source_counts_[pkt.flow];
+    const auto& sc = flow.source_count;
     if (sc.epoch == epoch && sc.previous > kc.count + 2) {
       FlowReport report;
       report.flow = pkt.flow;

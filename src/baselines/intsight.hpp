@@ -3,7 +3,8 @@
 // diagnosis-relevant subset, as characterized in MARS §3/§5.4:
 //
 //   - a large per-packet INT header (33 bytes) carrying e2e delay and a
-//     per-switch contention bitmap (48-bit path map);
+//     per-switch contention bitmap (48-bit path map), carried in
+//     Packet::intsight_contention;
 //   - a switch marks its bit when the packet's queueing delta there
 //     exceeds a static contention threshold;
 //   - the sink checks a static per-flow SLO on e2e latency and, at most
@@ -52,7 +53,6 @@ class IntSight final : public BaselineSystem {
     std::uint32_t violations = 0;
     std::uint32_t packets = 0;
     std::uint32_t dropped_estimate = 0;
-    std::vector<net::SwitchId> sample_path;  ///< a violating packet's path
   };
   [[nodiscard]] const std::vector<FlowReport>& reports() const {
     return reports_;
@@ -70,21 +70,23 @@ class IntSight final : public BaselineSystem {
     std::uint64_t contention_mask = 0;
     std::uint32_t violations = 0;
     std::uint32_t packets = 0;
-    std::vector<net::SwitchId> sample_path;
   };
-  struct SourceCount {
+  struct EpochCount {
     telemetry::EpochId epoch = 0;
     std::uint32_t count = 0;
     std::uint32_t previous = 0;
+  };
+  /// Everything the source and the sink switch keep about one flow.
+  struct FlowState {
+    EpochState sink;           ///< SLO violations in the sink's epoch
+    EpochCount source_count;   ///< packets entering at the source
+    EpochCount sink_count;     ///< packets delivered at the sink
   };
 
   void flush(const net::FlowId& flow, EpochState& state);
 
   IntSightConfig config_;
-  std::unordered_map<std::uint64_t, std::uint64_t> carried_mask_;  // pkt->bits
-  std::unordered_map<net::FlowId, EpochState> sink_state_;
-  std::unordered_map<net::FlowId, SourceCount> source_counts_;
-  std::unordered_map<net::FlowId, SourceCount> sink_counts_;
+  std::unordered_map<net::FlowId, FlowState> flows_;
   std::vector<FlowReport> reports_;
   OverheadReport overheads_;
 };

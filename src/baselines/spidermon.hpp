@@ -14,13 +14,24 @@
 // Reproduced limitations: it senses only queueing anomalies, so delay and
 // drop faults never trigger it; and a flow that bursts against itself has
 // indegree ≈ outdegree, hiding the culprit.
+//
+// The wait-for graph is aggregated as edges are created rather than logged
+// edge by edge. An arriving packet waits for every packet already queued,
+// so one enqueue adds `depth` edges; counting queued packets per flow turns
+// them into one run per holder flow. Only edges at or after
+// trigger_time − window are diagnosed, and the trigger time is never
+// earlier than the current time, so before the trigger only a trailing
+// window of runs is kept. It is folded into the running degrees once when
+// the trigger fires; every later edge is folded in directly.
 
-#include <deque>
+#include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "baselines/baseline.hpp"
 #include "net/types.hpp"
+#include "util/fifo_ring.hpp"
 
 namespace mars::baselines {
 
@@ -38,6 +49,7 @@ struct SpiderMonConfig {
 
 class SpiderMon final : public BaselineSystem {
  public:
+  /// `switch_count` bounds the switch ids the callbacks will see.
   SpiderMon(std::size_t switch_count, SpiderMonConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "SpiderMon"; }
@@ -51,28 +63,54 @@ class SpiderMon final : public BaselineSystem {
                   std::uint32_t queue_depth) override;
   void on_egress(net::SwitchContext& ctx, net::Packet& pkt, net::PortId out,
                  sim::Time hop_latency) override;
-  void on_deliver(net::SwitchContext& ctx, net::Packet& pkt) override;
-  void on_drop(net::SwitchContext& ctx, const net::Packet& pkt,
-               net::PortId out) override;
 
  private:
-  struct WaitForEdge {
+  /// Flows are interned to dense indices in first-seen order.
+  using FlowIndex = std::uint32_t;
+
+  struct FlowDegrees {
+    net::FlowId flow;
+    std::int64_t in_degree = 0;   ///< edges where this flow is the holder
+    std::int64_t out_degree = 0;  ///< edges where this flow is the waiter
+  };
+  /// Queued packets of one flow in one queue mirror.
+  struct QueuedFlow {
+    FlowIndex flow;
+    std::uint32_t packets;
+  };
+  /// FIFO mirror of one (switch, port) queue, by flow.
+  struct QueueMirror {
+    util::FifoRing<FlowIndex> fifo;
+    std::vector<QueuedFlow> flows;  ///< per-flow counts of `fifo`, any order
+  };
+  struct SwitchState {
+    std::vector<QueueMirror> ports;
+    std::int64_t weight = 0;  ///< wait-for edges recorded at this switch
+    /// Distinct (waiter << 32 | holder) pairs recorded at this switch.
+    std::unordered_set<std::uint64_t> pairs;
+  };
+  /// `edges` wait-for edges from `waiter` to `holder` created at `when`.
+  struct WaitRun {
     sim::Time when;
-    net::FlowId waiter;
-    net::FlowId holder;
     net::SwitchId at;
+    FlowIndex waiter;
+    FlowIndex holder;
+    std::uint32_t edges;
   };
 
+  FlowIndex flow_index(const net::FlowId& flow);
+  void fold(const WaitRun& run);
+
   SpiderMonConfig config_;
-  /// FIFO mirror of each (switch, port) queue, by flow.
-  std::unordered_map<std::uint64_t, std::deque<net::FlowId>> queues_;
-  /// Cumulative queueing delay carried in each in-flight packet's header.
-  std::unordered_map<std::uint64_t, sim::Time> carried_delay_;
-  std::vector<WaitForEdge> edges_;
+  std::unordered_map<net::FlowId, FlowIndex> flow_index_;
+  std::vector<FlowDegrees> flows_;
+  std::vector<SwitchState> switches_;  ///< indexed by switch id
+  std::uint64_t distinct_triples_ = 0;
+  /// Pre-trigger runs no older than now − window, in creation order.
+  util::FifoRing<WaitRun> pending_;
   OverheadReport overheads_;
   bool triggered_ = false;
   sim::Time trigger_time_ = 0;
-  std::size_t switch_count_;
 };
 
 }  // namespace mars::baselines

@@ -10,39 +10,25 @@ namespace mars::baselines {
 SynDb::SynDb(SynDbConfig config) : config_(config) {}
 
 void SynDb::on_ingress(net::SwitchContext& ctx, net::Packet& pkt) {
-  records_.push_back(PRecord{pkt.id, pkt.flow, ctx.id, 0, ctx.sim.now(), 0, 0,
-                             PRecord::Kind::kIngress});
-}
-
-void SynDb::on_enqueue(net::SwitchContext& /*ctx*/, net::Packet& pkt,
-                       net::PortId /*out*/, std::uint32_t queue_depth) {
-  pending_depth_[pkt.id] = queue_depth;
-}
-
-void SynDb::on_egress(net::SwitchContext& ctx, net::Packet& pkt,
-                      net::PortId out, sim::Time hop_latency) {
-  std::uint32_t depth = 0;
-  if (const auto it = pending_depth_.find(pkt.id);
-      it != pending_depth_.end()) {
-    depth = it->second;
-    pending_depth_.erase(it);
+  ++record_count_;
+  if (ctx.id == pkt.flow.source) {
+    source_ingress_.push_back(SourceRecord{pkt.flow, ctx.sim.now()});
   }
-  records_.push_back(PRecord{pkt.id, pkt.flow, ctx.id, out, ctx.sim.now(),
-                             hop_latency, depth, PRecord::Kind::kEgress});
 }
 
-void SynDb::on_deliver(net::SwitchContext& /*ctx*/, net::Packet& pkt) {
-  pending_depth_.erase(pkt.id);
+void SynDb::on_egress(net::SwitchContext& ctx, net::Packet& /*pkt*/,
+                      net::PortId out, sim::Time hop_latency) {
+  ++record_count_;
+  egress_.push_back(EgressRecord{ctx.id, out, ctx.sim.now(), hop_latency});
 }
 
-void SynDb::on_drop(net::SwitchContext& ctx, const net::Packet& pkt,
-                    net::PortId out) {
+void SynDb::on_drop(net::SwitchContext& ctx, const net::Packet& /*pkt*/,
+                    net::PortId /*out*/) {
   // A real SyNDB sees the drop implicitly (record present at switch k,
   // absent at k+1); we record the terminal hop explicitly to run the same
   // differential query cheaply.
-  records_.push_back(PRecord{pkt.id, pkt.flow, ctx.id, out, ctx.sim.now(), 0,
-                             0, PRecord::Kind::kDrop});
-  pending_depth_.erase(pkt.id);
+  ++record_count_;
+  drops_.push_back(DropRecord{ctx.id, ctx.sim.now()});
 }
 
 rca::CulpritList SynDb::diagnose_with_hint(faults::FaultKind hint,
@@ -84,8 +70,7 @@ rca::CulpritList SynDb::query_latency_per_switch(sim::Time now,
   };
   std::map<net::SwitchId, Acc> acc;
   const sim::Time from = now - config_.window;
-  for (const auto& r : records_) {
-    if (r.kind != PRecord::Kind::kEgress) continue;
+  for (const auto& r : egress_) {
     Acc& a = acc[r.sw];
     if (r.when >= from) {
       a.prob_sum += static_cast<double>(r.hop_latency);
@@ -119,8 +104,8 @@ rca::CulpritList SynDb::query_drop(sim::Time now) {
   // Differential per-switch loss in the window.
   std::map<net::SwitchId, std::uint64_t> drops;
   const sim::Time from = now - config_.window;
-  for (const auto& r : records_) {
-    if (r.kind == PRecord::Kind::kDrop && r.when >= from) ++drops[r.sw];
+  for (const auto& r : drops_) {
+    if (r.when >= from) ++drops[r.sw];
   }
   rca::CulpritList out;
   for (const auto& [sw, n] : drops) {
@@ -146,9 +131,7 @@ rca::CulpritList SynDb::query_burst(sim::Time now) {
   std::map<net::FlowId, Acc> acc;
   const sim::Time from = now - config_.window;
   sim::Time earliest = now;
-  for (const auto& r : records_) {
-    if (r.kind != PRecord::Kind::kIngress) continue;
-    if (r.flow.source != r.sw) continue;  // count once, at the source
+  for (const auto& r : source_ingress_) {  // counted once, at the source
     earliest = std::min(earliest, r.when);
     if (r.when >= from) {
       ++acc[r.flow].prob;
@@ -186,8 +169,7 @@ rca::CulpritList SynDb::query_ecmp(sim::Time now) {
   };
   std::map<net::SwitchId, PortCounts> acc;
   const sim::Time from = now - config_.window;
-  for (const auto& r : records_) {
-    if (r.kind != PRecord::Kind::kEgress) continue;
+  for (const auto& r : egress_) {
     auto& pc = acc[r.sw];
     auto& counts = (r.when >= from) ? pc.prob : pc.base;
     ++counts[r.out_port];
@@ -221,8 +203,7 @@ rca::CulpritList SynDb::query_ecmp(sim::Time now) {
 OverheadReport SynDb::overheads() const {
   OverheadReport report;
   report.telemetry_bytes = 0;  // no INT headers
-  report.diagnosis_bytes =
-      static_cast<std::uint64_t>(records_.size()) * config_.record_bytes;
+  report.diagnosis_bytes = record_count_ * config_.record_bytes;
   return report;
 }
 

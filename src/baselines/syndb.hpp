@@ -14,8 +14,13 @@
 //
 // With full per-switch packet histories the right query localizes almost
 // anything; the price is the bandwidth shown in Fig. 9.
+//
+// Every p-record is charged at record_bytes, but only the fields a query
+// reads are stored: the source switch's ingress records (burst), every
+// egress record (latency, ECMP split) and every drop record (loss), each
+// kind in arrival order — the latency query sums doubles in that order.
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "baselines/baseline.hpp"
@@ -53,29 +58,31 @@ class SynDb final : public BaselineSystem {
   [[nodiscard]] OverheadReport overheads() const override;
   [[nodiscard]] bool triggered() const override {
     // Query-based: it "triggers" only when an operator asks.
-    return !records_.empty();
+    return record_count_ > 0;
   }
 
   // ---- PacketObserver ----
-  void on_enqueue(net::SwitchContext& ctx, net::Packet& pkt, net::PortId out,
-                  std::uint32_t queue_depth) override;
   void on_egress(net::SwitchContext& ctx, net::Packet& pkt, net::PortId out,
                  sim::Time hop_latency) override;
   void on_ingress(net::SwitchContext& ctx, net::Packet& pkt) override;
-  void on_deliver(net::SwitchContext& ctx, net::Packet& pkt) override;
   void on_drop(net::SwitchContext& ctx, const net::Packet& pkt,
                net::PortId out) override;
 
  private:
-  struct PRecord {
-    std::uint64_t packet_id;
+  /// Ingress p-record at the flow's source switch.
+  struct SourceRecord {
     net::FlowId flow;
+    sim::Time when;
+  };
+  struct EgressRecord {
     net::SwitchId sw;
     net::PortId out_port;
     sim::Time when;
-    sim::Time hop_latency;   ///< set on egress records
-    std::uint32_t queue_depth;
-    enum class Kind : std::uint8_t { kIngress, kEgress, kDrop } kind;
+    sim::Time hop_latency;
+  };
+  struct DropRecord {
+    net::SwitchId sw;
+    sim::Time when;
   };
 
   rca::CulpritList query_latency_per_switch(sim::Time now,
@@ -85,9 +92,10 @@ class SynDb final : public BaselineSystem {
   rca::CulpritList query_ecmp(sim::Time now);
 
   SynDbConfig config_;
-  std::vector<PRecord> records_;
-  /// Queue depth observed at enqueue, pending the egress record.
-  std::unordered_map<std::uint64_t, std::uint32_t> pending_depth_;
+  std::uint64_t record_count_ = 0;  ///< every p-record streamed, any kind
+  std::vector<SourceRecord> source_ingress_;
+  std::vector<EgressRecord> egress_;
+  std::vector<DropRecord> drops_;
 };
 
 }  // namespace mars::baselines

@@ -4,8 +4,10 @@
 // A packet carries (a) forwarding state used by the substrate, (b) the MARS
 // in-band fields exactly as the paper defines them (§4.1–4.2): an 8-bit-class
 // PathID field updated per hop, an optional 11-byte INT telemetry header on
-// sampled packets, and the anomaly-suppression flag; and (c) ground-truth
-// bookkeeping used only by tests and evaluation (never by the algorithms).
+// sampled packets, and the anomaly-suppression flag; (c) the baselines'
+// in-band headers: SpiderMon's cumulative queueing delay and IntSight's
+// per-switch contention bitmap; and (d) ground-truth bookkeeping used only
+// by tests and evaluation (never by the algorithms).
 
 #include <cstdint>
 #include <optional>
@@ -49,6 +51,14 @@ struct Packet {
   /// another shard whose notification state must not be touched here).
   SwitchId anomaly_reporter = kInvalidSwitch;
   sim::Time anomaly_latency = 0;
+
+  // ---- baseline in-band headers ----
+  // Written only by the baseline that owns them (a scenario deploys each
+  // system at most once). Their wire bytes are charged by that baseline's
+  // overheads(), not by wire_bytes(), so deploying a baseline never
+  // changes service times.
+  sim::Time spidermon_queue_delay = 0;    ///< SpiderMon: summed hop latency
+  std::uint64_t intsight_contention = 0;  ///< IntSight: bit per switch id
 
   // ---- ground truth (evaluation only; not visible to MARS logic) ----
   std::vector<SwitchId> true_path;  ///< switches traversed, in order

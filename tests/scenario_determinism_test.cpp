@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -97,6 +99,118 @@ TEST(ScenarioDeterminismTest, SpecDrivenRunMatchesGoldenFingerprint) {
   EXPECT_EQ(r.outcome("intsight").rank, std::optional<std::size_t>(3));
   EXPECT_EQ(r.outcome("syndb").rank, std::optional<std::size_t>(1));
 }
+
+// ---------------------------------------------------------------------------
+// Full-outcome goldens. The rank goldens above cannot see a reordered tail,
+// a perturbed score, or a changed byte count; these can. For each Table 1
+// cause at seed 21 with all four systems deployed, each system's complete
+// ranked culprit list (level, cause, location or flow, exact score, in
+// order) is pinned by the FNV-1a digest of its canonical text, alongside
+// its telemetry and diagnosis bytes. On a mismatch the test prints the
+// canonical text so the two lists can be diffed.
+
+std::string canonical_culprits(const rca::CulpritList& culprits) {
+  std::string out;
+  for (const auto& c : culprits) {
+    out += rca::to_string(c.level);
+    out += ' ';
+    out += rca::to_string(c.cause);
+    out += ' ';
+    if (c.level == rca::CulpritLevel::kFlow) {
+      out += "f" + std::to_string(c.flow.source) + "-" +
+             std::to_string(c.flow.sink);
+    }
+    for (std::size_t i = 0; i < c.location.size(); ++i) {
+      out += (i == 0 ? "s" : "-s") + std::to_string(c.location[i]);
+    }
+    if (c.level == rca::CulpritLevel::kPort) {
+      out += " p" + std::to_string(c.port);
+    }
+    char score[32];
+    std::snprintf(score, sizeof score, " %.17g\n", c.score);
+    out += score;
+  }
+  return out;
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char ch : text) {
+    h ^= ch;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct SystemGolden {
+  const char* system;
+  std::size_t culprits;
+  std::uint64_t digest;
+  std::uint64_t telemetry_bytes;
+  std::uint64_t diagnosis_bytes;
+};
+
+struct OutcomeGolden {
+  faults::FaultKind kind;
+  std::array<SystemGolden, 4> systems;
+};
+
+void PrintTo(const OutcomeGolden& golden, std::ostream* os) {
+  *os << faults::to_string(golden.kind);
+}
+
+class FullOutcomeGoldenTest : public ::testing::TestWithParam<OutcomeGolden> {
+};
+
+TEST_P(FullOutcomeGoldenTest, EverySystemOutcomeIsBitIdentical) {
+  const OutcomeGolden& golden = GetParam();
+  const ScenarioResult r = run_scenario(default_scenario(golden.kind, 21));
+  for (const SystemGolden& expect : golden.systems) {
+    const SystemOutcome& got = r.outcome(expect.system);
+    const std::string text = canonical_culprits(got.culprits);
+    EXPECT_EQ(got.culprits.size(), expect.culprits) << expect.system;
+    EXPECT_EQ(fnv1a(text), expect.digest)
+        << expect.system << " culprit list:\n" << text;
+    EXPECT_EQ(got.telemetry_bytes, expect.telemetry_bytes) << expect.system;
+    EXPECT_EQ(got.diagnosis_bytes, expect.diagnosis_bytes) << expect.system;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table1Seed21, FullOutcomeGoldenTest,
+    ::testing::Values(
+        OutcomeGolden{faults::FaultKind::kMicroBurst,
+                      {{{"mars", 19, 0x11677f907eda19d0ull, 236952, 237284},
+                        {"spidermon", 20, 0xe9d1d64fc94a8524ull, 760720, 2556},
+                        {"intsight", 20, 0x581071b64011413bull, 6275940, 3192},
+                        {"syndb", 20, 0xb0402fff09e41d9aull, 0, 17310560}}}},
+        OutcomeGolden{faults::FaultKind::kEcmpImbalance,
+                      {{{"mars", 20, 0x7b00780ab9a004e1ull, 322146, 319576},
+                        {"spidermon", 20, 0x2ce8e141f331858eull, 1102464, 3156},
+                        {"intsight", 20, 0x8da8ed1ead052dd0ull, 9095328, 19248},
+                        {"syndb", 20, 0xbd3c74b9a1cc356eull, 0, 25116240}}}},
+        OutcomeGolden{faults::FaultKind::kProcessRateDecrease,
+                      {{{"mars", 17, 0xf97bf3ae327cc6bfull, 228924, 232980},
+                        {"spidermon", 20, 0xb515856b7f9ee655ull, 726496, 2400},
+                        {"intsight", 20, 0x2ff0c3529ef4b6bfull, 5993592, 1968},
+                        {"syndb", 20, 0x1505f0a2d1653e01ull, 0, 16527480}}}},
+        OutcomeGolden{faults::FaultKind::kDelay,
+                      {{{"mars", 20, 0x47fbcd873736b3faull, 228924, 161212},
+                        {"spidermon", 0, 0xcbf29ce484222325ull, 726496, 0},
+                        {"intsight", 20, 0xaa03c91827057ddbull, 5993592, 1248},
+                        {"syndb", 20, 0x3c3cb9dfe7f9fcedull, 0, 16527480}}}},
+        OutcomeGolden{faults::FaultKind::kDrop,
+                      {{{"mars", 11, 0x907625814e9db9fdull, 227244, 157664},
+                        {"spidermon", 0, 0xcbf29ce484222325ull, 721008, 0},
+                        {"intsight", 20, 0xe08b140c2b043836ull, 5948316, 864},
+                        {"syndb", 1, 0xa20b02f7a8ed39e4ull, 0, 16434600}}}}),
+    [](const ::testing::TestParamInfo<OutcomeGolden>& info) {
+      std::string name;
+      for (const char ch : std::string(faults::to_string(info.param.kind))) {
+        if (ch != '-') name += ch;
+      }
+      return name;
+    });
 
 // ---------------------------------------------------------------------------
 // Sharded engine (sim.shards >= 1): its own golden universe — notification

@@ -1,6 +1,7 @@
 #include "dataplane/mars_pipeline.hpp"
 
 #include <cassert>
+#include <optional>
 
 #include "sim/simulator.hpp"
 
@@ -61,17 +62,18 @@ void MarsPipeline::on_ingress(net::SwitchContext& ctx, net::Packet& pkt) {
   const sim::Time now = ctx.sim.now();
 
   // Source switch: count the packet and insert the PathID field.
-  st.ingress.count_packet(pkt.flow, now);
+  const std::optional<std::uint32_t> last_epoch_count =
+      st.ingress.count_packet(pkt.flow.sink, now);
   pkt.has_path_id = true;
   pkt.path_id = 0;
 
   // Mark at most one telemetry packet per flow per epoch (§4.2.1). The
   // marked packet carries the common in-band fields for every backend so
   // serialization timing stays backend-invariant (telemetry/backend.hpp).
-  if (st.ingress.try_mark_telemetry(pkt.flow, now)) {
+  if (last_epoch_count) {
     net::IntHeader hdr;
     hdr.source_timestamp = now;
-    hdr.last_epoch_count = st.ingress.last_epoch_count(pkt.flow, now);
+    hdr.last_epoch_count = *last_epoch_count;
     hdr.total_queue_depth = 0;
     hdr.epoch_id = telemetry::epoch_of(now, config_.epoch_period);
     pkt.telemetry = hdr;
@@ -211,7 +213,8 @@ void MarsPipeline::on_deliver(net::SwitchContext& ctx, net::Packet& pkt) {
       net::kHostPort);
 
   // Egress Table: per-(PathID, FlowID) counters for all packets (§4.2.2).
-  st.egress.count_packet(pkt.path_id, pkt.flow, pkt.size_bytes, now);
+  const auto path_now =
+      st.egress.count_packet(pkt.flow.source, pkt.path_id, pkt.size_bytes, now);
 
   if (!pkt.telemetry) return;
 
@@ -233,7 +236,8 @@ void MarsPipeline::on_deliver(net::SwitchContext& ctx, net::Packet& pkt) {
   // looks like a single-epoch deficit — real loss persists — so the
   // mismatch must repeat before it is trusted.
   const std::uint32_t c_s = hdr.last_epoch_count;
-  const std::uint32_t c_d = st.egress.flow_previous_packets(pkt.flow, now);
+  const std::uint32_t c_d =
+      st.egress.flow_previous_packets(pkt.flow.source, now);
   const auto mismatch_threshold = std::max<std::uint32_t>(
       config_.drop_count_threshold,
       static_cast<std::uint32_t>(config_.drop_count_relative *
@@ -255,12 +259,12 @@ void MarsPipeline::on_deliver(net::SwitchContext& ctx, net::Packet& pkt) {
   rec.total_queue_depth = hdr.total_queue_depth;
   rec.src_last_epoch_count = c_s;
   rec.sink_last_epoch_count = c_d;
-  const auto path_now = st.egress.current(pkt.path_id, pkt.flow, now);
   rec.path_epoch_packets = path_now.packets;
   rec.path_epoch_bytes = path_now.bytes;
-  rec.flow_epoch_packets = st.egress.flow_current_packets(pkt.flow, now);
+  rec.flow_epoch_packets =
+      st.egress.flow_current_packets(pkt.flow.source, now);
   rec.epoch_gap = gap;
-  const auto per_path = st.egress.flow_path_counts(pkt.flow, now);
+  const auto per_path = st.egress.flow_path_counts(pkt.flow.source, now);
   rec.path_count_n = static_cast<std::uint8_t>(
       std::min(per_path.size(), telemetry::RtRecord::kMaxPaths));
   for (std::uint8_t i = 0; i < rec.path_count_n; ++i) {

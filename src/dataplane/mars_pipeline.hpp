@@ -92,10 +92,6 @@ class MarsPipeline : public net::PacketObserver {
   /// Install the PathID conflict-resolution MAT computed by the registry.
   void set_control_mat(telemetry::ControlMat mat) { mat_ = std::move(mat); }
 
-  [[nodiscard]] const telemetry::IngressTable& ingress_table(
-      net::SwitchId sw) const {
-    return state_[sw].ingress;
-  }
   [[nodiscard]] const telemetry::EgressTable& egress_table(
       net::SwitchId sw) const {
     return state_[sw].egress;

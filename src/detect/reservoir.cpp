@@ -23,10 +23,13 @@ double Reservoir::threshold() const {
   if (!warmed_up()) {
     return static_cast<double>(config_.default_threshold);
   }
-  const double m = median();
-  const double margin =
-      std::max(config_.sigma_multiplier * sigma(), config_.relative_margin * m);
-  return m + margin;
+  if (!threshold_) {
+    const double m = median();
+    const double margin = std::max(config_.sigma_multiplier * sigma(),
+                                   config_.relative_margin * m);
+    threshold_ = m + margin;
+  }
+  return *threshold_;
 }
 
 double Reservoir::admit_probability() const {
@@ -53,10 +56,12 @@ bool Reservoir::input(double latency_ns) {
 
   if (samples_.size() < config_.volume) {
     samples_.push_back(latency_ns);
+    threshold_.reset();
   } else if (rng_.chance(admit_probability())) {
     const auto victim =
         static_cast<std::size_t>(rng_.below(samples_.size()));
     samples_[victim] = latency_ns;
+    threshold_.reset();
   }
   return outlier;
 }

@@ -17,6 +17,7 @@
 // the ablation bench.
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -66,7 +67,8 @@ class Reservoir {
   /// Returns the outlier flag.
   bool input(double latency_ns);
 
-  /// Current detection threshold in nanoseconds.
+  /// Current detection threshold in nanoseconds. Cached until the
+  /// reservoir's contents change.
   [[nodiscard]] double threshold() const;
 
   /// True once the dynamic threshold is active.
@@ -88,6 +90,8 @@ class Reservoir {
 
   ReservoirConfig config_;
   std::vector<double> samples_;
+  /// threshold() of the current `samples_`; reset whenever they change.
+  mutable std::optional<double> threshold_;
   int consecutive_ = 0;  ///< c_o under the active PenaltyMode
   util::Rng rng_;
 };

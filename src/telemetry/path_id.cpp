@@ -33,10 +33,14 @@ std::uint32_t update_path_id_with_mat(const PathIdConfig& config,
                                       std::uint32_t path_id, net::SwitchId sw,
                                       net::PortId in_port,
                                       net::PortId out_port) {
+  // Conflict-free registries install no entries (both default shapes);
+  // skip hashing the HopKey into an empty table on every hop.
   std::uint32_t control = 0;
-  if (const auto it = mat.find(HopKey{path_id, sw, in_port, out_port});
-      it != mat.end()) {
-    control = it->second;
+  if (!mat.empty()) {
+    if (const auto it = mat.find(HopKey{path_id, sw, in_port, out_port});
+        it != mat.end()) {
+      control = it->second;
+    }
   }
   return update_path_id(config, path_id, sw, in_port, out_port, control);
 }

@@ -4,135 +4,91 @@
 
 namespace mars::telemetry {
 
-void IngressTable::roll(FlowEntry& e, EpochId epoch) const {
-  if (epoch == e.epoch) return;
-  // Keep the immediately preceding epoch's count; anything older is stale.
-  e.previous_count = (epoch == e.epoch + 1) ? e.current_count : 0;
-  e.previous_epoch = epoch - 1;
-  e.epoch = epoch;
-  e.current_count = 0;
-}
-
-void IngressTable::count_packet(const net::FlowId& flow, sim::Time now) {
-  FlowEntry& e = flows_[flow];
-  roll(e, epoch_of(now, period_));
-  ++e.current_count;
-}
-
-bool IngressTable::try_mark_telemetry(const net::FlowId& flow,
-                                      sim::Time now) {
-  FlowEntry& e = flows_[flow];
+std::optional<std::uint32_t> IngressTable::count_packet(net::SwitchId sink,
+                                                        sim::Time now) {
+  if (sink >= flows_.size()) flows_.resize(sink + 1);
+  FlowEntry& e = flows_[sink];
   const EpochId epoch = epoch_of(now, period_);
-  roll(e, epoch);
-  if (e.telemetry_marked && e.last_telemetry_epoch == epoch) return false;
-  e.telemetry_marked = true;
-  e.last_telemetry_epoch = epoch;
-  e.last_telemetry_time = now;
-  return true;
-}
-
-std::uint32_t IngressTable::last_epoch_count(const net::FlowId& flow,
-                                             sim::Time now) const {
-  const auto it = flows_.find(flow);
-  if (it == flows_.end()) return 0;
-  const FlowEntry& e = it->second;
-  const EpochId epoch = epoch_of(now, period_);
-  if (e.epoch == epoch) {
-    return (e.previous_epoch == epoch - 1) ? e.previous_count : 0;
+  if (epoch != e.epoch) {
+    // Keep the immediately preceding epoch's count; anything older is stale.
+    e.previous_count = (epoch == e.epoch + 1) ? e.current_count : 0;
+    e.epoch = epoch;
+    e.current_count = 0;
   }
-  if (e.epoch == epoch - 1) return e.current_count;
-  return 0;
+  if (++e.current_count != 1) return std::nullopt;
+  return e.previous_count;
 }
 
-std::uint32_t IngressTable::current_epoch_count(const net::FlowId& flow,
-                                                sim::Time now) const {
-  const auto it = flows_.find(flow);
-  if (it == flows_.end()) return 0;
-  const FlowEntry& e = it->second;
-  return (e.epoch == epoch_of(now, period_)) ? e.current_count : 0;
-}
-
-void EgressTable::roll(Entry& e, EpochId epoch) const {
-  if (epoch == e.epoch) return;
-  e.previous = (epoch == e.epoch + 1) ? e.current : PathCounters{};
-  e.previous_epoch = epoch - 1;
-  e.epoch = epoch;
-  e.current = PathCounters{};
-}
-
-void EgressTable::count_packet(std::uint32_t path_id, const net::FlowId& flow,
-                               std::uint32_t bytes, sim::Time now) {
-  Entry& e = entries_[Key{path_id, flow}];
-  roll(e, epoch_of(now, period_));
+EgressTable::PathCounters EgressTable::count_packet(net::SwitchId source,
+                                                    std::uint32_t path_id,
+                                                    std::uint32_t bytes,
+                                                    sim::Time now) {
+  if (source >= flows_.size()) flows_.resize(source + 1);
+  Slot& slot = flows_[source];
+  auto it = std::lower_bound(
+      slot.begin(), slot.end(), path_id,
+      [](const Entry& e, std::uint32_t id) { return e.path_id < id; });
+  if (it == slot.end() || it->path_id != path_id) {
+    Entry fresh;
+    fresh.path_id = path_id;
+    it = slot.insert(it, fresh);
+  }
+  Entry& e = *it;
+  const EpochId epoch = epoch_of(now, period_);
+  if (epoch != e.epoch) {
+    e.previous = (epoch == e.epoch + 1) ? e.current : PathCounters{};
+    e.epoch = epoch;
+    e.current = PathCounters{};
+  }
   ++e.current.packets;
   e.current.bytes += bytes;
+  return e.current;
 }
 
-EgressTable::PathCounters EgressTable::current(std::uint32_t path_id,
-                                               const net::FlowId& flow,
-                                               sim::Time now) const {
-  const auto it = entries_.find(Key{path_id, flow});
-  if (it == entries_.end()) return {};
-  const Entry& e = it->second;
-  return (e.epoch == epoch_of(now, period_)) ? e.current : PathCounters{};
-}
-
-EgressTable::PathCounters EgressTable::previous(std::uint32_t path_id,
-                                                const net::FlowId& flow,
+std::uint32_t EgressTable::flow_current_packets(net::SwitchId source,
                                                 sim::Time now) const {
-  const auto it = entries_.find(Key{path_id, flow});
-  if (it == entries_.end()) return {};
-  const Entry& e = it->second;
+  const Slot* entries = slot(source);
+  if (entries == nullptr) return 0;
   const EpochId epoch = epoch_of(now, period_);
-  if (e.epoch == epoch && e.previous_epoch == epoch - 1) return e.previous;
-  if (e.epoch == epoch - 1) return e.current;
-  return {};
-}
-
-std::uint32_t EgressTable::flow_current_packets(const net::FlowId& flow,
-                                                sim::Time now) const {
   std::uint32_t total = 0;
-  const EpochId epoch = epoch_of(now, period_);
-  for (const auto& [key, e] : entries_) {
-    if (key.flow == flow && e.epoch == epoch) total += e.current.packets;
+  for (const Entry& e : *entries) {
+    if (e.epoch == epoch) total += e.current.packets;
   }
   return total;
 }
 
-std::vector<EgressTable::FlowPathCount> EgressTable::flow_path_counts(
-    const net::FlowId& flow, sim::Time now) const {
-  const EpochId epoch = epoch_of(now, period_);
-  std::vector<FlowPathCount> out;
-  for (const auto& [key, e] : entries_) {
-    if (key.flow != flow) continue;
-    std::uint32_t packets = 0;
-    if (e.epoch == epoch) {
-      packets += e.current.packets;
-      if (e.previous_epoch == epoch - 1) packets += e.previous.packets;
-    } else if (e.epoch == epoch - 1) {
-      packets += e.current.packets;
-    }
-    if (packets > 0) out.push_back(FlowPathCount{key.path_id, packets});
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.path_id < b.path_id;
-  });
-  return out;
-}
-
-std::uint32_t EgressTable::flow_previous_packets(const net::FlowId& flow,
+std::uint32_t EgressTable::flow_previous_packets(net::SwitchId source,
                                                  sim::Time now) const {
-  std::uint32_t total = 0;
+  const Slot* entries = slot(source);
+  if (entries == nullptr) return 0;
   const EpochId epoch = epoch_of(now, period_);
-  for (const auto& [key, e] : entries_) {
-    if (key.flow != flow) continue;
-    if (e.epoch == epoch && e.previous_epoch == epoch - 1) {
+  std::uint32_t total = 0;
+  for (const Entry& e : *entries) {
+    if (e.epoch == epoch) {
       total += e.previous.packets;
     } else if (e.epoch == epoch - 1) {
       total += e.current.packets;
     }
   }
   return total;
+}
+
+std::vector<EgressTable::FlowPathCount> EgressTable::flow_path_counts(
+    net::SwitchId source, sim::Time now) const {
+  std::vector<FlowPathCount> out;
+  const Slot* entries = slot(source);
+  if (entries == nullptr) return out;
+  const EpochId epoch = epoch_of(now, period_);
+  for (const Entry& e : *entries) {
+    std::uint32_t packets = 0;
+    if (e.epoch == epoch) {
+      packets = e.current.packets + e.previous.packets;
+    } else if (e.epoch == epoch - 1) {
+      packets = e.current.packets;
+    }
+    if (packets > 0) out.push_back(FlowPathCount{e.path_id, packets});
+  }
+  return out;
 }
 
 }  // namespace mars::telemetry

@@ -1,9 +1,9 @@
 #pragma once
 // Edge-switch telemetry state (paper §4.2.2):
 //
-//   - Ingress Table (IT), on source switches: per-flow packet counts per
-//     epoch plus the timestamp/epoch of the last telemetry packet, so only
-//     one telemetry packet is marked per flow per epoch.
+//   - Ingress Table (IT), on source switches: per-flow packet counts of
+//     the current and previous epoch; the first packet of each epoch is
+//     marked as telemetry, so only one is marked per flow per epoch.
 //   - Egress Table (ET), on sink switches: per-(PathID, FlowID) packet and
 //     byte counts per epoch.
 //   - Ring Table (RT), on sink switches: fixed-size ring of per-telemetry-
@@ -11,12 +11,13 @@
 //     control plane drains on demand for diagnosis.
 //
 // The paper stores only the "other half" of the FlowID on each edge switch
-// (s_sink on the source, s_source on the sink); we keep full FlowIds in the
-// API for clarity and account the memory with the halved key width.
+// (s_sink on the source, s_source on the sink), and so do these tables:
+// each is a vector indexed by that switch id, grown on demand, so a packet
+// costs one indexed access and no hash probe.
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "net/types.hpp"
@@ -26,114 +27,83 @@
 
 namespace mars::telemetry {
 
-/// Ingress Table: lives on every source switch.
+/// Ingress Table: lives on every source switch, one entry per sink.
 class IngressTable {
  public:
   explicit IngressTable(sim::Time epoch_period = kDefaultEpochPeriod)
       : period_(epoch_period) {}
 
-  /// Count one incoming packet of `flow` at time `now`. Rolls the per-flow
-  /// epoch window forward when `now` enters a new epoch.
-  void count_packet(const net::FlowId& flow, sim::Time now);
-
-  /// True if no telemetry packet has been marked for `flow` in the epoch of
-  /// `now`; records the marking when it returns true.
-  bool try_mark_telemetry(const net::FlowId& flow, sim::Time now);
-
-  /// Packet count of `flow` in the epoch before the one containing `now`
-  /// (the value the telemetry header carries as "packet count ... in the
-  /// last epoch").
-  [[nodiscard]] std::uint32_t last_epoch_count(const net::FlowId& flow,
-                                               sim::Time now) const;
-
-  /// Packet count so far in the epoch containing `now`.
-  [[nodiscard]] std::uint32_t current_epoch_count(const net::FlowId& flow,
-                                                  sim::Time now) const;
-
-  [[nodiscard]] sim::Time epoch_period() const { return period_; }
-  [[nodiscard]] std::size_t flow_count() const { return flows_.size(); }
+  /// Count one packet of the flow to `sink` at time `now`, rolling the
+  /// flow's epoch window forward when `now` enters a new epoch. The first
+  /// packet of each epoch is the flow's one telemetry packet (§4.2.1): for
+  /// it, returns the flow's packet count in the previous epoch (the value
+  /// the telemetry header carries); nullopt for every other packet.
+  std::optional<std::uint32_t> count_packet(net::SwitchId sink,
+                                            sim::Time now);
 
  private:
   struct FlowEntry {
     EpochId epoch = 0;                  ///< epoch of `current_count`
     std::uint32_t current_count = 0;
     std::uint32_t previous_count = 0;   ///< count in `epoch - 1` (0 if stale)
-    EpochId previous_epoch = 0;
-    EpochId last_telemetry_epoch = 0;
-    bool telemetry_marked = false;
-    sim::Time last_telemetry_time = 0;
   };
 
-  void roll(FlowEntry& e, EpochId epoch) const;
-
   sim::Time period_;
-  std::unordered_map<net::FlowId, FlowEntry> flows_;
+  std::vector<FlowEntry> flows_;  ///< indexed by sink switch id
 };
 
-/// Egress Table: per-(PathID, FlowID) counters on sink switches.
+/// Egress Table: per-(PathID, FlowID) counters on sink switches, one slot
+/// per source holding that flow's few per-path entries.
 class EgressTable {
  public:
   explicit EgressTable(sim::Time epoch_period = kDefaultEpochPeriod)
       : period_(epoch_period) {}
-
-  void count_packet(std::uint32_t path_id, const net::FlowId& flow,
-                    std::uint32_t bytes, sim::Time now);
 
   struct PathCounters {
     std::uint32_t packets = 0;
     std::uint64_t bytes = 0;
   };
 
-  /// Counters for the epoch containing `now`.
-  [[nodiscard]] PathCounters current(std::uint32_t path_id,
-                                     const net::FlowId& flow,
-                                     sim::Time now) const;
-  /// Counters for the epoch before the one containing `now`.
-  [[nodiscard]] PathCounters previous(std::uint32_t path_id,
-                                      const net::FlowId& flow,
-                                      sim::Time now) const;
+  /// Count one packet of the flow from `source` on `path_id` at `now`.
+  /// Returns that path's counters for the epoch containing `now`, this
+  /// packet included.
+  PathCounters count_packet(net::SwitchId source, std::uint32_t path_id,
+                            std::uint32_t bytes, sim::Time now);
 
-  /// Packets of `flow` summed over all paths in the epoch containing `now`.
-  [[nodiscard]] std::uint32_t flow_current_packets(const net::FlowId& flow,
+  /// Packets of the flow from `source`, summed over all paths, in the
+  /// epoch containing `now`.
+  [[nodiscard]] std::uint32_t flow_current_packets(net::SwitchId source,
                                                    sim::Time now) const;
   /// Same for the previous epoch.
-  [[nodiscard]] std::uint32_t flow_previous_packets(const net::FlowId& flow,
+  [[nodiscard]] std::uint32_t flow_previous_packets(net::SwitchId source,
                                                     sim::Time now) const;
 
-  /// Per-path packet counts of `flow` in the epoch containing `now`
-  /// (current + previous epoch summed, so a path sampled in either stays
-  /// visible). Sorted by path id for determinism.
+  /// Per-path packet counts of the flow from `source` in the epoch
+  /// containing `now` (current + previous epoch summed, so a path sampled
+  /// in either stays visible). Sorted by path id for determinism.
   struct FlowPathCount {
     std::uint32_t path_id = 0;
     std::uint32_t packets = 0;
   };
   [[nodiscard]] std::vector<FlowPathCount> flow_path_counts(
-      const net::FlowId& flow, sim::Time now) const;
-
-  [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
+      net::SwitchId source, sim::Time now) const;
 
  private:
-  struct Key {
-    std::uint32_t path_id;
-    net::FlowId flow;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      return std::hash<net::FlowId>{}(k.flow) * 1000003u ^ k.path_id;
-    }
-  };
   struct Entry {
-    EpochId epoch = 0;
+    std::uint32_t path_id = 0;
+    EpochId epoch = 0;        ///< epoch of `current`
     PathCounters current;
-    PathCounters previous;
-    EpochId previous_epoch = 0;
+    PathCounters previous;    ///< counters of `epoch - 1` (zero if stale)
   };
+  /// One flow's entries, sorted by path id.
+  using Slot = std::vector<Entry>;
 
-  void roll(Entry& e, EpochId epoch) const;
+  [[nodiscard]] const Slot* slot(net::SwitchId source) const {
+    return source < flows_.size() ? &flows_[source] : nullptr;
+  }
 
   sim::Time period_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
+  std::vector<Slot> flows_;  ///< indexed by source switch id
 };
 
 /// One Ring Table record, extracted from a telemetry packet at the sink.

@@ -45,7 +45,23 @@ constexpr std::array<std::array<std::uint32_t, 256>, 4> make_crc32_slices() {
   return t;
 }
 
-constexpr auto kCrc16Table = make_crc16_table();
+// The MSB-first CRC16 counterpart: kCrc16Slices[k][i] advances the CRC of
+// byte i by k more zero bytes, shifting left instead of right. The PathID
+// update hashes five words per hop of every packet.
+constexpr std::array<std::array<std::uint16_t, 256>, 4> make_crc16_slices() {
+  std::array<std::array<std::uint16_t, 256>, 4> t{};
+  t[0] = make_crc16_table();
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (int k = 1; k < 4; ++k) {
+      t[k][i] = static_cast<std::uint16_t>((t[k - 1][i] << 8) ^
+                                           t[0][t[k - 1][i] >> 8]);
+    }
+  }
+  return t;
+}
+
+constexpr auto kCrc16Slices = make_crc16_slices();
+constexpr const auto& kCrc16Table = kCrc16Slices[0];
 constexpr auto kCrc32Slices = make_crc32_slices();
 constexpr const auto& kCrc32Table = kCrc32Slices[0];
 
@@ -81,22 +97,18 @@ std::uint32_t Crc32::compute(std::span<const std::byte> data) {
   return crc.value();
 }
 
-namespace {
-template <typename Crc>
-void feed_words(Crc& crc, std::span<const std::uint32_t> words) {
-  for (std::uint32_t w : words) {
-    crc.update(static_cast<std::uint8_t>(w & 0xFFu));
-    crc.update(static_cast<std::uint8_t>((w >> 8) & 0xFFu));
-    crc.update(static_cast<std::uint8_t>((w >> 16) & 0xFFu));
-    crc.update(static_cast<std::uint8_t>((w >> 24) & 0xFFu));
-  }
-}
-}  // namespace
-
 std::uint16_t crc16_words(std::span<const std::uint32_t> words) {
-  Crc16 crc;
-  feed_words(crc, words);
-  return crc.value();
+  // Slicing-by-4, MSB-first: the state's high byte meets the word's first
+  // (lowest) byte and its low byte the second, so XOR the byte-swapped
+  // state into the word, then combine the four per-byte advance tables.
+  std::uint16_t state = 0xFFFFu;
+  for (std::uint32_t w : words) {
+    const std::uint32_t x = w ^ (state >> 8) ^ ((state & 0xFFu) << 8);
+    state = static_cast<std::uint16_t>(
+        kCrc16Slices[3][x & 0xFFu] ^ kCrc16Slices[2][(x >> 8) & 0xFFu] ^
+        kCrc16Slices[1][(x >> 16) & 0xFFu] ^ kCrc16Slices[0][x >> 24]);
+  }
+  return state;
 }
 
 std::uint32_t crc32_words(std::span<const std::uint32_t> words) {

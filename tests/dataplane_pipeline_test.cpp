@@ -115,7 +115,7 @@ TEST(PipelineTest, EgressTableCountsAllPackets) {
   f.traffic(flow, 5, 20, 1_ms);
   f.sim.run();
   const auto& et = f.pipeline.egress_table(flow.sink);
-  EXPECT_EQ(et.flow_current_packets(flow, f.sim.now()), 20u);
+  EXPECT_EQ(et.flow_current_packets(flow.source, f.sim.now()), 20u);
 }
 
 TEST(PipelineTest, HighLatencyTriggersNotification) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/rng.hpp"
 
 namespace mars::detect {
@@ -99,6 +101,50 @@ TEST(ReservoirTest, CapacityNeverExceeded) {
   util::Rng rng(5);
   for (int i = 0; i < 1000; ++i) r.input(rng.normal(1e6, 1e5));
   EXPECT_EQ(r.size(), 32u);
+}
+
+TEST(ReservoirTest, CachedThresholdMatchesRecomputation) {
+  // threshold() is cached until the reservoir's contents change. After
+  // every input — through warm-up, then admissions and rejections once
+  // full — it must equal the formula recomputed from median()/sigma().
+  for (const ScaleEstimator scale :
+       {ScaleEstimator::kMad, ScaleEstimator::kStdDev}) {
+    ReservoirConfig cfg = small_config();
+    cfg.scale = scale;
+    Reservoir r(cfg, 21);
+    util::Rng rng(22);
+    // Once full, a rejected sample leaves median and sigma as they were;
+    // an admitted one (almost surely, for continuous values) moves one.
+    std::size_t moved_when_full = 0;
+    std::size_t still_when_full = 0;
+    double last_median = r.median();
+    double last_sigma = r.sigma();
+    for (int i = 0; i < 800; ++i) {
+      // Outlier bursts drive the penalty factor, so admission odds vary.
+      const bool burst = (i / 40) % 5 == 4;
+      const double latency =
+          burst ? rng.normal(6e6, 2e5) : rng.normal(1e6, 5e4);
+      const bool full = r.size() == cfg.volume;
+      r.input(latency);
+      const double m = r.median();
+      const double sigma = r.sigma();
+      const double expected =
+          r.warmed_up()
+              ? m + std::max(cfg.sigma_multiplier * sigma,
+                             cfg.relative_margin * m)
+              : static_cast<double>(cfg.default_threshold);
+      ASSERT_EQ(r.threshold(), expected) << "input " << i;
+      ASSERT_EQ(r.threshold(), expected) << "input " << i << " (cached)";
+      if (full) {
+        const bool moved = m != last_median || sigma != last_sigma;
+        (moved ? moved_when_full : still_when_full) += 1;
+      }
+      last_median = m;
+      last_sigma = sigma;
+    }
+    EXPECT_GT(moved_when_full, 50u);
+    EXPECT_GT(still_when_full, 50u);
+  }
 }
 
 class ReservoirSigmaParamTest : public ::testing::TestWithParam<double> {};

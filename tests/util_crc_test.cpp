@@ -4,8 +4,12 @@
 
 #include <array>
 #include <cstring>
+#include <span>
 #include <string_view>
 #include <vector>
+
+#include "telemetry/path_id.hpp"
+#include "util/rng.hpp"
 
 namespace mars::util {
 namespace {
@@ -13,6 +17,17 @@ namespace {
 std::vector<std::byte> bytes_of(std::string_view s) {
   std::vector<std::byte> out(s.size());
   std::memcpy(out.data(), s.data(), s.size());
+  return out;
+}
+
+/// The words' bytes in the order crc*_words hashes them: little-endian.
+std::vector<std::byte> le_bytes_of(std::span<const std::uint32_t> words) {
+  std::vector<std::byte> out;
+  for (std::uint32_t w : words) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      out.push_back(static_cast<std::byte>((w >> shift) & 0xFFu));
+    }
+  }
   return out;
 }
 
@@ -60,6 +75,77 @@ TEST(CrcWordsTest, SensitiveToEveryField) {
     auto mutated = base;
     mutated[i] ^= 1;
     EXPECT_NE(crc32_words(mutated), h) << "word " << i;
+  }
+}
+
+TEST(CrcWordsTest, SlicedMatchesByteSerialOnRandomWords) {
+  // Both word hashes fold a whole word per step through slicing-by-4
+  // tables; each must equal the byte-at-a-time CRC of the same bytes.
+  Rng rng(0xC4C16);
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<std::uint32_t> words(rng.below(9));  // 0..8 words
+    for (auto& w : words) {
+      // Half the words look like PathID fields (small ids and ports).
+      w = rng.chance(0.5) ? static_cast<std::uint32_t>(rng())
+                          : static_cast<std::uint32_t>(rng.below(1024));
+    }
+    const auto bytes = le_bytes_of(words);
+    ASSERT_EQ(crc16_words(words), Crc16::compute(bytes)) << "trial " << trial;
+    ASSERT_EQ(crc32_words(words), Crc32::compute(bytes)) << "trial " << trial;
+  }
+}
+
+// Known-answer PathID chains: three five-hop paths from PathID 0 under
+// each shape the scenarios use, one hop with a MAT control word on two of
+// them. The values were captured from the byte-serial hash; a change to
+// the sliced tables, the word order or the width mask shows up here.
+TEST(CrcWordsTest, PathIdChainsMatchKnownAnswers) {
+  using telemetry::HashKind;
+  using telemetry::PathIdConfig;
+  struct Hop {
+    net::SwitchId sw;
+    net::PortId in_port;
+    net::PortId out_port;
+    std::uint32_t control;
+  };
+  constexpr Hop kPaths[3][5] = {
+      {{4, net::kHostPort, 2, 0}, {12, 0, 3, 0}, {16, 1, 2, 0}, {14, 3, 0, 0},
+       {6, 2, net::kHostPort, 0}},
+      {{0, net::kHostPort, 3, 0}, {9, 1, 2, 7}, {19, 0, 1, 0}, {10, 2, 1, 0},
+       {3, 3, net::kHostPort, 0}},
+      {{127, net::kHostPort, 8, 0}, {200, 5, 9, 0}, {311, 12, 3, 1},
+       {255, 4, 14, 0}, {90, 8, net::kHostPort, 0}},
+  };
+  struct Shape {
+    PathIdConfig config;
+    std::uint32_t ids[3][5];
+  };
+  constexpr Shape kShapes[] = {
+      {{HashKind::kCrc16, 16},
+       {{0x7D35u, 0x66BDu, 0x9567u, 0xF55Fu, 0x7713u},
+        {0xBA34u, 0x07D1u, 0xC945u, 0xA5E3u, 0x11C2u},
+        {0xFCB7u, 0xB0A0u, 0x830Bu, 0xFE85u, 0xDC00u}}},
+      {{HashKind::kCrc16, 10},
+       {{0x135u, 0x30Fu, 0x2C1u, 0x023u, 0x1A4u},
+        {0x234u, 0x1C1u, 0x216u, 0x08Bu, 0x3C3u},
+        {0x0B7u, 0x3DBu, 0x0D1u, 0x056u, 0x174u}}},
+      {{HashKind::kCrc32, 32},
+       {{0xB5E332B8u, 0xBFEC16A9u, 0x27F827AAu, 0x6C0860E4u, 0x943A7027u},
+        {0xAD787EA1u, 0x36881A7Du, 0x3CA83896u, 0xA012AA8Cu, 0x23E1B727u},
+        {0xA19EB6D4u, 0xC1ECD7ADu, 0xF5FA70C3u, 0xC256D980u, 0x5903AF48u}}},
+  };
+  for (const Shape& shape : kShapes) {
+    for (std::size_t p = 0; p < 3; ++p) {
+      std::uint32_t id = 0;
+      for (std::size_t h = 0; h < 5; ++h) {
+        const Hop& hop = kPaths[p][h];
+        id = telemetry::update_path_id(shape.config, id, hop.sw, hop.in_port,
+                                       hop.out_port, hop.control);
+        EXPECT_EQ(id, shape.ids[p][h])
+            << telemetry::hash_name(shape.config.hash) << "/"
+            << shape.config.width_bits << " path " << p << " hop " << h;
+      }
+    }
   }
 }
 

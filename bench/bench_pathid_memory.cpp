@@ -8,7 +8,7 @@
 // and the gap widens with topology size.
 //
 // --audit-out FILE additionally runs the collision-rate-vs-K grid and the
-// sequential-vs-parallel construction timing, and writes them as JSON for
+// registry construction timing, and writes them as JSON for
 // bench/run_pathid_audit.sh to merge into BENCH_pathid_audit.json.
 // --audit-k N picks the construction-timing fabric (default 16; the CI
 // smoke uses 8 to stay under a second). Both flags are consumed before
@@ -80,26 +80,22 @@ void audit_grid_row(std::FILE* out, int k, telemetry::HashKind hash,
       a.conflict_free ? "true" : "false", last ? "" : ",");
 }
 
-// Sequential-vs-parallel construction timing plus the cache round-trip.
-// The speedup claim lives in the committed record's reference_8core
-// section; on single-core hosts the parallel row degenerates to the
-// sequential one (build_threads records how many threads actually ran, so
-// the gate knows when the comparison is meaningful).
+// One construction timing plus the cache round-trip. The cold
+// get_or_build is the build: build_seconds is the registry's own wall
+// time, cache_cold_seconds adds the cache's structural fingerprint, and
+// the second call must hit.
 void audit_construction(std::FILE* out, int k) {
   const telemetry::PathIdConfig cfg{telemetry::HashKind::kCrc32, 32};
   const auto ft = net::build_fat_tree({.k = k});
   const net::RoutingTable routing(ft.topology);
 
-  const control::PathRegistry seq(ft.topology, routing, cfg, 1);
-  const control::PathRegistry par(ft.topology, routing, cfg, 0);
-
   auto& cache = control::PathRegistryCache::instance();
   cache.clear();
   using clock = std::chrono::steady_clock;
   const auto t0 = clock::now();
-  const auto cold = cache.get_or_build(ft.topology, routing, cfg, 0);
+  const auto cold = cache.get_or_build(ft.topology, routing, cfg);
   const auto t1 = clock::now();
-  const auto hit = cache.get_or_build(ft.topology, routing, cfg, 0);
+  const auto hit = cache.get_or_build(ft.topology, routing, cfg);
   const auto t2 = clock::now();
   const double cold_s = std::chrono::duration<double>(t1 - t0).count();
   const double hit_s = std::chrono::duration<double>(t2 - t1).count();
@@ -109,27 +105,18 @@ void audit_construction(std::FILE* out, int k) {
   }
   cache.clear();
 
-  const control::PathAuditReport& a = seq.audit();
+  const control::PathAuditReport& a = cold->audit();
   std::fprintf(
       out,
       "  \"construction\": {\"k\": %d, \"hash\": \"%s\", "
       "\"width_bits\": %u, \"paths\": %zu, \"hops\": %zu, "
       "\"initial_collisions\": %zu, \"mat_entries\": %zu, "
       "\"conflict_free\": %s,\n"
-      "    \"sequential_seconds\": %.4f,\n"
-      "    \"parallel_seconds\": %.4f, \"parallel_threads\": %zu,\n"
+      "    \"build_seconds\": %.4f,\n"
       "    \"cache_cold_seconds\": %.4f, \"cache_hit_seconds\": %.6f}\n",
       k, telemetry::hash_name(cfg.hash), cfg.width_bits, a.path_count,
       a.hop_count, a.initial_collisions, a.mat_entries,
-      a.conflict_free ? "true" : "false", a.build_seconds,
-      par.audit().build_seconds, par.audit().build_threads, cold_s, hit_s);
-
-  if (seq.mat() != par.mat() ||
-      a.initial_collisions != par.audit().initial_collisions) {
-    std::fprintf(stderr,
-                 "error: parallel build diverged from sequential build\n");
-    std::exit(1);
-  }
+      a.conflict_free ? "true" : "false", a.build_seconds, cold_s, hit_s);
 }
 
 void write_audit(const std::string& path, int construction_k) {

@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
 # Re-measure the PathID collision audit and refresh the `current` section
-# of BENCH_pathid_audit.json. The `reference_8core` section is the
-# recorded multi-core run (see the file's `method` note) and is preserved
-# across refreshes so the construction-speedup claim stays anchored: on a
-# single-core container the parallel build degenerates to the sequential
-# one (parallel_threads records what actually ran). The collision grid is
+# of BENCH_pathid_audit.json. The `reference` section is the recorded run
+# (see the file's `method` note) and is preserved across refreshes, so the
+# construction claim stays anchored to it. The collision grid is
 # deterministic and must be identical on every host — the regression gate
 # exact-matches it.
 #

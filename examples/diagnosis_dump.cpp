@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (!d.thresholds.count(rec.flow)) ++no_threshold;
-    if (mars_system.registry().lookup(rec.path_id) == nullptr) {
+    if (mars_system.registry().lookup(rec.path_id).empty()) {
       ++unknown_path;
     }
     if (d.is_abnormal(rec)) {

@@ -365,7 +365,7 @@ int main(int argc, char** argv) {
     const auto fabric = net::TopologyRegistry::instance().build(cfg.topology);
     const net::RoutingTable routing(fabric.topology);
     const auto registry = control::PathRegistryCache::instance().get_or_build(
-        fabric.topology, routing, pid, /*threads=*/0);
+        fabric.topology, routing, pid);
     const control::PathAuditReport& a = registry->audit();
     if (json) {
       obs::JsonWriter w(std::cout);
@@ -387,7 +387,6 @@ int main(int argc, char** argv) {
       w.member("mars_memory_bytes", std::uint64_t{a.mars_memory_bytes});
       w.member("intsight_memory_bytes",
                std::uint64_t{a.intsight_memory_bytes});
-      w.member("build_threads", std::uint64_t{a.build_threads});
       w.member("build_seconds", a.build_seconds);
       w.end_object();
       std::cout << "\n";
@@ -408,8 +407,7 @@ int main(int argc, char** argv) {
                   "(IntSight-equivalent %zu bytes)\n",
                   a.mat_entries, a.mat_overwrites, a.mars_memory_bytes,
                   a.intsight_memory_bytes);
-      std::printf("build: %.3fs on %zu threads\n", a.build_seconds,
-                  a.build_threads);
+      std::printf("build: %.3fs\n", a.build_seconds);
       std::printf("verdict: %s\n",
                   a.conflict_free ? "conflict-free" : "NOT conflict-free");
     }

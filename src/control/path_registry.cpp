@@ -1,179 +1,150 @@
 #include "control/path_registry.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <array>
 #include <chrono>
-#include <memory>
-#include <thread>
+#include <limits>
+#include <optional>
+#include <stdexcept>
+#include <utility>
 
 #include "obs/event_log.hpp"
-#include "parallel/parallel_for.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace mars::control {
 
 namespace {
 
-// Below this many paths the fork/join overhead dwarfs the work; the small
-// registries used by unit tests and k=4 scenarios stay on the calling
-// thread even when a pool exists.
-constexpr std::size_t kMinParallelPaths = 4096;
-// Replay is ~30 ns per path; keep per-task slices coarse enough that the
-// pool's queue mutex never becomes the bottleneck.
-constexpr std::size_t kMinChunk = 1024;
+[[nodiscard]] std::uint32_t id_of(std::uint64_t key) {
+  return static_cast<std::uint32_t>(key >> 32);
+}
+[[nodiscard]] std::size_t index_of(std::uint64_t key) {
+  return static_cast<std::size_t>(key & 0xFFFFFFFFu);
+}
+
+/// Stable LSD radix sort of (id << 32 | index) keys on the id: four 8-bit
+/// passes with 256-entry counts (a 16-bit digit's 512 KB count arrays
+/// cost more than they save on small registries). Keys arrive in index
+/// order, so equal ids keep it.
+void sort_by_path_id(std::vector<std::uint64_t>& keys) {
+  std::array<std::array<std::size_t, 256>, 4> counts{};
+  for (const std::uint64_t key : keys) {
+    for (std::size_t pass = 0; pass < counts.size(); ++pass) {
+      ++counts[pass][(key >> (32 + 8 * pass)) & 0xFFu];
+    }
+  }
+  std::vector<std::uint64_t> buffer(keys.size());
+  for (std::size_t pass = 0; pass < counts.size(); ++pass) {
+    const std::size_t shift = 32 + 8 * pass;
+    std::array<std::size_t, 256>& count = counts[pass];
+    std::size_t next = 0;
+    for (std::size_t& c : count) next += std::exchange(c, next);
+    for (const std::uint64_t key : keys) {
+      buffer[count[(key >> shift) & 0xFFu]++] = key;
+    }
+    keys.swap(buffer);
+  }
+}
+
+/// One past the last key whose id equals keys[begin]'s: the end of that
+/// collision group.
+[[nodiscard]] std::size_t group_end(const std::vector<std::uint64_t>& keys,
+                                    std::size_t begin) {
+  std::size_t end = begin + 1;
+  while (end < keys.size() && id_of(keys[end]) == id_of(keys[begin])) ++end;
+  return end;
+}
 
 }  // namespace
 
 PathRegistry::PathRegistry(const net::Topology& topology,
                            const net::RoutingTable& routing,
-                           telemetry::PathIdConfig config, std::size_t threads)
-    : topology_(&topology), config_(config) {
+                           telemetry::PathIdConfig config)
+    : config_(config) {
   const auto start = std::chrono::steady_clock::now();
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  std::unique_ptr<parallel::ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<parallel::ThreadPool>(threads);
-
-  enumerate(routing, pool.get());
-  const Groups groups = resolve_conflicts(pool.get());
-  finalize(groups);
+  enumerate(topology, routing);
+  resolve_conflicts();
 
   audit_.config = config_;
-  audit_.path_count = paths_.size();
-  for (const auto& p : paths_) audit_.hop_count += p.hops.size();
+  audit_.path_count = path_count();
+  audit_.hop_count = switches_.size();
   audit_.id_space = static_cast<std::size_t>(config_.mask()) + 1;
   audit_.mat_entries = mat_.size();
   audit_.mars_memory_bytes = mars_memory_bytes();
   audit_.intsight_memory_bytes = intsight_memory_bytes();
-  audit_.build_threads = threads;
   audit_.build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 }
 
-void PathRegistry::enumerate(const net::RoutingTable& routing,
-                             parallel::ThreadPool* pool) {
-  // Per-root task splitting (fsm::Engine's pattern): every source edge
-  // switch enumerates into its own buffer, and the buffers concatenate in
-  // source order — exactly RoutingTable::enumerate_edge_paths(), so the
-  // path table is identical at every thread count.
-  const auto roots = topology_->switches_in_layer(net::Layer::kEdge);
-  std::vector<std::vector<RegisteredPath>> per_root(roots.size());
-  const auto build_root = [&](std::size_t r) {
-    std::vector<RegisteredPath>& out = per_root[r];
-    for (auto& switches : routing.enumerate_edge_paths_from(roots[r])) {
-      RegisteredPath path;
-      path.switches = std::move(switches);
-      build_hops(path);
-      out.push_back(std::move(path));
+void PathRegistry::enumerate(const net::Topology& topology,
+                             const net::RoutingTable& routing) {
+  // Depth-first over each (source, destination) pair's shortest-path DAG:
+  // sources, then destinations, in edge-layer order, next hops in port
+  // order — RoutingTable::enumerate_edge_paths()'s order. Each hop's
+  // ports come from the DFS edge itself (the local port and the peer's
+  // port), and a finished path is appended straight to the flat arrays.
+  const std::vector<net::SwitchId> edges =
+      topology.switches_in_layer(net::Layer::kEdge);
+  std::vector<net::SwitchId> prefix;
+  std::vector<HopPorts> prefix_ports;
+  offsets_.push_back(0);
+  for (const net::SwitchId src : edges) {
+    for (const net::SwitchId dst : edges) {
+      if (src == dst || routing.distance(src, dst) < 0) continue;
+      const auto dfs = [&](const auto& self, net::SwitchId cur,
+                           net::PortId in_port) -> void {
+        const int d = routing.distance(cur, dst);
+        if (d == 0) {
+          switches_.insert(switches_.end(), prefix.begin(), prefix.end());
+          switches_.push_back(cur);
+          ports_.insert(ports_.end(), prefix_ports.begin(),
+                        prefix_ports.end());
+          ports_.push_back({in_port, net::kHostPort});
+          offsets_.push_back(static_cast<std::uint32_t>(switches_.size()));
+          return;
+        }
+        for (net::PortId p = 0; p < topology.port_count(cur); ++p) {
+          const net::Topology::PortPeer& peer = topology.peer(cur, p);
+          if (routing.distance(peer.neighbor, dst) != d - 1) continue;
+          prefix.push_back(cur);
+          prefix_ports.push_back({in_port, p});
+          self(self, peer.neighbor, peer.neighbor_port);
+          prefix.pop_back();
+          prefix_ports.pop_back();
+        }
+      };
+      dfs(dfs, src, net::kHostPort);
     }
-  };
-  if (pool != nullptr && roots.size() > 1) {
-    parallel::parallel_for(*pool, 0, roots.size(), build_root);
-  } else {
-    for (std::size_t r = 0; r < roots.size(); ++r) build_root(r);
   }
-  std::size_t total = 0;
-  for (const auto& buf : per_root) total += buf.size();
-  paths_.reserve(total);
-  for (auto& buf : per_root) {
-    for (auto& path : buf) paths_.push_back(std::move(path));
+  // Keys pack the path index into 32 bits, and offsets the hop index.
+  if (switches_.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("PathRegistry: more than 2^32 hops to register");
   }
+  ids_.resize(offsets_.size() - 1);
+  keys_.resize(ids_.size());
 }
 
-void PathRegistry::build_hops(RegisteredPath& path) const {
-  const auto& sws = path.switches;
-  path.hops.reserve(sws.size());
-  for (std::size_t i = 0; i < sws.size(); ++i) {
-    RegisteredPath::Hop hop{};
-    hop.sw = sws[i];
-    if (i == 0) {
-      hop.in_port = net::kHostPort;
-    } else {
-      const auto in = topology_->port_towards(sws[i], sws[i - 1]);
-      assert(in.has_value());
-      hop.in_port = *in;
+std::size_t PathRegistry::replay_and_group() {
+  for (std::size_t i = 0; i < ids_.size(); ++i) {
+    std::uint32_t id = 0;
+    for (std::uint32_t h = offsets_[i]; h < offsets_[i + 1]; ++h) {
+      id = telemetry::update_path_id_with_mat(config_, mat_, id, switches_[h],
+                                              ports_[h].in_port,
+                                              ports_[h].out_port);
     }
-    if (i + 1 == sws.size()) {
-      hop.out_port = net::kHostPort;
-    } else {
-      const auto out = topology_->port_towards(sws[i], sws[i + 1]);
-      assert(out.has_value());
-      hop.out_port = *out;
-    }
-    path.hops.push_back(hop);
+    ids_[i] = id;
+    keys_[i] = (std::uint64_t{id} << 32) | i;
   }
+  sort_by_path_id(keys_);
+  std::size_t groups = 0;
+  for (std::size_t begin = 0; begin < keys_.size();
+       begin = group_end(keys_, begin)) {
+    ++groups;
+  }
+  return keys_.size() - groups;
 }
 
-std::uint32_t PathRegistry::replay(const RegisteredPath& path) const {
-  std::uint32_t id = 0;
-  for (const auto& hop : path.hops) {
-    id = telemetry::update_path_id_with_mat(config_, mat_, id, hop.sw,
-                                            hop.in_port, hop.out_port);
-  }
-  return id;
-}
-
-void PathRegistry::replay_all(parallel::ThreadPool* pool) {
-  // Each path's id depends only on its own hops and the (frozen) MAT, so
-  // the replays are embarrassingly parallel and write disjoint slots.
-  const auto do_one = [&](std::size_t i) {
-    paths_[i].path_id = replay(paths_[i]);
-  };
-  if (pool != nullptr && paths_.size() >= kMinParallelPaths) {
-    parallel::parallel_for(*pool, 0, paths_.size(), do_one, kMinChunk);
-  } else {
-    for (std::size_t i = 0; i < paths_.size(); ++i) do_one(i);
-  }
-}
-
-PathRegistry::Groups PathRegistry::group_paths(
-    parallel::ThreadPool* pool) const {
-  // Sequential reference: insert ids in path-index order. The parallel
-  // version groups contiguous index chunks independently, then merges the
-  // chunk results in chunk order, replaying each chunk's first-seen key
-  // sequence. Because chunk c's indices all precede chunk c+1's, the
-  // merged sequence of *successful* key insertions — and every group's
-  // member order — is exactly the sequential one, so the map (and with it
-  // the resolution pass that iterates it) is bit-identical at every
-  // thread count.
-  Groups groups;
-  if (pool == nullptr || paths_.size() < kMinParallelPaths) {
-    for (std::size_t i = 0; i < paths_.size(); ++i) {
-      groups[paths_[i].path_id].push_back(i);
-    }
-    return groups;
-  }
-
-  struct ChunkGroups {
-    std::vector<std::uint32_t> first_seen;
-    std::unordered_map<std::uint32_t, std::vector<std::size_t>> members;
-  };
-  const std::vector<std::size_t> sizes = parallel::detail::chunk_sizes(
-      paths_.size(), kMinChunk, pool->size() * 4);
-  std::vector<std::size_t> bounds{0};
-  for (const std::size_t size : sizes) bounds.push_back(bounds.back() + size);
-  std::vector<ChunkGroups> chunks(sizes.size());
-  parallel::parallel_for(*pool, 0, chunks.size(), [&](std::size_t c) {
-    ChunkGroups& chunk = chunks[c];
-    for (std::size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
-      const auto [it, fresh] = chunk.members.try_emplace(paths_[i].path_id);
-      if (fresh) chunk.first_seen.push_back(paths_[i].path_id);
-      it->second.push_back(i);
-    }
-  });
-  for (const ChunkGroups& chunk : chunks) {
-    for (const std::uint32_t id : chunk.first_seen) {
-      const std::vector<std::size_t>& members = chunk.members.at(id);
-      std::vector<std::size_t>& out = groups[id];
-      out.insert(out.end(), members.begin(), members.end());
-    }
-  }
-  return groups;
-}
-
-PathRegistry::Groups PathRegistry::resolve_conflicts(
-    parallel::ThreadPool* pool) {
+void PathRegistry::resolve_conflicts() {
   // Iteratively: recompute all ids; for every group of paths sharing an
   // id, keep the first and pin a fresh control value for each of the
   // others at the first hop where their running keys diverge from the
@@ -181,86 +152,85 @@ PathRegistry::Groups PathRegistry::resolve_conflicts(
   // geometrically, so even dense tables (K=8: ~15k paths in 16 bits)
   // settle in a handful of rounds.
   constexpr int kMaxRounds = 64;
-  const auto count_conflicts = [](const Groups& groups) {
-    std::size_t conflicts = 0;
-    for (const auto& [id, members] : groups) {
-      if (members.size() > 1) conflicts += members.size() - 1;
-    }
-    return conflicts;
-  };
 
   // Pigeonhole: with more paths than PathID values no MAT assignment can
   // be injective, so 64 rounds of separation would only churn. Record the
   // raw collision census and stop — validation rejects the config.
-  if (paths_.size() > static_cast<std::size_t>(config_.mask()) + 1) {
-    replay_all(pool);
-    Groups groups = group_paths(pool);
-    audit_.initial_collisions = count_conflicts(groups);
+  if (path_count() > static_cast<std::size_t>(config_.mask()) + 1) {
+    audit_.initial_collisions = replay_and_group();
     audit_.residual_collisions = audit_.initial_collisions;
     audit_.pigeonhole_infeasible = true;
     audit_.conflict_free = false;
     audit_.rounds = 0;
-    return groups;
-  }
-
-  for (int round = 0; round < kMaxRounds; ++round) {
-    replay_all(pool);
-    Groups groups = group_paths(pool);
-    const std::size_t conflicts = count_conflicts(groups);
-    if (round == 0) audit_.initial_collisions = conflicts;
-    if (conflicts == 0) {
-      audit_.conflict_free = true;
-      audit_.residual_collisions = 0;
+  } else {
+    for (int round = 0; round < kMaxRounds; ++round) {
+      const std::size_t conflicts = replay_and_group();
+      if (round == 0) audit_.initial_collisions = conflicts;
       audit_.rounds = round + 1;
-      return groups;
-    }
-    if (round + 1 == kMaxRounds) {
-      // Give up *with the map consistent*: the ids and groups reflect the
-      // final MAT (no separation whose effect was never re-checked), and
-      // the residual census is what validation reports.
-      audit_.conflict_free = false;
-      audit_.residual_collisions = conflicts;
-      audit_.rounds = kMaxRounds;
-      return groups;
-    }
-
-    for (const auto& [id, members] : groups) {
-      if (members.size() < 2) continue;
-      const RegisteredPath& keeper = paths_[members.front()];
-      for (std::size_t m = 1; m < members.size(); ++m) {
-        separate(keeper, paths_[members[m]]);
+      if (conflicts == 0) {
+        audit_.conflict_free = true;
+        audit_.residual_collisions = 0;
+        break;
+      }
+      if (round + 1 == kMaxRounds) {
+        // Give up *with the keys consistent*: the ids and groups reflect
+        // the final MAT (no separation whose effect was never
+        // re-checked), and the residual census is what validation
+        // reports.
+        audit_.conflict_free = false;
+        audit_.residual_collisions = conflicts;
+        break;
+      }
+      // Collision groups are runs of equal ids in the sorted keys,
+      // separated in ascending PathID order; within a run the keys keep
+      // path-index order, so the first member is the keeper.
+      for (std::size_t begin = 0, end = 0; begin < keys_.size();
+           begin = end) {
+        end = group_end(keys_, begin);
+        for (std::size_t m = begin + 1; m < end; ++m) {
+          separate(index_of(keys_[begin]), index_of(keys_[m]));
+        }
       }
     }
   }
-  assert(false);  // unreachable: the loop returns on its last round
-  return {};
+  for (std::size_t begin = 0, end = 0; begin < keys_.size(); begin = end) {
+    end = group_end(keys_, begin);
+    if (end - begin > 1) ++audit_.ambiguous_ids;
+  }
 }
 
-void PathRegistry::separate(const RegisteredPath& a, const RegisteredPath& b) {
-  // Pin a fresh control value for `b` at the LAST hop whose running key
-  // differs from `a`'s and has no MAT entry yet. Early hops' keys are
-  // shared by every sibling path through the same prefix (e.g. all paths
-  // leaving the source via one port), so rewriting them re-hashes large
-  // path families and thrashes; the deepest key is the most specific.
+void PathRegistry::separate(std::size_t keeper, std::size_t other) {
+  // Pin a fresh control value for `other` at the LAST hop whose running
+  // key differs from the keeper's and has no MAT entry yet. Early hops'
+  // keys are shared by every sibling path through the same prefix (e.g.
+  // all paths leaving the source via one port), so rewriting them
+  // re-hashes large path families and thrashes; the deepest key is the
+  // most specific.
+  const auto key_at = [this](std::uint32_t id, std::uint32_t h) {
+    return telemetry::HopKey{id, switches_[h], ports_[h].in_port,
+                             ports_[h].out_port};
+  };
+  const auto step = [this](std::uint32_t id, std::uint32_t h) {
+    return telemetry::update_path_id_with_mat(config_, mat_, id, switches_[h],
+                                              ports_[h].in_port,
+                                              ports_[h].out_port);
+  };
+  const std::uint32_t a0 = offsets_[keeper], a_len = offsets_[keeper + 1] - a0;
+  const std::uint32_t b0 = offsets_[other], b_len = offsets_[other + 1] - b0;
   std::uint32_t id_a = 0, id_b = 0;
   std::optional<telemetry::HopKey> target;
   std::vector<telemetry::HopKey> keys;
-  keys.reserve(b.hops.size());
-  for (std::size_t h = 0; h < b.hops.size(); ++h) {
-    const auto& hb = b.hops[h];
-    const telemetry::HopKey kb{id_b, hb.sw, hb.in_port, hb.out_port};
+  keys.reserve(b_len);
+  for (std::uint32_t h = 0; h < b_len; ++h) {
+    const telemetry::HopKey kb = key_at(id_b, b0 + h);
     keys.push_back(kb);
     bool differs = true;
-    if (h < a.hops.size()) {
-      const auto& ha = a.hops[h];
-      const telemetry::HopKey ka{id_a, ha.sw, ha.in_port, ha.out_port};
-      differs = !(ka == kb);
-      id_a = telemetry::update_path_id_with_mat(config_, mat_, id_a, ha.sw,
-                                                ha.in_port, ha.out_port);
+    if (h < a_len) {
+      differs = !(key_at(id_a, a0 + h) == kb);
+      id_a = step(id_a, a0 + h);
     }
     if (differs && mat_.find(kb) == mat_.end()) target = kb;
-    id_b = telemetry::update_path_id_with_mat(config_, mat_, id_b, hb.sw,
-                                              hb.in_port, hb.out_port);
+    id_b = step(id_b, b0 + h);
   }
   if (target) {
     mat_.emplace(*target, next_control_++);
@@ -285,28 +255,25 @@ void PathRegistry::separate(const RegisteredPath& a, const RegisteredPath& b) {
   // the residual census and validation rejects the config.
 }
 
-void PathRegistry::finalize(const Groups& groups) {
-  id_to_path_.reserve(groups.size());
-  for (const auto& [id, members] : groups) {
-    if (members.size() == 1) {
-      id_to_path_.emplace(id, members.front());
-    } else {
-      ambiguous_.insert(id);
-    }
-  }
-  audit_.ambiguous_ids = ambiguous_.size();
+std::span<const std::uint64_t> PathRegistry::members(
+    std::uint32_t path_id) const {
+  const std::uint64_t lo = std::uint64_t{path_id} << 32;
+  const auto first = std::lower_bound(keys_.begin(), keys_.end(), lo);
+  const auto last = std::upper_bound(first, keys_.end(), lo | 0xFFFFFFFFu);
+  return {first, last};
 }
 
-const net::SwitchPath* PathRegistry::lookup(std::uint32_t path_id) const {
-  if (ambiguous_.count(path_id) > 0) {
+std::span<const net::SwitchId> PathRegistry::lookup(
+    std::uint32_t path_id) const {
+  const std::span<const std::uint64_t> run = members(path_id);
+  if (run.size() > 1) {
     // Decompressing an ambiguous id to an arbitrary survivor would feed
     // the analyzer a wrong switch sequence; refuse and count instead.
     ambiguous_lookups_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+    return {};
   }
-  const auto it = id_to_path_.find(path_id);
-  if (it == id_to_path_.end()) return nullptr;
-  return &paths_[it->second].switches;
+  if (run.empty()) return {};
+  return path_switches(index_of(run.front()));
 }
 
 void PathRegistry::log_audit(obs::EventLog& log, sim::Time at) const {
@@ -318,7 +285,6 @@ void PathRegistry::log_audit(obs::EventLog& log, sim::Time at) const {
            {"initial_collisions", std::uint64_t{audit_.initial_collisions}},
            {"mat_entries", std::uint64_t{audit_.mat_entries}},
            {"rounds", std::uint64_t{static_cast<std::uint64_t>(audit_.rounds)}},
-           {"build_threads", std::uint64_t{audit_.build_threads}},
            {"conflict_free", std::uint64_t{audit_.conflict_free ? 1u : 0u}}});
   if (!audit_.conflict_free) {
     log.log(obs::LogLevel::kError, at, "pathid", "unresolved_collisions",
@@ -330,12 +296,6 @@ void PathRegistry::log_audit(obs::EventLog& log, sim::Time at) const {
              {"rounds",
               std::uint64_t{static_cast<std::uint64_t>(audit_.rounds)}}});
   }
-}
-
-std::size_t PathRegistry::intsight_memory_bytes() const {
-  std::size_t hops = 0;
-  for (const auto& p : paths_) hops += p.hops.size();
-  return hops * kIntSightMatEntryBytes;
 }
 
 }  // namespace mars::control

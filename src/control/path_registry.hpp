@@ -10,23 +10,25 @@
 //   (b) the conflict MAT the data plane needs, whose entry count is the
 //       switch-memory cost compared against IntSight in §5.5.
 //
-// Construction is a parallel pass over the `src/parallel` thread pool:
-// path enumeration splits per source edge switch (the same per-root task
-// pattern as fsm::Engine), PathID replay and collision grouping split
-// over contiguous path-index chunks. The hard contract is that the MAT,
-// the path order, and every collision count are bit-identical at every
-// thread count — the sequential build is just the 1-thread special case.
+// Construction is one sequential pass into flat arrays: every path's
+// switch ids sit back to back in one vector, with a parallel vector of
+// hop ports, a per-path offset and PathID, and one sorted
+// (PathID << 32 | path index) key array. That is 8 B per hop plus 16 B
+// per path, with no per-path allocation. Each resolution round replays
+// every path's id and radix-sorts the keys; a run of equal ids is a
+// collision group whose lowest-index member is the keeper, and groups
+// are separated in ascending PathID order. lookup() is a binary search
+// over the same keys.
 //
 // A registry that fails to resolve every collision is a *diagnosed*
-// condition, not a silent one: ambiguous PathIDs decompress to nullptr
-// (never to an arbitrary first-wins path), the PathAuditReport carries
-// the residual counts, and scenario validation rejects the configuration.
+// condition, not a silent one: ambiguous PathIDs decompress to an empty
+// span (never to an arbitrary first-wins path), the PathAuditReport
+// carries the residual counts, and scenario validation rejects the
+// configuration.
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "net/routing.hpp"
@@ -37,24 +39,7 @@ namespace mars::obs {
 class EventLog;
 }
 
-namespace mars::parallel {
-class ThreadPool;
-}
-
 namespace mars::control {
-
-/// A path with its precomputed hop coordinates and final PathID.
-struct RegisteredPath {
-  net::SwitchPath switches;
-  std::uint32_t path_id = 0;
-
-  struct Hop {
-    net::SwitchId sw;
-    net::PortId in_port;
-    net::PortId out_port;
-  };
-  std::vector<Hop> hops;
-};
 
 /// Everything scenario validation, the CLI `--path-audit` view, and the
 /// collision-rate bench need to judge a built registry. All counts are
@@ -76,28 +61,32 @@ struct PathAuditReport {
   bool conflict_free = false;
   std::size_t mars_memory_bytes = 0;
   std::size_t intsight_memory_bytes = 0;
-  std::size_t build_threads = 1;
   double build_seconds = 0.0;  ///< wall clock; nondeterministic
+};
+
+/// A hop's ingress and egress port (kHostPort at the path's two ends).
+struct HopPorts {
+  net::PortId in_port = 0;
+  net::PortId out_port = 0;
 };
 
 class PathRegistry {
  public:
   /// Enumerates all shortest edge-to-edge paths and resolves conflicts.
-  /// `threads`: 1 = sequential (the default, and the reference the
-  /// parallel build must reproduce bit-for-bit), 0 = hardware
-  /// concurrency, N = a private N-thread pool for the build only.
   PathRegistry(const net::Topology& topology, const net::RoutingTable& routing,
-               telemetry::PathIdConfig config, std::size_t threads = 1);
+               telemetry::PathIdConfig config);
 
-  /// Decompress a PathID into its switch sequence. nullptr if unknown
-  /// *or ambiguous* — an ambiguous id (only possible when the registry is
-  /// not conflict_free()) must never decompress to an arbitrary survivor,
-  /// so it counts in ambiguous_lookups() and returns nothing.
-  [[nodiscard]] const net::SwitchPath* lookup(std::uint32_t path_id) const;
+  /// Decompress a PathID into its switch sequence, a view into this
+  /// registry valid for its lifetime. Empty if unknown *or ambiguous* — an
+  /// ambiguous id (only possible when the registry is not conflict_free())
+  /// must never decompress to an arbitrary survivor, so it counts in
+  /// ambiguous_lookups() and returns nothing.
+  [[nodiscard]] std::span<const net::SwitchId> lookup(
+      std::uint32_t path_id) const;
 
   /// True when `path_id` is shared by more than one registered path.
   [[nodiscard]] bool is_ambiguous(std::uint32_t path_id) const {
-    return ambiguous_.count(path_id) > 0;
+    return members(path_id).size() > 1;
   }
   /// How many lookup() calls hit an ambiguous id (thread-safe counter).
   [[nodiscard]] std::uint64_t ambiguous_lookups() const {
@@ -108,10 +97,20 @@ class PathRegistry {
   [[nodiscard]] const telemetry::ControlMat& mat() const { return mat_; }
   [[nodiscard]] std::size_t mat_entry_count() const { return mat_.size(); }
 
-  [[nodiscard]] std::size_t path_count() const { return paths_.size(); }
-  [[nodiscard]] const std::vector<RegisteredPath>& paths() const {
-    return paths_;
+  /// Registered paths, sources then destinations in edge-layer order,
+  /// then ECMP alternatives in port order (RoutingTable's
+  /// enumerate_edge_paths() order).
+  [[nodiscard]] std::size_t path_count() const { return ids_.size(); }
+  [[nodiscard]] std::span<const net::SwitchId> path_switches(
+      std::size_t i) const {
+    return {switches_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
   }
+  [[nodiscard]] std::span<const HopPorts> path_ports(std::size_t i) const {
+    return {ports_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
+  /// The PathID the data plane computes for path `i` under mat().
+  [[nodiscard]] std::uint32_t path_id(std::size_t i) const { return ids_[i]; }
+
   /// Collisions seen before any MAT entry was installed.
   [[nodiscard]] std::size_t initial_collisions() const {
     return audit_.initial_collisions;
@@ -132,29 +131,33 @@ class PathRegistry {
     return mat_.size() * kMarsMatEntryBytes;
   }
   /// IntSight: one ~7-byte MAT entry per hop of every path.
-  [[nodiscard]] std::size_t intsight_memory_bytes() const;
+  [[nodiscard]] std::size_t intsight_memory_bytes() const {
+    return switches_.size() * kIntSightMatEntryBytes;
+  }
 
   static constexpr std::size_t kMarsMatEntryBytes = 10;
   static constexpr std::size_t kIntSightMatEntryBytes = 7;
 
  private:
-  using Groups = std::unordered_map<std::uint32_t, std::vector<std::size_t>>;
+  void enumerate(const net::Topology& topology,
+                 const net::RoutingTable& routing);
+  /// Replay every path's id under the current MAT and rebuild the sorted
+  /// keys; returns the collision count (paths minus distinct ids).
+  std::size_t replay_and_group();
+  void resolve_conflicts();
+  void separate(std::size_t keeper, std::size_t other);
+  /// The run of sorted keys whose PathID is `path_id`.
+  [[nodiscard]] std::span<const std::uint64_t> members(
+      std::uint32_t path_id) const;
 
-  void enumerate(const net::RoutingTable& routing, parallel::ThreadPool* pool);
-  void build_hops(RegisteredPath& path) const;
-  [[nodiscard]] std::uint32_t replay(const RegisteredPath& path) const;
-  void replay_all(parallel::ThreadPool* pool);
-  [[nodiscard]] Groups group_paths(parallel::ThreadPool* pool) const;
-  [[nodiscard]] Groups resolve_conflicts(parallel::ThreadPool* pool);
-  void separate(const RegisteredPath& a, const RegisteredPath& b);
-  void finalize(const Groups& groups);
-
-  const net::Topology* topology_;
   telemetry::PathIdConfig config_;
-  std::vector<RegisteredPath> paths_;
+  std::vector<net::SwitchId> switches_;  ///< every path's hops, back to back
+  std::vector<HopPorts> ports_;          ///< parallel to switches_
+  /// Path i's hops are [offsets_[i], offsets_[i + 1]) of the two above.
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> ids_;       ///< per path
+  std::vector<std::uint64_t> keys_;      ///< sorted (id << 32 | index)
   telemetry::ControlMat mat_;
-  std::unordered_map<std::uint32_t, std::size_t> id_to_path_;
-  std::unordered_set<std::uint32_t> ambiguous_;
   mutable std::atomic<std::uint64_t> ambiguous_lookups_{0};
   PathAuditReport audit_;
   std::uint32_t next_control_ = 1;

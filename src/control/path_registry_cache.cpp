@@ -9,13 +9,13 @@ PathRegistryCache& PathRegistryCache::instance() {
 
 std::shared_ptr<const PathRegistry> PathRegistryCache::get_or_build(
     const net::Topology& topology, const net::RoutingTable& routing,
-    telemetry::PathIdConfig config, std::size_t threads) {
+    telemetry::PathIdConfig config) {
   const Key key{net::structural_fingerprint(topology), config.hash,
                 config.width_bits};
   // Building under the lock intentionally serializes concurrent first
-  // builds of the same key: one thread pays the (parallel) build, the
-  // rest block briefly and share the result instead of duplicating the
-  // most expensive setup step in the process.
+  // builds of the same key: one thread pays the build, the rest block
+  // briefly and share the result instead of duplicating the most
+  // expensive setup step in the process.
   std::lock_guard<std::mutex> lock(mu_);
   if (const auto it = entries_.find(key); it != entries_.end()) {
     ++stats_.hits;
@@ -23,7 +23,7 @@ std::shared_ptr<const PathRegistry> PathRegistryCache::get_or_build(
   }
   ++stats_.misses;
   auto registry =
-      std::make_shared<const PathRegistry>(topology, routing, config, threads);
+      std::make_shared<const PathRegistry>(topology, routing, config);
   entries_.emplace(key, registry);
   return registry;
 }

@@ -34,13 +34,10 @@ class PathRegistryCache {
   static PathRegistryCache& instance();
 
   /// Return the cached registry for (topology structure, config), building
-  /// it on first use. `threads` only affects a cache miss: 0 = hardware
-  /// concurrency for the build (the result is bit-identical either way —
-  /// see PathRegistry's determinism contract, which is what makes the
-  /// cache sound). Concurrent first builds of the same key serialize.
+  /// it on first use. Concurrent first builds of the same key serialize.
   std::shared_ptr<const PathRegistry> get_or_build(
       const net::Topology& topology, const net::RoutingTable& routing,
-      telemetry::PathIdConfig config, std::size_t threads = 0);
+      telemetry::PathIdConfig config);
 
   [[nodiscard]] PathRegistryCacheStats stats() const;
 

@@ -88,24 +88,17 @@ std::vector<SwitchPath> RoutingTable::enumerate_paths(SwitchId src,
   return result;
 }
 
-std::vector<SwitchPath> RoutingTable::enumerate_edge_paths_from(
-    SwitchId src) const {
-  std::vector<SwitchPath> all;
-  for (const SwitchId dst : topology_->switches_in_layer(Layer::kEdge)) {
-    if (src == dst) continue;
-    auto paths = enumerate_paths(src, dst);
-    all.insert(all.end(), std::make_move_iterator(paths.begin()),
-               std::make_move_iterator(paths.end()));
-  }
-  return all;
-}
-
 std::vector<SwitchPath> RoutingTable::enumerate_edge_paths() const {
+  const std::vector<SwitchId> edges =
+      topology_->switches_in_layer(Layer::kEdge);
   std::vector<SwitchPath> all;
-  for (const SwitchId src : topology_->switches_in_layer(Layer::kEdge)) {
-    auto paths = enumerate_edge_paths_from(src);
-    all.insert(all.end(), std::make_move_iterator(paths.begin()),
-               std::make_move_iterator(paths.end()));
+  for (const SwitchId src : edges) {
+    for (const SwitchId dst : edges) {
+      if (src == dst) continue;
+      auto paths = enumerate_paths(src, dst);
+      all.insert(all.end(), std::make_move_iterator(paths.begin()),
+                 std::make_move_iterator(paths.end()));
+    }
   }
   return all;
 }

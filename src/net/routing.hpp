@@ -63,18 +63,13 @@ class RoutingTable {
   }
 
   /// Enumerate every shortest switch-level path from `src` to `dst`
-  /// (source and sink inclusive). Used by the PathID registry.
+  /// (source and sink inclusive).
   [[nodiscard]] std::vector<SwitchPath> enumerate_paths(SwitchId src,
                                                         SwitchId dst) const;
 
-  /// All shortest paths from one edge switch to every other edge switch,
-  /// destinations in layer order. One "root" of the registry's parallel
-  /// enumeration: concatenating these per-source results in source order
-  /// is exactly enumerate_edge_paths().
-  [[nodiscard]] std::vector<SwitchPath> enumerate_edge_paths_from(
-      SwitchId src) const;
-
-  /// All shortest paths between every ordered pair of edge switches.
+  /// All shortest paths between every ordered pair of edge switches:
+  /// sources, then destinations, in edge-layer order, ECMP alternatives
+  /// in port order. The PathID registry enumerates in the same order.
   [[nodiscard]] std::vector<SwitchPath> enumerate_edge_paths() const;
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -13,7 +14,7 @@ namespace {
 
 /// Observed paths grouped by PathID, with weights.
 struct PathGroup {
-  const net::SwitchPath* path = nullptr;
+  std::span<const net::SwitchId> path;  ///< empty: unknown or ambiguous id
   std::uint64_t abnormal = 0;
   std::uint64_t normal = 0;
   /// Abnormal weight per flow through this path.
@@ -24,7 +25,7 @@ struct PathGroup {
   return items.size() >= 2 ? CulpritLevel::kLink : CulpritLevel::kSwitch;
 }
 
-[[nodiscard]] std::string sequence_label(const fsm::Sequence& items) {
+[[nodiscard]] std::string sequence_label(std::span<const fsm::Item> items) {
   std::string out;
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i) out += '>';
@@ -306,8 +307,8 @@ CulpritList RootCauseAnalyzer::analyze_latency(
     const sim::Time thr =
         it != data.thresholds.end() ? it->second : data.default_threshold;
     PathGroup& g = groups[p.path_id];
-    if (g.path == nullptr) g.path = registry_->lookup(p.path_id);
-    if (g.path == nullptr) continue;  // unknown id: cannot decompress
+    if (g.path.empty()) g.path = registry_->lookup(p.path_id);
+    if (g.path.empty()) continue;  // unknown id: cannot decompress
     if (p.latency > thr) {
       ++g.abnormal;
       ++g.abnormal_by_flow[p.flow];
@@ -318,9 +319,10 @@ CulpritList RootCauseAnalyzer::analyze_latency(
 
   fsm::SequenceDatabase abnormal, normal;
   for (const auto& [id, g] : groups) {
-    if (g.path == nullptr) continue;
-    if (g.abnormal > 0) abnormal.add(*g.path, g.abnormal);
-    if (g.normal > 0) normal.add(*g.path, g.normal);
+    if (g.path.empty()) continue;
+    const fsm::Sequence path(g.path.begin(), g.path.end());
+    if (g.abnormal > 0) abnormal.add(path, g.abnormal);
+    if (g.normal > 0) normal.add(path, g.normal);
   }
   if (abnormal.empty()) return {};
 
@@ -330,7 +332,7 @@ CulpritList RootCauseAnalyzer::analyze_latency(
   if (prov != nullptr) {
     std::vector<std::uint32_t> abnormal_ids;
     for (const auto& [id, g] : groups) {
-      if (g.path != nullptr && g.abnormal > 0) abnormal_ids.push_back(id);
+      if (!g.path.empty() && g.abnormal > 0) abnormal_ids.push_back(id);
     }
     std::sort(abnormal_ids.begin(), abnormal_ids.end());
     for (const std::uint32_t id : abnormal_ids) {
@@ -339,7 +341,7 @@ CulpritList RootCauseAnalyzer::analyze_latency(
           obs::ProvenanceGraph::NodeKind::kEpoch,
           {{"pass", "latency"},
            {"path_id", std::uint64_t{id}},
-           {"path", sequence_label(*g.path)},
+           {"path", sequence_label(g.path)},
            {"abnormal", g.abnormal},
            {"normal", g.normal},
            {"flows", std::uint64_t{g.abnormal_by_flow.size()}}});
@@ -374,8 +376,8 @@ CulpritList RootCauseAnalyzer::analyze_latency(
     std::uint64_t pattern_pkts = 0;
     std::vector<std::uint32_t> covering_groups;
     for (const auto& [id, g] : groups) {
-      if (g.path == nullptr || g.abnormal == 0) continue;
-      if (!fsm::contains_pattern(*g.path, sp.pattern.items,
+      if (g.path.empty() || g.abnormal == 0) continue;
+      if (!fsm::contains_pattern(g.path, sp.pattern.items,
                                  config_.mining.contiguous)) {
         continue;
       }
@@ -450,7 +452,8 @@ CulpritList RootCauseAnalyzer::analyze_latency(
       const auto problem =
           path_shares(data.records, flow, problem_start,
                       std::numeric_limits<sim::Time>::max());
-      std::vector<std::pair<std::uint32_t, const net::SwitchPath*>> paths;
+      std::vector<std::pair<std::uint32_t, std::span<const net::SwitchId>>>
+          paths;
       for (const auto* shares : {&baseline, &problem}) {
         for (const auto& s : *shares) {
           paths.emplace_back(s.path_id, registry_->lookup(s.path_id));
@@ -580,19 +583,21 @@ CulpritList RootCauseAnalyzer::analyze_drop(
       }
     }
     for (const auto& [path_id, deficit] : deficits) {
-      const net::SwitchPath* path = registry_->lookup(path_id);
-      if (path == nullptr) continue;
+      const std::span<const net::SwitchId> path = registry_->lookup(path_id);
+      if (path.empty()) continue;
       const auto weight = static_cast<std::uint64_t>(
           100.0 * deficit / total_deficit + 0.5);
       if (weight > 0) {
-        abnormal.add(*path, weight);
+        abnormal.add(fsm::Sequence(path.begin(), path.end()), weight);
         abnormal_path_weights[path_id] += weight;
       }
     }
   }
   for (const auto& [id, w] : normal_weights) {
-    const net::SwitchPath* path = registry_->lookup(id);
-    if (path != nullptr && w > 0) normal.add(*path, w);
+    const std::span<const net::SwitchId> path = registry_->lookup(id);
+    if (!path.empty() && w > 0) {
+      normal.add(fsm::Sequence(path.begin(), path.end()), w);
+    }
   }
   if (abnormal.empty()) return {};
 
@@ -604,13 +609,13 @@ CulpritList RootCauseAnalyzer::analyze_drop(
     for (const auto& [id, w] : abnormal_path_weights) ids.push_back(id);
     std::sort(ids.begin(), ids.end());
     for (const std::uint32_t id : ids) {
-      const net::SwitchPath* path = registry_->lookup(id);
-      if (path == nullptr) continue;
+      const std::span<const net::SwitchId> path = registry_->lookup(id);
+      if (path.empty()) continue;
       const std::string epoch_id = prov->graph->add_node(
           obs::ProvenanceGraph::NodeKind::kEpoch,
           {{"pass", "drop"},
            {"path_id", std::uint64_t{id}},
-           {"path", sequence_label(*path)},
+           {"path", sequence_label(path)},
            {"deficit_weight", abnormal_path_weights.at(id)}});
       prov->graph->add_edge(prov->session_id, epoch_id, "classified");
       epoch_ids.emplace(id, epoch_id);
@@ -642,9 +647,9 @@ CulpritList RootCauseAnalyzer::analyze_drop(
            {"score", sp.score}});
       std::vector<std::uint32_t> covering;
       for (const auto& [id, epoch_id] : epoch_ids) {
-        const net::SwitchPath* path = registry_->lookup(id);
-        if (path != nullptr &&
-            fsm::contains_pattern(*path, sp.pattern.items,
+        const std::span<const net::SwitchId> path = registry_->lookup(id);
+        if (!path.empty() &&
+            fsm::contains_pattern(path, sp.pattern.items,
                                   config_.mining.contiguous)) {
           covering.push_back(id);
         }

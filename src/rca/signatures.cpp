@@ -82,12 +82,13 @@ using BranchMap =
 
 BranchMap branch_totals(
     std::span<const PathShare> shares,
-    const std::unordered_map<std::uint32_t, const net::SwitchPath*>& lookup) {
+    const std::unordered_map<std::uint32_t, std::span<const net::SwitchId>>&
+        lookup) {
   BranchMap points;
   for (const auto& share : shares) {
     const auto it = lookup.find(share.path_id);
-    if (it == lookup.end() || it->second == nullptr) continue;
-    const net::SwitchPath& path = *it->second;
+    if (it == lookup.end()) continue;
+    const std::span<const net::SwitchId> path = it->second;
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       points[path[i]][path[i + 1]] += share.packets;
     }
@@ -111,7 +112,7 @@ double branch_ratio(const std::map<net::SwitchId, std::uint64_t>& branches) {
 
 std::optional<EcmpVerdict> detect_ecmp_imbalance(
     std::span<const PathShare> baseline, std::span<const PathShare> problem,
-    const std::vector<std::pair<std::uint32_t, const net::SwitchPath*>>&
+    const std::vector<std::pair<std::uint32_t, std::span<const net::SwitchId>>>&
         paths_by_id,
     const SignatureConfig& cfg, double baseline_seconds,
     double problem_seconds) {
@@ -122,7 +123,7 @@ std::optional<EcmpVerdict> detect_ecmp_imbalance(
   for (const auto& s : problem) distinct_paths.insert(s.path_id);
   if (distinct_paths.size() < 2) return std::nullopt;
 
-  std::unordered_map<std::uint32_t, const net::SwitchPath*> lookup;
+  std::unordered_map<std::uint32_t, std::span<const net::SwitchId>> lookup;
   for (const auto& [id, path] : paths_by_id) lookup.emplace(id, path);
 
   const BranchMap base_points = branch_totals(baseline, lookup);

@@ -101,11 +101,11 @@ struct EcmpVerdict {
 /// lopsided — hash skew — is not the fault), and the heavy branch's
 /// absolute packet rate must have grown (traffic moved TO it; a stalled
 /// sibling path shifting shares does not count). `paths_by_id` maps
-/// observed PathIDs to switch sequences; window durations (seconds)
-/// normalize the rates.
+/// observed PathIDs to switch sequences (empty when the id could not be
+/// decompressed); window durations (seconds) normalize the rates.
 [[nodiscard]] std::optional<EcmpVerdict> detect_ecmp_imbalance(
     std::span<const PathShare> baseline, std::span<const PathShare> problem,
-    const std::vector<std::pair<std::uint32_t, const net::SwitchPath*>>&
+    const std::vector<std::pair<std::uint32_t, std::span<const net::SwitchId>>>&
         paths_by_id,
     const SignatureConfig& cfg, double baseline_seconds,
     double problem_seconds);

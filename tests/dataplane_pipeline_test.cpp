@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "control/path_registry.hpp"
@@ -65,9 +66,9 @@ TEST(PipelineTest, PathIdMatchesRegistry) {
   f.sim.run();
   ASSERT_FALSE(f.delivered.empty());
   for (const auto& p : f.delivered) {
-    const auto* path = f.registry.lookup(p.path_id);
-    ASSERT_NE(path, nullptr) << "unknown PathID " << p.path_id;
-    EXPECT_EQ(*path, p.true_path)
+    const std::span<const net::SwitchId> path = f.registry.lookup(p.path_id);
+    ASSERT_FALSE(path.empty()) << "unknown PathID " << p.path_id;
+    EXPECT_EQ(net::SwitchPath(path.begin(), path.end()), p.true_path)
         << "PathID decompressed to the wrong switch sequence";
   }
 }
@@ -103,7 +104,7 @@ TEST(PipelineTest, RingTableRecordsTelemetryAtSink) {
     EXPECT_EQ(rec.flow, flow);
     EXPECT_GT(rec.latency, 0);
     EXPECT_EQ(rec.latency, rec.sink_timestamp - rec.source_timestamp);
-    EXPECT_NE(f.registry.lookup(rec.path_id), nullptr);
+    EXPECT_FALSE(f.registry.lookup(rec.path_id).empty());
   }
   // The source switch's ring table stays empty (it is not this flow's sink).
   EXPECT_TRUE(f.pipeline.ring_snapshot(flow.source).empty());

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "control/path_registry.hpp"
 #include "dataplane/mars_pipeline.hpp"
 #include "net/fat_tree.hpp"
@@ -91,9 +93,9 @@ TEST_P(NetFuzzTest, PipelinePathIdsAlwaysDecompress) {
 
   int checked = 0;
   network.set_delivery_callback([&](const net::Packet& p, sim::Time) {
-    const auto* path = registry.lookup(p.path_id);
-    ASSERT_NE(path, nullptr) << "PathID " << p.path_id;
-    EXPECT_EQ(*path, p.true_path);
+    const std::span<const net::SwitchId> path = registry.lookup(p.path_id);
+    ASSERT_FALSE(path.empty()) << "PathID " << p.path_id;
+    EXPECT_EQ(net::SwitchPath(path.begin(), path.end()), p.true_path);
     ++checked;
   });
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "net/fat_tree.hpp"
 #include "net/routing.hpp"
 
@@ -24,14 +26,15 @@ struct Fixture {
   RootCauseAnalyzer analyzer{registry, {}, &ft.topology};
 
   /// The registered path + id for a (src,dst) edge pair's first route.
-  std::pair<std::uint32_t, const net::SwitchPath*> first_path(
+  std::pair<std::uint32_t, std::span<const net::SwitchId>> first_path(
       net::SwitchId src, net::SwitchId dst) const {
-    for (const auto& p : registry.paths()) {
-      if (p.switches.front() == src && p.switches.back() == dst) {
-        return {p.path_id, &p.switches};
+    for (std::size_t i = 0; i < registry.path_count(); ++i) {
+      const std::span<const net::SwitchId> path = registry.path_switches(i);
+      if (path.front() == src && path.back() == dst) {
+        return {registry.path_id(i), path};
       }
     }
-    return {0, nullptr};
+    return {0, {}};
   }
 
   /// One telemetry record on a registered path.
@@ -76,10 +79,10 @@ TEST(AnalyzerTest, ProcessRateShapeYieldsPortCulpritOnFaultyLink) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   const auto [path_id, path] = f.first_path(flow.source, flow.sink);
-  ASSERT_NE(path, nullptr);
+  ASSERT_FALSE(path.empty());
   const net::FlowId other{f.ft.edge[2], f.ft.edge[3]};
   const auto [other_id, other_path] = f.first_path(other.source, other.sink);
-  ASSERT_NE(other_path, nullptr);
+  ASSERT_FALSE(other_path.empty());
 
   auto data =
       session(dataplane::Notification::Kind::kHighLatency, 3 * sim::kSecond);
@@ -105,7 +108,7 @@ TEST(AnalyzerTest, ProcessRateShapeYieldsPortCulpritOnFaultyLink) {
   EXPECT_EQ(culprits.front().cause, CauseKind::kProcessRateDecrease);
   bool on_path = false;
   for (const auto sw : culprits.front().location) {
-    on_path |= std::find(path->begin(), path->end(), sw) != path->end();
+    on_path |= std::find(path.begin(), path.end(), sw) != path.end();
   }
   EXPECT_TRUE(on_path);
   for (const auto& c : culprits) {
@@ -117,7 +120,7 @@ TEST(AnalyzerTest, SourceCountSpikeYieldsMicroBurstFlowCulprit) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};
   const auto [path_id, path] = f.first_path(flow.source, flow.sink);
-  ASSERT_NE(path, nullptr);
+  ASSERT_FALSE(path.empty());
 
   auto data =
       session(dataplane::Notification::Kind::kHighLatency, 3 * sim::kSecond);
@@ -164,8 +167,8 @@ TEST(AnalyzerTest, DropOnlySessionRunsDeficitWeightedDropPass) {
   const net::FlowId healthy{f.ft.edge[2], f.ft.edge[3]};
   const auto [lossy_id, lossy_path] = f.first_path(lossy.source, lossy.sink);
   const auto [ok_id, ok_path] = f.first_path(healthy.source, healthy.sink);
-  ASSERT_NE(lossy_path, nullptr);
-  ASSERT_NE(ok_path, nullptr);
+  ASSERT_FALSE(lossy_path.empty());
+  ASSERT_FALSE(ok_path.empty());
 
   auto data = session(dataplane::Notification::Kind::kDrop, 3 * sim::kSecond);
   data.thresholds[lossy] = 5_ms;
@@ -188,8 +191,8 @@ TEST(AnalyzerTest, DropOnlySessionRunsDeficitWeightedDropPass) {
   bool on_lossy_path = false;
   for (const auto sw : culprits.front().location) {
     on_lossy_path |=
-        std::find(lossy_path->begin(), lossy_path->end(), sw) !=
-        lossy_path->end();
+        std::find(lossy_path.begin(), lossy_path.end(), sw) !=
+        lossy_path.end();
   }
   EXPECT_TRUE(on_lossy_path);
 }
@@ -233,7 +236,7 @@ TEST(AnalyzerTest, MaxCulpritsBoundsTheList) {
     const net::FlowId flow{f.ft.edge[e1],
                            f.ft.edge[(e1 + 3) % f.ft.edge.size()]};
     const auto [id, path] = f.first_path(flow.source, flow.sink);
-    if (path == nullptr) continue;
+    if (path.empty()) continue;
     data.thresholds[flow] = 5_ms;
     for (int e = 28; e < 35; ++e) {
       data.records.push_back(

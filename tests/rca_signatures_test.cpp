@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 namespace mars::rca {
@@ -97,8 +98,8 @@ struct EcmpFixture {
   // Two three-switch paths diverging at switch 1.
   net::SwitchPath path_a{1, 2, 5};
   net::SwitchPath path_b{1, 3, 5};
-  std::vector<std::pair<std::uint32_t, const net::SwitchPath*>> lookup{
-      {0xA, &path_a}, {0xB, &path_b}};
+  std::vector<std::pair<std::uint32_t, std::span<const net::SwitchId>>>
+      lookup{{0xA, path_a}, {0xB, path_b}};
 };
 
 TEST(EcmpVerdictTest, DetectsSplitThatBecameUneven) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "control/path_registry.hpp"
@@ -132,11 +133,12 @@ TEST(BackendDifferentialTest, IntMdHopStacksMatchTheRecordedPath) {
   for (const auto& s : stored) {
     // The hop stack IS the PathID's switch sequence, in order — the
     // hop-exact evidence this backend pays extra in-band bytes for.
-    const auto* path = f.registry.lookup(s.rec.path_id);
-    ASSERT_NE(path, nullptr);
-    ASSERT_EQ(s.hops.size(), path->size());
+    const std::span<const net::SwitchId> path =
+        f.registry.lookup(s.rec.path_id);
+    ASSERT_FALSE(path.empty());
+    ASSERT_EQ(s.hops.size(), path.size());
     for (std::size_t h = 0; h < s.hops.size(); ++h) {
-      EXPECT_EQ(s.hops[h].sw, (*path)[h]);
+      EXPECT_EQ(s.hops[h].sw, path[h]);
     }
     EXPECT_EQ(s.hops.back().sw, flow.sink);
     EXPECT_EQ(s.hops.back().out_port, net::kHostPort);

@@ -103,8 +103,10 @@ Point run_point(const Options& opt, int shards) {
         std::min(config.lookahead, partition.min_boundary_propagation);
   }
 
-  mars::parallel::ThreadPool pool(static_cast<std::size_t>(shards));
-  mars::sim::ShardedSimulator ssim(pool, config);
+  // N shards on N threads: the calling thread works the last shard.
+  std::optional<mars::parallel::ThreadPool> pool;
+  if (shards > 1) pool.emplace(static_cast<std::size_t>(shards - 1));
+  mars::sim::ShardedSimulator ssim(pool ? &*pool : nullptr, config);
   mars::net::Network network(ssim, fabric.topology, partition);
   for (mars::net::SwitchId sw = 0; sw < network.switch_count(); ++sw) {
     network.node(sw).set_queue_capacity(4096);
@@ -178,6 +180,7 @@ void write_report(std::ostream& out, const Options& opt,
     w.member("global_event", p.sync.windows_capped_by_global);
     w.member("end_of_run", p.sync.windows_to_end);
     w.end_object();
+    w.member("critical_path_events", p.sync.critical_path_events);
     w.key("mailbox").begin_object();
     w.member("drains", p.mailbox.drains);
     w.member("total_mail", p.mailbox.total_mail);

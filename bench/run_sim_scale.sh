@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Re-measure the sharded-simulation scale curves and refresh the `current`
 # section of BENCH_sim_scale.json. The `reference_scaling_8core` section is
-# the recorded multi-core run (see the file's `method` note) and is
-# preserved across refreshes so the speedup claims stay anchored: on a
-# single-core container the multi-shard rows are flat-to-slower by
-# construction — the window barrier buys nothing without cores to spend.
+# the recorded 8-core run (see the file's `method` note) and is preserved
+# across refreshes so the speedup claims stay anchored. N shards run on N
+# threads, so a row means most on a host with at least N idle cores: on a
+# 4-core host the 8-shard row oversubscribes, and on one core every
+# multi-shard row is flat-to-slower by construction (the window barrier
+# buys nothing without cores to spend).
 #
 # Usage: bench/run_sim_scale.sh [output.json]
 #   BUILD_DIR overrides the build directory (default: <repo>/build).
@@ -44,6 +46,7 @@ def profile(p):
     prof = p['profile']
     return {
         'window_caps': prof['window_caps'],
+        'critical_path_events': prof['critical_path_events'],
         'mailbox': {
             'drains': prof['mailbox']['drains'],
             'total_mail': prof['mailbox']['total_mail'],

@@ -457,8 +457,13 @@ ScenarioResult run_sharded_scenario(const ScenarioConfig& config) {
                                       partition.min_boundary_propagation);
   }
 
-  parallel::ThreadPool pool(static_cast<std::size_t>(config.sim.shards));
-  sim::ShardedSimulator ssim(pool, shard_config);
+  // N shards on N threads: the calling thread works the last shard, so
+  // one shard needs no pool (ThreadPool(0) would mean one per core).
+  std::optional<parallel::ThreadPool> pool;
+  if (config.sim.shards > 1) {
+    pool.emplace(static_cast<std::size_t>(config.sim.shards - 1));
+  }
+  sim::ShardedSimulator ssim(pool ? &*pool : nullptr, shard_config);
   net::Network network(ssim, fabric.topology, partition);
   for (net::SwitchId sw = 0; sw < network.switch_count(); ++sw) {
     network.node(sw).set_queue_capacity(config.queue_capacity);
@@ -504,6 +509,9 @@ ScenarioResult run_sharded_scenario(const ScenarioConfig& config) {
     });
     obs->registry.gauge("sim.windows_to_end", [&ssim] {
       return static_cast<double>(ssim.sync_stats().windows_to_end);
+    });
+    obs->registry.gauge("sim.critical_path_events", [&ssim] {
+      return static_cast<double>(ssim.sync_stats().critical_path_events);
     });
     obs->registry.gauge("sim.mailbox.drains", [&network] {
       return static_cast<double>(network.mailbox_stats().drains);

@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <memory>
 #include <utility>
 
 #include "sim/sharded.hpp"
 
 namespace mars::net {
+
+namespace {
+constexpr sim::Time kNoMail = std::numeric_limits<sim::Time>::max();
+}  // namespace
 
 Network::Network(sim::Simulator& sim, Topology topology)
     : sim_(&sim), topology_(std::move(topology)), routing_(topology_) {
@@ -27,13 +32,15 @@ Network::Network(sim::ShardedSimulator& sharded, Topology topology,
   wire_topology();
   shard_state_ = std::vector<ShardState>(
       static_cast<std::size_t>(sharded.shard_count()));
-  mailbox_.resize(shard_state_.size() * shard_state_.size());
+  for (ShardState& s : shard_state_) s.earliest_mail.fill(kNoMail);
+  mailbox_.resize(2 * shard_state_.size() * shard_state_.size());
   packet_seq_.assign(switch_count(), 0);
   for (auto& sw : switches_) {
     sw->bind_lane(sim::Lane::keyed(sharded.shard(shard_of_[sw->id()]),
                                    sw->id()));
   }
-  sharded.set_drain_hook([this] { drain_mailboxes(); });
+  sharded.set_mail_hooks({.drain = [this](int shard) { drain_mail(shard); },
+                          .seal = [this] { return seal_mail(); }});
 }
 
 void Network::wire_topology() {
@@ -101,11 +108,16 @@ void Network::forward_to_neighbor(SwitchId from, PortId from_port,
     const int src_shard = shard_of_[from];
     const int dst_shard = shard_of_[next];
     if (src_shard != dst_shard) {
-      // Boundary hop: stage for the barrier drain. link.propagation >=
-      // lookahead (validated), so `at` is provably outside the window
-      // currently running on the destination shard.
-      mailbox(src_shard, dst_shard)
+      // Boundary hop: post into this window's mailbox half; the
+      // destination drains it at the start of the next window.
+      // link.propagation >= lookahead (validated), so `at` is provably
+      // outside the window currently running on the destination shard.
+      const std::size_t half = sharded_->mail_half();
+      mailbox(half, src_shard, dst_shard)
           .push_back(PacketMail{at, key, next, std::move(pkt)});
+      ShardState& src = shard_state_[src_shard];
+      ++src.mail_posted[half];
+      src.earliest_mail[half] = std::min(src.earliest_mail[half], at);
       return;
     }
     Packet* slot = shard_state_[src_shard].pool.acquire(std::move(pkt));
@@ -135,37 +147,64 @@ void Network::receive_parked(SwitchId dst, Packet* slot) {
   pool.release(slot);
 }
 
-void Network::drain_mailboxes() {
-  // Single-threaded (barrier). Visit order is irrelevant for determinism —
-  // each mail carries its own (time, key) — but keep it fixed anyway.
-  std::uint64_t batch = 0;
-  for (auto& box : mailbox_) {
-    batch += box.size();
+void Network::drain_mail(int shard) {
+  // On `shard`'s own thread, before its window's first event. The senders
+  // post into half `post` during this window; half `post ^ 1` was filled
+  // in the previous window and is touched by nobody else now, so no lock.
+  // Visit order is irrelevant for determinism — each mail carries its own
+  // (time, key) — but keep it fixed anyway.
+  const std::size_t post = sharded_->mail_half();
+  ShardState& own = shard_state_[shard];
+  // Our own half `post` starts empty: its destinations drained it at the
+  // start of the previous window.
+  own.mail_posted[post] = 0;
+  own.earliest_mail[post] = kNoMail;
+  sim::Simulator& queue = sharded_->shard(shard);
+  for (int src = 0; src < static_cast<int>(shard_state_.size()); ++src) {
+    std::vector<PacketMail>& box = mailbox(post ^ 1, src, shard);
     for (PacketMail& mail : box) {
-      const SwitchId dst = mail.dst;
-      const int dst_shard = shard_of_[dst];
-      Packet* slot = shard_state_[dst_shard].pool.acquire(std::move(mail.pkt));
-      auto hop = [this, dst, slot] { receive_parked(dst, slot); };
+      Packet* slot = own.pool.acquire(std::move(mail.pkt));
+      auto hop = [this, dst = mail.dst, slot] { receive_parked(dst, slot); };
       static_assert(sim::event_fn_fits_inline<decltype(hop)>,
                     "mailbox-hop closure must fit the inline event buffer");
-      sharded_->shard(dst_shard).schedule_at_keyed(mail.at, mail.key,
-                                                   std::move(hop));
+      queue.schedule_at_keyed(mail.at, mail.key, std::move(hop));
     }
     // clear(), not shrink: mail slots (and the pooled true_path buffers
     // their packets carry) are reused, so steady state is alloc-free.
     box.clear();
   }
-  if (batch > 0) {
-    ++mailbox_stats_.drains;
-    mailbox_stats_.total_mail += batch;
-    mailbox_stats_.max_batch = std::max(mailbox_stats_.max_batch, batch);
-    std::size_t b = 0;
-    for (std::uint64_t n = batch;
-         n > 0 && b + 1 < MailboxStats::kHistBuckets; n >>= 1) {
-      ++b;
-    }
-    ++mailbox_stats_.batch_hist[b];
+}
+
+std::optional<sim::Time> Network::seal_mail() {
+  // Single-threaded (barrier): the window that just ended posted into
+  // half mail_half(); its destinations drain it at the next window start.
+  const std::uint64_t batch = undrained_mail();
+  if (batch == 0) return std::nullopt;
+  ++mailbox_stats_.drains;
+  mailbox_stats_.total_mail += batch;
+  mailbox_stats_.max_batch = std::max(mailbox_stats_.max_batch, batch);
+  std::size_t b = 0;
+  for (std::uint64_t n = batch;
+       n > 0 && b + 1 < MailboxStats::kHistBuckets; n >>= 1) {
+    ++b;
   }
+  ++mailbox_stats_.batch_hist[b];
+  sim::Time earliest = kNoMail;
+  for (const ShardState& s : shard_state_) {
+    earliest = std::min(earliest, s.earliest_mail[sharded_->mail_half()]);
+  }
+  return earliest;
+}
+
+std::size_t Network::undrained_mail() const {
+  if (sharded_ == nullptr) return 0;
+  // Between windows only the half the last window posted into holds mail:
+  // the other half was drained at that window's start.
+  std::size_t total = 0;
+  for (const ShardState& s : shard_state_) {
+    total += s.mail_posted[sharded_->mail_half()];
+  }
+  return total;
 }
 
 std::size_t Network::pool_in_flight() const {

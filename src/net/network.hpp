@@ -10,10 +10,13 @@
 //   * sharded: switches bind keyed Lanes on their shard's simulator.
 //     Same-shard hops schedule keyed events directly; hops that cross a
 //     shard boundary stage a PacketMail{arrival time, lane key, packet}
-//     in a per-(src shard, dst shard) mailbox, drained single-threaded at
-//     the barrier into the destination queue. Because the mail carries the
-//     sender's lane key, the destination pops the exact event order a
-//     single-shard run would — the determinism invariant.
+//     in a per-(src shard, dst shard) mailbox. Mailboxes are
+//     double-buffered by window parity (ShardedSimulator::mail_half): at
+//     the start of the next window each destination, on its own thread,
+//     moves the mail addressed to it into its own pool and queue, from
+//     the half nobody writes during that window. Because the mail
+//     carries the sender's lane key, the destination pops the exact event
+//     order a single-shard run would — the determinism invariant.
 //
 // In sharded mode each shard owns its own PacketPool and NetworkStats
 // (cache-line padded; stats() merges), and packet ids are per-source
@@ -24,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "net/observer.hpp"
@@ -56,8 +60,8 @@ class Network {
   Network(sim::Simulator& sim, Topology topology);
 
   /// Sharded substrate: every switch binds a keyed lane on the shard the
-  /// partition assigns it to; registers the mailbox drain hook on the
-  /// sharded simulator. The partition must cover this topology.
+  /// partition assigns it to; registers the mail hooks on the sharded
+  /// simulator. The partition must cover this topology.
   Network(sim::ShardedSimulator& sharded, Topology topology,
           const Partition& partition);
 
@@ -123,19 +127,24 @@ class Network {
   [[nodiscard]] std::size_t pool_peak_in_flight() const;
 
   /// Cross-shard packet-mailbox accounting (sharded mode; all-zero in
-  /// legacy mode). One "drain" is a barrier-round visit that moved at
-  /// least one mail; `batch_hist` buckets mails-per-drain by log2, so a
-  /// fat tail means barriers move bursts rather than a steady trickle.
+  /// legacy mode). One batch is the mail posted in one window, counted at
+  /// the barrier that ends it; one "drain" is a window that posted at
+  /// least one mail. `batch_hist` buckets mails-per-batch by log2, so a
+  /// fat tail means windows move bursts rather than a steady trickle.
   struct MailboxStats {
     static constexpr std::size_t kHistBuckets = 16;
-    std::uint64_t drains = 0;      ///< barrier rounds that moved mail
+    std::uint64_t drains = 0;      ///< windows that posted mail
     std::uint64_t total_mail = 0;  ///< packets moved across shards
-    std::uint64_t max_batch = 0;   ///< largest single-round volume
+    std::uint64_t max_batch = 0;   ///< largest single-window volume
     std::array<std::uint64_t, kHistBuckets> batch_hist{};
   };
   [[nodiscard]] const MailboxStats& mailbox_stats() const {
     return mailbox_stats_;
   }
+  /// Cross-shard packets posted but not yet drained into their
+  /// destination: each is one pending event and one packet in flight that
+  /// no queue or pool shows yet. Read between windows.
+  [[nodiscard]] std::size_t undrained_mail() const;
 
   // ---- internal API used by Switch ----
   void forward_to_neighbor(SwitchId from, PortId from_port, Packet&& pkt,
@@ -179,12 +188,24 @@ class Network {
   struct alignas(64) ShardState {
     PacketPool pool;
     NetworkStats stats;
+    /// Mail this shard posted into each mailbox half, and its earliest
+    /// arrival (kNoMail if none).
+    std::array<std::uint64_t, 2> mail_posted{};
+    std::array<sim::Time, 2> earliest_mail{};
+  };
+
+  /// One mailbox on its own cache line: during a window only its sender
+  /// touches it, during the next only its destination.
+  struct alignas(64) Mailbox {
+    std::vector<PacketMail> mail;
   };
 
   void wire_topology();
-  /// Registered as the sharded simulator's drain hook; runs
-  /// single-threaded at every barrier.
-  void drain_mailboxes();
+  /// The sharded simulator's mail hooks (sim::ShardedSimulator::MailHooks):
+  /// drain_mail runs on shard `shard`'s thread at the start of each
+  /// window; seal_mail runs single-threaded at the barrier after it.
+  void drain_mail(int shard);
+  [[nodiscard]] std::optional<sim::Time> seal_mail();
   void receive_parked(SwitchId dst, Packet* slot);
 
   [[nodiscard]] NetworkStats& stats_for(SwitchId sw) {
@@ -193,10 +214,13 @@ class Network {
   [[nodiscard]] PacketPool& pool_for(SwitchId sw) {
     return sharded_ != nullptr ? shard_state_[shard_of_[sw]].pool : pool_;
   }
-  [[nodiscard]] std::vector<PacketMail>& mailbox(int src_shard,
+  [[nodiscard]] std::vector<PacketMail>& mailbox(std::size_t half,
+                                                 int src_shard,
                                                  int dst_shard) {
-    return mailbox_[static_cast<std::size_t>(src_shard) * shard_state_.size() +
-                    static_cast<std::size_t>(dst_shard)];
+    const std::size_t n = shard_state_.size();
+    return mailbox_[(half * n + static_cast<std::size_t>(src_shard)) * n +
+                    static_cast<std::size_t>(dst_shard)]
+        .mail;
   }
 
   sim::Simulator* sim_;
@@ -214,7 +238,7 @@ class Network {
   sim::ShardedSimulator* sharded_ = nullptr;
   std::vector<int> shard_of_;                   // per switch
   std::vector<ShardState> shard_state_;         // per shard
-  std::vector<std::vector<PacketMail>> mailbox_;  // [src shard][dst shard]
+  std::vector<Mailbox> mailbox_;  // [half][src shard][dst shard]
   std::vector<std::uint64_t> packet_seq_;       // per source switch
   MailboxStats mailbox_stats_;
 };

@@ -32,8 +32,10 @@ void scrape_network(net::Network& network, MetricsRegistry& registry,
     });
     registry.gauge("sim.event_queue_depth", [&network] {
       // Live scheduled events: every shard queue plus the global/control
-      // queue in sharded mode, the one queue in legacy mode.
-      std::size_t depth = network.simulator().pending_events();
+      // queue in sharded mode, the one queue in legacy mode. Undrained
+      // cross-shard mail is one pending hop event each.
+      std::size_t depth = network.simulator().pending_events() +
+                          network.undrained_mail();
       if (auto* ssim = network.sharded(); ssim != nullptr) {
         for (int i = 0; i < ssim->shard_count(); ++i) {
           depth += ssim->shard(i).pending_events();
@@ -42,7 +44,9 @@ void scrape_network(net::Network& network, MetricsRegistry& registry,
       return static_cast<double>(depth);
     });
     registry.gauge("sim.packet_pool.in_flight", [&network] {
-      return static_cast<double>(network.pool_in_flight());
+      // Undrained cross-shard mail is in flight too, just not pooled yet.
+      return static_cast<double>(network.pool_in_flight() +
+                                 network.undrained_mail());
     });
     registry.gauge("sim.packet_pool.peak", [&network] {
       return static_cast<double>(network.pool_peak_in_flight());

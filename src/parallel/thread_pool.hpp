@@ -67,21 +67,24 @@ class ThreadPool {
   /// are submitted ONCE — the epoch loop itself runs inside them — so an
   /// epoch costs two barrier crossings and zero task allocations.
   ///
-  /// min(size(), lanes) workers plus the calling thread participate; lane
+  /// min(size(), lanes - 1) workers plus the calling thread participate,
+  /// so a pool of lanes - 1 workers runs `lanes` lanes on exactly `lanes`
+  /// threads, and the caller works a lane instead of only waiting. Lane
   /// ownership is strided and FIXED across epochs (party p always runs
-  /// lanes p, p+parties, ...), so per-lane state never migrates between
-  /// threads mid-loop. Everything `control` writes is visible to every
-  /// lane of the next epoch (barrier release/acquire), and everything the
-  /// lanes wrote in epoch e is visible to `control(e)`.
+  /// lanes p, p+parties, ...; the caller is the last party, so with a
+  /// thread per lane it owns the last lane), so per-lane state never
+  /// migrates between threads mid-loop. Everything `control` writes is
+  /// visible to every lane of the next epoch (barrier release/acquire),
+  /// and everything the lanes wrote in epoch e is visible to `control(e)`.
   ///
   /// The pool must be otherwise idle: the participating workers are
   /// occupied until the loop ends, so tasks submitted concurrently (or a
-  /// nested run_epochs on the same pool) would starve. With no workers
-  /// (size() == 0) the loop runs inline on the caller.
+  /// nested run_epochs on the same pool) would starve. With one lane or no
+  /// workers the loop runs inline on the caller, with no barrier.
   template <typename Body, typename Control>
   void run_epochs(std::size_t lanes, Body&& body, Control&& control) {
     if (lanes == 0) return;
-    const std::size_t helpers = std::min(size(), lanes);
+    const std::size_t helpers = std::min(size(), lanes - 1);
     if (helpers == 0) {
       for (std::uint64_t e = 0;; ++e) {
         for (std::size_t lane = 0; lane < lanes; ++lane) body(lane, e);

@@ -12,9 +12,9 @@ namespace {
 constexpr Time kInf = std::numeric_limits<Time>::max();
 }  // namespace
 
-ShardedSimulator::ShardedSimulator(parallel::ThreadPool& pool,
+ShardedSimulator::ShardedSimulator(parallel::ThreadPool* pool,
                                    ShardedConfig config)
-    : config_(config), pool_(&pool),
+    : config_(config), pool_(pool),
       shards_(static_cast<std::size_t>(std::max(config.shards, 1))) {
   assert(config_.lookahead >= 1 && "zero lookahead cannot make progress");
   assert(config_.control_latency >= config_.lookahead &&
@@ -49,11 +49,34 @@ void ShardedSimulator::drain_control_outboxes() {
   control_staging_.clear();
 }
 
-bool ShardedSimulator::plan_window(Time until) {
-  if (drain_hook_) drain_hook_();
+void ShardedSimulator::run_window(std::size_t lane) {
+  Shard& s = shards_[lane];
+  if (mail_hooks_.drain) mail_hooks_.drain(static_cast<int>(lane));
+  // Events strictly below window_ are independent across shards (nothing
+  // scheduled at >= T_l can reach another shard before T_l + lookahead >=
+  // window_).
+  const std::uint64_t before = s.sim.events_executed();
+  s.sim.run(window_ - 1);
+  const std::uint64_t ran = s.sim.events_executed() - before;
+  s.window_ran = ran;
+  ++s.stats.windows;
+  if (ran > 0) ++s.stats.busy_windows;
+  s.stats.window_events += ran;
+  s.stats.max_window_events = std::max(s.stats.max_window_events, ran);
+  ++s.stats.window_event_hist[ShardStats::hist_bucket(ran)];
+}
+
+void ShardedSimulator::close_window() {
+  std::uint64_t widest = 0;
+  for (const auto& s : shards_) widest = std::max(widest, s.window_ran);
+  sync_.critical_path_events += widest;
+  mail_bound_ = mail_hooks_.seal ? mail_hooks_.seal() : std::nullopt;
   drain_control_outboxes();
+}
+
+bool ShardedSimulator::plan_window(Time until) {
   for (;;) {
-    Time t_l = kInf;
+    Time t_l = mail_bound_.value_or(kInf);
     for (auto& s : shards_) {
       if (const auto t = s.sim.next_event_time()) t_l = std::min(t_l, *t);
     }
@@ -103,25 +126,24 @@ bool ShardedSimulator::plan_window(Time until) {
 
 void ShardedSimulator::run(Time until) {
   if (plan_window(until)) {
-    pool_->run_epochs(
-        shards_.size(),
-        [this](std::size_t lane, std::uint64_t /*epoch*/) {
-          Shard& s = shards_[lane];
-          // Events strictly below window_ are independent across shards
-          // (nothing scheduled at >= T_l can reach another shard before
-          // T_l + lookahead >= window_).
-          const std::uint64_t before = s.sim.events_executed();
-          s.sim.run(window_ - 1);
-          const std::uint64_t ran = s.sim.events_executed() - before;
-          ++s.stats.windows;
-          if (ran > 0) ++s.stats.busy_windows;
-          s.stats.window_events += ran;
-          s.stats.max_window_events = std::max(s.stats.max_window_events, ran);
-          ++s.stats.window_event_hist[ShardStats::hist_bucket(ran)];
-        },
-        [this, until](std::uint64_t /*epoch*/) {
-          return plan_window(until);
-        });
+    auto control = [this, until](std::uint64_t /*epoch*/) {
+      close_window();
+      return plan_window(until);
+    };
+    if (pool_ != nullptr) {
+      pool_->run_epochs(
+          shards_.size(),
+          [this](std::size_t lane, std::uint64_t /*epoch*/) {
+            run_window(lane);
+          },
+          control);
+    } else {
+      do {
+        for (std::size_t lane = 0; lane < shards_.size(); ++lane) {
+          run_window(lane);
+        }
+      } while (control(0));
+    }
   }
   // Advance every clock to `until` exactly like Simulator::run does on an
   // empty queue (pending events, if any, are all beyond `until`).

@@ -2,23 +2,42 @@
 // Sharded discrete-event simulation with conservative lookahead.
 //
 // The topology is partitioned into shards; each shard owns a Simulator
-// (its own event queue, its own virtual clock) and runs on the shared
-// thread pool. A separate "global" Simulator hosts everything that spans
+// (its own event queue, its own virtual clock) and runs on its own thread:
+// N shards run on a pool of N - 1 workers plus the thread that calls run(),
+// which works the last shard (with no pool, every shard runs inline on the
+// caller). A separate "global" Simulator hosts everything that spans
 // shards — controller polls, samplers, fault injections, cross-shard
 // control messages — and runs single-threaded between windows, when every
 // shard is quiescent.
 //
-// Window protocol (per barrier round, single-threaded):
-//   1. drain hooks move cross-shard traffic (network mailboxes) and the
-//      per-shard control outboxes into their destination queues;
-//   2. T_l = min over shards of next-event time, T_g = global next-event;
-//   3. if min(T_l, T_g) > until: done;
-//   4. if T_g <= T_l: run the global queue up to T_g and recompute
+// Window protocol. A window runs on every shard in parallel; the serial
+// section between windows plans the next one:
+//   1. at the start of its window, on its own thread, each shard drains
+//      the cross-shard mail posted to it in the previous window (the mail
+//      drain hook) into its own queue, then runs its events strictly below
+//      the window end W;
+//   2. serial: the mail seal hook accounts the mail the window posted and
+//      returns its earliest arrival T_m; control outboxes are sorted into
+//      the global queue;
+//   3. T_l = min(T_m, min over shards of next-event time),
+//      T_g = global next-event;
+//   4. if min(T_l, T_g) > until: done (mail arriving after `until` stays
+//      pending, undrained);
+//   5. if T_g <= T_l: run the global queue up to T_g and recompute
 //      (global events — threshold writes, fault lambdas, burst starts —
 //      observe and mutate shard state at an exact virtual time, before
 //      any shard event at or after it);
-//   5. else the next window is W = min(T_l + lookahead, T_g, until + 1)
-//      and every shard runs events strictly below W in parallel.
+//   6. else the next window is W = min(T_l + lookahead, T_g, until + 1)
+//      and every shard runs step 1 for it.
+//
+// Mail is double-buffered by window parity (mail_half()): during window n
+// every shard posts into half n % 2 while each destination drains half
+// (n + 1) % 2, which window n - 1 filled and nobody writes during window
+// n — so the drains need no lock and run on every destination at once.
+// The drain is early enough: mail posted at t arrives at t + lookahead or
+// later, which is at or after the end W of the window that posted it, so
+// it is in its destination queue before any event that could run it. T_m
+// joins T_l because undrained mail is work no queue shows yet.
 //
 // The lookahead is the minimum latency of any shard-crossing edge (the
 // smallest boundary-link propagation delay and the shard-to-controller
@@ -31,8 +50,8 @@
 // Determinism does NOT come from the window placement (which depends on
 // shard count) but from event keys: every shard-local event is keyed
 // (entity id, per-entity seq) via sim::Lane, so each queue pops an
-// identical sequence no matter how entities are grouped; mailbox drains
-// only move (time, key, fn) tuples between queues, and control-outbox
+// identical sequence no matter how entities are grouped; mail carries its
+// sender's (time, key) into the destination queue, and control-outbox
 // drains sort by (time, key) before scheduling. Fixed seed => the same
 // execution, bit for bit, at every shard count.
 
@@ -40,6 +59,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -103,11 +123,20 @@ struct ShardSyncStats {
   std::uint64_t lookahead_stalls = 0;   ///< windows clipped by lookahead
   std::uint64_t windows_capped_by_global = 0;  ///< clipped by a global event
   std::uint64_t windows_to_end = 0;     ///< ran unclipped to end-of-run
+  /// Sum over windows of the largest per-shard event count in that
+  /// window: the events a barrier-windowed run executes one after another
+  /// however many cores it has. Total window events divided by this caps
+  /// the speedup of any shard count on the workload. A pure function of
+  /// (workload, seed, shard count).
+  std::uint64_t critical_path_events = 0;
 };
 
 class ShardedSimulator {
  public:
-  ShardedSimulator(parallel::ThreadPool& pool, ShardedConfig config);
+  /// `pool` runs the shards' windows in parallel (size it at shards - 1
+  /// workers: the calling thread works the last shard); with nullptr every
+  /// shard runs inline on the caller, which is all one shard needs.
+  ShardedSimulator(parallel::ThreadPool* pool, ShardedConfig config);
 
   [[nodiscard]] int shard_count() const {
     return static_cast<int>(shards_.size());
@@ -122,12 +151,25 @@ class ShardedSimulator {
     return config_.control_latency;
   }
 
-  /// Barrier hook, called single-threaded at the start of every round
-  /// before next-event times are read. The network drains its cross-shard
-  /// packet mailboxes here.
-  void set_drain_hook(std::function<void()> hook) {
-    drain_hook_ = std::move(hook);
-  }
+  /// How cross-shard mail (the network's packet mailboxes) joins the
+  /// window protocol; see the header comment.
+  struct MailHooks {
+    /// Runs on shard `shard`'s own thread at the start of each of its
+    /// windows, before any of its events: moves the mail posted to it in
+    /// the previous window (half mail_half() ^ 1) into its queue.
+    std::function<void(int shard)> drain;
+    /// Runs single-threaded once per window, at the barrier that ends it,
+    /// before next-event times are read: accounts the mail the window
+    /// posted (half mail_half()) and returns its earliest arrival time, or
+    /// nullopt if it posted none.
+    std::function<std::optional<Time>()> seal;
+  };
+  void set_mail_hooks(MailHooks hooks) { mail_hooks_ = std::move(hooks); }
+
+  /// The mailbox half that cross-shard mail posted now belongs to: window
+  /// n (sync_stats().windows == n while it runs) posts into half n % 2.
+  /// Mail is posted only by shard events, i.e. inside windows.
+  [[nodiscard]] std::size_t mail_half() const { return sync_.windows & 1; }
 
   /// Post a control message from shard code (runs on the shard's thread
   /// during a window) to the global domain. `at` must be >= the current
@@ -163,10 +205,16 @@ class ShardedSimulator {
     Simulator sim;
     std::vector<ControlMail> outbox;
     ShardStats stats;
+    std::uint64_t window_ran = 0;  ///< events run in the latest window
   };
 
-  /// Single-threaded planning step: drain, advance the global queue, and
-  /// choose the next window. Returns false when nothing remains <= until.
+  /// One shard's part of a window, on its own thread: drain its mail, run
+  /// its events below window_, count them.
+  void run_window(std::size_t lane);
+  /// Serial bookkeeping at the barrier that ends a window.
+  void close_window();
+  /// Single-threaded planning step: advance the global queue and choose
+  /// the next window. Returns false when nothing remains <= until.
   bool plan_window(Time until);
   void drain_control_outboxes();
 
@@ -174,7 +222,10 @@ class ShardedSimulator {
   parallel::ThreadPool* pool_;
   std::vector<Shard> shards_;
   Simulator global_;
-  std::function<void()> drain_hook_;
+  MailHooks mail_hooks_;
+  /// Earliest arrival of mail posted but not yet drained (kept across
+  /// run() calls: mail beyond one run's `until` is the next run's work).
+  std::optional<Time> mail_bound_;
   std::vector<ControlMail> control_staging_;  ///< reused sort buffer
   Time window_ = 0;  ///< exclusive end of the current parallel window
   ShardSyncStats sync_;

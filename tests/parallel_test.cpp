@@ -251,6 +251,48 @@ TEST(ParallelEpochsTest, ControlSeesLaneWritesAndLanesSeeControl) {
   EXPECT_EQ(checked_epochs, kEpochs * kLanes);
 }
 
+TEST(ParallelEpochsTest, LanesRunOnExactlyLanesThreadsCallerIncluded) {
+  // With at least lanes - 1 workers, `lanes` lanes take exactly `lanes`
+  // threads: lanes - 1 workers plus the caller, which owns the last lane
+  // instead of spinning at the barrier with no lane of its own.
+  constexpr std::size_t kLanes = 4;
+  for (const std::size_t workers : {kLanes - 1, kLanes, kLanes + 2}) {
+    ThreadPool pool(workers);
+    std::vector<std::set<std::thread::id>> owners(kLanes);
+    pool.run_epochs(
+        kLanes,
+        [&](std::size_t lane, std::uint64_t) {
+          owners[lane].insert(std::this_thread::get_id());
+        },
+        [](std::uint64_t e) { return e + 1 < 50; });
+    std::set<std::thread::id> threads;
+    for (const auto& ids : owners) {
+      ASSERT_EQ(ids.size(), 1u);
+      threads.insert(*ids.begin());
+    }
+    EXPECT_EQ(threads.size(), kLanes) << workers << " workers";
+    EXPECT_EQ(*owners[kLanes - 1].begin(), std::this_thread::get_id())
+        << workers << " workers";
+  }
+}
+
+TEST(ParallelEpochsTest, OneLaneRunsEveryEpochOnTheCallingThread) {
+  ThreadPool pool(2);
+  std::set<std::thread::id> threads;
+  std::uint64_t epochs = 0;
+  pool.run_epochs(
+      1,
+      [&](std::size_t, std::uint64_t) {
+        threads.insert(std::this_thread::get_id());
+      },
+      [&](std::uint64_t e) {
+        ++epochs;
+        return e + 1 < 20;
+      });
+  EXPECT_EQ(epochs, 20u);
+  EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
 TEST(ParallelEpochsTest, SingleWorkerPoolStillCompletes) {
   ThreadPool pool(1);  // two parties: the worker plus the calling thread
   std::vector<std::uint64_t> per_lane(4, 0);

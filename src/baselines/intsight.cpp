@@ -53,7 +53,7 @@ void IntSight::on_deliver(net::SwitchContext& ctx, net::Packet& pkt) {
   }
   ++state.packets;
 
-  const sim::Time e2e = now - pkt.source_switch_time;
+  const sim::Time e2e = now - pkt.created;
   if (e2e > config_.slo) {
     ++state.violations;
     state.contention_mask |= pkt.intsight_contention;

@@ -83,68 +83,47 @@ std::uint64_t Network::inject(FlowId flow, std::uint32_t flow_hash,
     pkt.id = (static_cast<std::uint64_t>(flow.source) << 40) |
              ++packet_seq_[flow.source];
     pkt.created = switches_[flow.source]->lane().now();
-    pkt.true_path = pool_for(flow.source).take_path();
   } else {
     pkt.id = next_packet_id_++;
     pkt.created = sim_->now();
-    pkt.true_path = pool_.take_path();
   }
-  const std::uint64_t id = pkt.id;
   ++stats_for(flow.source).injected;
-  switches_[flow.source]->receive(std::move(pkt));
-  return id;
+  switches_[flow.source]->receive(pool_for(flow.source).acquire(pkt));
+  return pkt.id;
 }
 
 void Network::forward_to_neighbor(SwitchId from, PortId from_port,
-                                  Packet&& pkt, sim::Time extra_delay) {
+                                  Packet* pkt, sim::Time extra_delay) {
   const PortLink& link = port_links_[from][from_port];
-  pkt.ingress_port = link.neighbor_port;
+  pkt->ingress_port = link.neighbor_port;
   const SwitchId next = link.neighbor;
+  sim::Lane& lane = switches_[from]->lane();
+  const sim::Time delay = link.propagation + extra_delay;
 
-  if (sharded_ != nullptr) {
-    sim::Lane& lane = switches_[from]->lane();
-    const sim::Time at = lane.now() + link.propagation + extra_delay;
+  if (sharded_ != nullptr && shard_of_[from] != shard_of_[next]) {
+    // Boundary hop: post into this window's mailbox half; the destination
+    // drains it at the start of the next window. link.propagation >=
+    // lookahead (validated), so the arrival is provably outside the window
+    // currently running on the destination shard.
+    const sim::Time at = lane.now() + delay;
     const std::uint64_t key = lane.next_key();
     const int src_shard = shard_of_[from];
-    const int dst_shard = shard_of_[next];
-    if (src_shard != dst_shard) {
-      // Boundary hop: post into this window's mailbox half; the
-      // destination drains it at the start of the next window.
-      // link.propagation >= lookahead (validated), so `at` is provably
-      // outside the window currently running on the destination shard.
-      const std::size_t half = sharded_->mail_half();
-      mailbox(half, src_shard, dst_shard)
-          .push_back(PacketMail{at, key, next, std::move(pkt)});
-      ShardState& src = shard_state_[src_shard];
-      ++src.mail_posted[half];
-      src.earliest_mail[half] = std::min(src.earliest_mail[half], at);
-      return;
-    }
-    Packet* slot = shard_state_[src_shard].pool.acquire(std::move(pkt));
-    auto hop = [this, next, slot] { receive_parked(next, slot); };
-    static_assert(sim::event_fn_fits_inline<decltype(hop)>,
-                  "link-hop closure must fit the inline event buffer");
-    lane.simulator().schedule_at_keyed(at, key, std::move(hop));
+    const std::size_t half = sharded_->mail_half();
+    mailbox(half, src_shard, shard_of_[next])
+        .push_back(PacketMail{at, key, next, *pkt});
+    ShardState& src = shard_state_[src_shard];
+    src.pool.release(pkt);
+    ++src.mail_posted[half];
+    src.earliest_mail[half] = std::min(src.earliest_mail[half], at);
     return;
   }
 
-  // Park the packet in a pool slot; the link event carries only the raw
-  // slot pointer, so the closure stays inside the inline buffer and the
-  // hop costs no allocation (the old path make_shared'd every hop).
-  Packet* slot = pool_.acquire(std::move(pkt));
-  auto hop = [this, next, slot] {
-    switches_[next]->receive(std::move(*slot));
-    pool_.release(slot);
-  };
+  // The hop event carries only the slot pointer, so the closure stays in
+  // the inline buffer, and a fixed delay puts it on the queue's FIFO lane.
+  auto hop = [this, next, pkt] { switches_[next]->receive(pkt); };
   static_assert(sim::event_fn_fits_inline<decltype(hop)>,
                 "link-hop closure must fit the inline event buffer");
-  sim_->schedule_in(link.propagation + extra_delay, std::move(hop));
-}
-
-void Network::receive_parked(SwitchId dst, Packet* slot) {
-  PacketPool& pool = shard_state_[shard_of_[dst]].pool;
-  switches_[dst]->receive(std::move(*slot));
-  pool.release(slot);
+  lane.schedule_fixed(delay, std::move(hop));
 }
 
 void Network::drain_mail(int shard) {
@@ -162,15 +141,17 @@ void Network::drain_mail(int shard) {
   sim::Simulator& queue = sharded_->shard(shard);
   for (int src = 0; src < static_cast<int>(shard_state_.size()); ++src) {
     std::vector<PacketMail>& box = mailbox(post ^ 1, src, shard);
-    for (PacketMail& mail : box) {
-      Packet* slot = own.pool.acquire(std::move(mail.pkt));
-      auto hop = [this, dst = mail.dst, slot] { receive_parked(dst, slot); };
+    for (const PacketMail& mail : box) {
+      Packet* slot = own.pool.acquire(mail.pkt);
+      auto hop = [this, dst = mail.dst, slot] {
+        switches_[dst]->receive(slot);
+      };
       static_assert(sim::event_fn_fits_inline<decltype(hop)>,
                     "mailbox-hop closure must fit the inline event buffer");
       queue.schedule_at_keyed(mail.at, mail.key, std::move(hop));
     }
-    // clear(), not shrink: mail slots (and the pooled true_path buffers
-    // their packets carry) are reused, so steady state is alloc-free.
+    // clear(), not shrink: mail slots are reused, so steady state is
+    // alloc-free.
     box.clear();
   }
 }
@@ -215,21 +196,21 @@ std::size_t Network::pool_in_flight() const {
 
 std::size_t Network::pool_peak_in_flight() const {
   // slot_count() is the arena high-water mark: slots are only ever added
-  // (never shrunk), one per peak concurrent in-flight packet.
+  // (never shrunk), one per peak concurrent packet in the network.
   std::size_t total = pool_.slot_count();
   for (const auto& s : shard_state_) total += s.pool.slot_count();
   return total;
 }
 
-void Network::deliver(Switch& sink, Packet&& pkt) {
+void Network::deliver(Switch& sink, Packet* pkt) {
   sim::Simulator& sim = sink.lane().simulator();
   if (!observers_.empty()) {
     SwitchContext ctx{sim, sink, sink.id(), sink.layer()};
-    for (auto* obs : observers_) obs->on_deliver(ctx, pkt);
+    for (auto* obs : observers_) obs->on_deliver(ctx, *pkt);
   }
   ++stats_for(sink.id()).delivered;
-  if (on_delivery_) on_delivery_(pkt, sim.now());
-  pool_for(sink.id()).recycle_path(std::move(pkt.true_path));
+  if (on_delivery_) on_delivery_(*pkt, sim.now());
+  pool_for(sink.id()).release(pkt);
 }
 
 NetworkStats Network::stats() const {

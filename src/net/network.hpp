@@ -8,15 +8,25 @@
 //   * legacy (single simulator): every switch binds a plain Lane on the
 //     one queue — byte-identical to pre-shard releases;
 //   * sharded: switches bind keyed Lanes on their shard's simulator.
-//     Same-shard hops schedule keyed events directly; hops that cross a
-//     shard boundary stage a PacketMail{arrival time, lane key, packet}
-//     in a per-(src shard, dst shard) mailbox. Mailboxes are
-//     double-buffered by window parity (ShardedSimulator::mail_half): at
-//     the start of the next window each destination, on its own thread,
-//     moves the mail addressed to it into its own pool and queue, from
-//     the half nobody writes during that window. Because the mail
-//     carries the sender's lane key, the destination pops the exact event
-//     order a single-shard run would — the determinism invariant.
+//
+// Every packet lives in one PacketPool slot from inject() until it leaves
+// the network (net/packet_pool.hpp has the ownership rules); switches,
+// port queues and hop events pass the slot pointer. A link hop between
+// two switches of the same queue — every hop in legacy mode — is one
+// Lane::schedule_fixed(propagation + fault delay) call, so it rides the
+// event queue's FIFO lane for that delay (sim/event_queue.hpp) instead of
+// the heap.
+//
+// The one other hop path is cross-shard mail: a hop whose destination
+// lives on another shard copies the packet into a PacketMail{arrival
+// time, lane key, packet}, releases its source slot, and stages the mail
+// in a per-(src shard, dst shard) mailbox. Mailboxes are double-buffered
+// by window parity (ShardedSimulator::mail_half): at the start of the
+// next window each destination, on its own thread, acquires a slot from
+// its own pool for each mail addressed to it and schedules the hop in its
+// own queue, from the half nobody writes during that window. Because the
+// mail carries the sender's lane key, the destination pops the exact
+// event order a single-shard run would — the determinism invariant.
 //
 // In sharded mode each shard owns its own PacketPool and NetworkStats
 // (cache-line padded; stats() merges), and packet ids are per-source
@@ -116,14 +126,12 @@ class Network {
   };
   [[nodiscard]] std::vector<LinkUtilization> link_utilization() const;
 
-  /// Pool parking packets in flight across links (introspection/tests;
-  /// legacy mode — sharded mode pools per shard).
-  [[nodiscard]] const PacketPool& packet_pool() const { return pool_; }
-
-  /// Packets parked across links right now, summed over every pool.
+  /// Packets in the network right now (queued, in service, or on a
+  /// link), summed over every pool. Undrained cross-shard mail is not
+  /// pooled and not counted here (see undrained_mail()).
   [[nodiscard]] std::size_t pool_in_flight() const;
-  /// High-water mark of parked packets (pool arenas only grow), summed
-  /// over every pool — the memory footprint of in-flight traffic.
+  /// High-water mark of pooled packets (pool arenas only grow), summed
+  /// over every pool — the memory footprint of the traffic in the network.
   [[nodiscard]] std::size_t pool_peak_in_flight() const;
 
   /// Cross-shard packet-mailbox accounting (sharded mode; all-zero in
@@ -147,14 +155,16 @@ class Network {
   [[nodiscard]] std::size_t undrained_mail() const;
 
   // ---- internal API used by Switch ----
-  void forward_to_neighbor(SwitchId from, PortId from_port, Packet&& pkt,
+  /// Send the serviced packet in `pkt`'s slot over the link behind
+  /// (from, from_port), `extra_delay` ns after its propagation delay.
+  void forward_to_neighbor(SwitchId from, PortId from_port, Packet* pkt,
                            sim::Time extra_delay);
-  void deliver(Switch& sink, Packet&& pkt);
-  /// Reclaim the buffers of a packet leaving the network without being
-  /// delivered (dropped or unroutable) at switch `at`.
-  void recycle_dead(SwitchId at, Packet&& pkt) {
-    pool_for(at).recycle_path(std::move(pkt.true_path));
-  }
+  /// Hand the packet to observers and the delivery callback at its sink,
+  /// then release its slot.
+  void deliver(Switch& sink, Packet* pkt);
+  /// Release the slot of a packet leaving the network undelivered
+  /// (dropped or unroutable) at switch `at`.
+  void release(SwitchId at, Packet* pkt) { pool_for(at).release(pkt); }
   void count_drop(SwitchId at) { ++stats_for(at).dropped; }
   void count_unroutable(SwitchId at) { ++stats_for(at).unroutable; }
   [[nodiscard]] std::vector<PacketObserver*>& observers() {
@@ -206,7 +216,6 @@ class Network {
   /// window; seal_mail runs single-threaded at the barrier after it.
   void drain_mail(int shard);
   [[nodiscard]] std::optional<sim::Time> seal_mail();
-  void receive_parked(SwitchId dst, Packet* slot);
 
   [[nodiscard]] NetworkStats& stats_for(SwitchId sw) {
     return sharded_ != nullptr ? shard_state_[shard_of_[sw]].stats : stats_;

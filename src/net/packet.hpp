@@ -6,12 +6,15 @@
 // PathID field updated per hop, an optional 11-byte INT telemetry header on
 // sampled packets, and the anomaly-suppression flag; (c) the baselines'
 // in-band headers: SpiderMon's cumulative queueing delay and IntSight's
-// per-switch contention bitmap; and (d) ground-truth bookkeeping used only
-// by tests and evaluation (never by the algorithms).
+// per-switch contention bitmap.
+//
+// A packet lives in one PacketPool slot from injection until it leaves the
+// network, and is copied only when it crosses a shard boundary, so it is
+// kept trivially copyable and within two cache lines.
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <type_traits>
 
 #include "net/types.hpp"
 #include "sim/time.hpp"
@@ -38,6 +41,7 @@ struct Packet {
   std::uint32_t flow_hash = 0;  ///< per-flow entropy (stands in for 5-tuple)
   std::uint32_t size_bytes = 0; ///< payload + base headers, excl. telemetry
   sim::Time created = 0;        ///< injection time at the source switch
+  sim::Time switch_arrival = 0; ///< arrival at the current switch
   PortId ingress_port = kHostPort;  ///< port the packet arrived on
 
   // ---- MARS in-band fields ----
@@ -60,12 +64,6 @@ struct Packet {
   sim::Time spidermon_queue_delay = 0;    ///< SpiderMon: summed hop latency
   std::uint64_t intsight_contention = 0;  ///< IntSight: bit per switch id
 
-  // ---- ground truth (evaluation only; not visible to MARS logic) ----
-  std::vector<SwitchId> true_path;  ///< switches traversed, in order
-  sim::Time source_switch_time = 0; ///< arrival at the source switch
-  sim::Time switch_arrival = 0;     ///< arrival at the current switch
-  std::uint32_t hop_count = 0;
-
   [[nodiscard]] bool is_telemetry() const { return telemetry.has_value(); }
 
   /// Extra bytes this packet carries on the wire because of monitoring.
@@ -82,5 +80,9 @@ struct Packet {
     return size_bytes + monitoring_overhead_bytes();
   }
 };
+
+static_assert(std::is_trivially_copyable_v<Packet>,
+              "packets are copied only as raw bytes (pool slots, mail)");
+static_assert(sizeof(Packet) <= 128, "a packet fits in two cache lines");
 
 }  // namespace mars::net

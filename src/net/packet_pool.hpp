@@ -1,79 +1,57 @@
 #pragma once
-// Free-list pool for packets in flight across links, plus recycling of
-// true_path buffers.
+// Free-list pool holding every packet in the network.
 //
-// Network::forward_to_neighbor used to wrap every hop in
-// std::make_shared<Packet>: one control-block allocation per hop per
-// packet. The pool instead parks the packet in a stable arena slot and the
-// link event captures the raw slot pointer (which fits the event's inline
-// closure buffer). Ownership rules:
+// A packet occupies one pool slot from Network::inject until it leaves
+// the network, and everything that moves it — the switch's port queue
+// (a FifoRing of slot pointers), the link-hop event (whose closure
+// captures the pointer and fits the inline event buffer) — carries only
+// the slot pointer. A hop therefore copies no packet bytes and allocates
+// nothing. Ownership rules:
 //
-//   * acquire() parks a packet; the slot belongs to the scheduled link
-//     event until it fires.
-//   * The event moves the packet out (Switch::receive takes an rvalue) and
-//     must then call release() to return the slot.
-//   * Slots are never handed to application code; addresses are stable
+//   * Network::inject acquires the slot; from then on exactly one holder
+//     owns the pointer: the switch handling the packet, its port queue,
+//     or the scheduled hop event.
+//   * The packet is released to the pool of the switch where it leaves
+//     the network: delivered at its sink, dropped (tail or fault), or
+//     unroutable. In sharded mode a packet crossing a shard boundary is
+//     copied into its mail and its source slot released at once; the
+//     destination shard acquires a slot from its own pool when it drains
+//     the mail. A pool is thus only ever touched by its own shard.
+//   * Slots are never handed to application code (observers see a
+//     Packet& for the duration of a callback); addresses are stable
 //     (deque arena) for the lifetime of the pool.
-//   * If the simulation ends with events still pending, parked packets are
-//     simply destroyed with the pool — nothing leaks.
-//
-// take_path()/recycle_path() recirculate true_path vectors between dying
-// packets (delivered, dropped, unroutable) and freshly injected ones so
-// steady-state forwarding performs zero heap allocations.
+//   * If the simulation ends with packets still queued or on a link,
+//     their slots are simply destroyed with the pool — nothing leaks.
 
 #include <cstddef>
 #include <deque>
-#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
-#include "net/types.hpp"
 
 namespace mars::net {
 
 class PacketPool {
  public:
-  /// Capacity reserved in every pooled true_path buffer. Fat-tree and
-  /// leaf-spine paths are <= 6 hops; longer paths just grow the buffer
-  /// once and the larger capacity is recycled with it.
-  static constexpr std::size_t kPathReserve = 16;
-
-  /// Park a packet while it crosses a link. The returned pointer is stable
-  /// until release().
-  Packet* acquire(Packet&& pkt) {
+  /// Park a copy of `pkt` in a slot. The returned pointer is stable until
+  /// release().
+  Packet* acquire(const Packet& pkt) {
     if (free_.empty()) {
-      slots_.push_back(std::move(pkt));
+      slots_.push_back(pkt);
       return &slots_.back();
     }
     Packet* slot = free_.back();
     free_.pop_back();
-    *slot = std::move(pkt);
+    *slot = pkt;
     return slot;
   }
 
-  /// Return a slot whose packet has been moved out.
+  /// Return the slot of a packet leaving the network (or this shard).
   void release(Packet* slot) { free_.push_back(slot); }
 
-  /// A cleared true_path buffer, with capacity recycled from dead packets.
-  std::vector<SwitchId> take_path() {
-    if (paths_.empty()) {
-      std::vector<SwitchId> path;
-      path.reserve(kPathReserve);
-      return path;
-    }
-    std::vector<SwitchId> path = std::move(paths_.back());
-    paths_.pop_back();
-    path.clear();
-    return path;
-  }
-
-  /// Reclaim a dying packet's true_path buffer.
-  void recycle_path(std::vector<SwitchId>&& path) {
-    if (path.capacity() == 0) return;  // moved-from husk: nothing to keep
-    paths_.push_back(std::move(path));
-  }
-
+  /// Arena size: the high-water mark of packets held at once.
   [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
+  /// Packets held right now (queued, in service, or on a link).
   [[nodiscard]] std::size_t in_flight() const {
     return slots_.size() - free_.size();
   }
@@ -81,7 +59,6 @@ class PacketPool {
  private:
   std::deque<Packet> slots_;  ///< stable addresses; grows to peak in-flight
   std::vector<Packet*> free_;
-  std::vector<std::vector<SwitchId>> paths_;
 };
 
 }  // namespace mars::net

@@ -13,34 +13,31 @@ Switch::Switch(Network& net, SwitchId id, Layer layer, std::size_t port_count)
     : net_(net), id_(id), layer_(layer), ports_(port_count),
       rng_(0xC0FFEEull ^ (static_cast<std::uint64_t>(id) << 20)) {}
 
-void Switch::receive(Packet&& pkt) {
+void Switch::receive(Packet* pkt) {
   auto& sim = lane_.simulator();
-  pkt.switch_arrival = sim.now();
-  if (pkt.true_path.empty()) pkt.source_switch_time = sim.now();
-  pkt.true_path.push_back(id_);
-  ++pkt.hop_count;
+  pkt->switch_arrival = sim.now();
 
   const auto& observers = net_.observers();
   if (!observers.empty()) {
     SwitchContext ctx{sim, *this, id_, layer_};
-    for (auto* obs : observers) obs->on_ingress(ctx, pkt);
+    for (auto* obs : observers) obs->on_ingress(ctx, *pkt);
   }
 
-  if (id_ == pkt.flow.sink) {
-    net_.deliver(*this, std::move(pkt));
+  if (id_ == pkt->flow.sink) {
+    net_.deliver(*this, pkt);
     return;
   }
 
   PortId out = 0;
-  if (!net_.routing().select_port(id_, pkt.flow.sink, pkt.flow_hash, out)) {
+  if (!net_.routing().select_port(id_, pkt->flow.sink, pkt->flow_hash, out)) {
     net_.count_unroutable(id_);
-    net_.recycle_dead(id_, std::move(pkt));
+    net_.release(id_, pkt);
     return;
   }
-  enqueue(std::move(pkt), out);
+  enqueue(pkt, out);
 }
 
-void Switch::enqueue(Packet&& pkt, PortId out) {
+void Switch::enqueue(Packet* pkt, PortId out) {
   auto& sim = lane_.simulator();
   PortState& port = ports_[out];
   const auto& observers = net_.observers();
@@ -57,18 +54,18 @@ void Switch::enqueue(Packet&& pkt, PortId out) {
     net_.count_drop(id_);
     if (!observers.empty()) {
       SwitchContext ctx{sim, *this, id_, layer_};
-      for (auto* obs : observers) obs->on_drop(ctx, pkt, out);
+      for (auto* obs : observers) obs->on_drop(ctx, *pkt, out);
     }
-    net_.recycle_dead(id_, std::move(pkt));
+    net_.release(id_, pkt);
     return;
   }
 
   if (!observers.empty()) {
     SwitchContext ctx{sim, *this, id_, layer_};
     const auto depth = static_cast<std::uint32_t>(port.queue.size());
-    for (auto* obs : observers) obs->on_enqueue(ctx, pkt, out, depth);
+    for (auto* obs : observers) obs->on_enqueue(ctx, *pkt, out, depth);
   }
-  port.queue.push_back(std::move(pkt));
+  port.queue.push_back(pkt);
   if (!port.busy) start_service(out);
 }
 
@@ -77,7 +74,7 @@ void Switch::start_service(PortId out) {
   assert(!port.queue.empty());
   port.busy = true;
 
-  const Packet& head = port.queue.front();
+  const Packet& head = *port.queue.front();
   const double gbps = port.rate_gbps;  // bits per nanosecond
   const double bits = static_cast<double>(head.wire_bytes()) * 8.0;
   auto service = static_cast<sim::Time>(std::ceil(bits / gbps));
@@ -102,9 +99,9 @@ void Switch::finish_service(PortId out) {
   PortState& port = ports_[out];
   assert(port.busy && !port.queue.empty());
 
-  // Work on the head in place; it is moved straight from the ring into the
-  // in-flight pool slot, so a serviced packet costs exactly one move.
-  Packet& pkt = port.queue.front();
+  // The head's slot pointer goes straight to the hop event: a serviced
+  // packet is never copied.
+  Packet& pkt = *port.queue.front();
   ++port.counters.tx_packets;
   port.counters.tx_bytes += pkt.wire_bytes();
 
@@ -120,7 +117,7 @@ void Switch::finish_service(PortId out) {
     extra += port.gated_delay;
     ++port.counters.gated_delays;
   }
-  net_.forward_to_neighbor(id_, out, std::move(pkt), extra);
+  net_.forward_to_neighbor(id_, out, &pkt, extra);
   port.queue.drop_front_moved();
 
   if (!port.queue.empty()) {

@@ -16,6 +16,10 @@
 // in legacy mode (byte-identical to the historical behavior), or a keyed
 // lane on the owning shard's simulator in sharded mode (so service and
 // hop events replay identically at any shard count).
+//
+// Packets are handled by pool slot (net/packet_pool.hpp): receive() takes
+// ownership of a slot pointer, the port queues hold slot pointers, and a
+// serviced packet's pointer is handed to Network::forward_to_neighbor.
 
 #include <cstdint>
 #include <vector>
@@ -55,9 +59,10 @@ class Switch {
   [[nodiscard]] std::size_t port_count() const { return ports_.size(); }
 
   /// Entry point: a packet arrives from a link or is injected by a host.
-  /// Takes ownership by move — the hot path never copies a Packet (the
-  /// true_path vector would drag an allocation through every hop).
-  void receive(Packet&& pkt);
+  /// Takes ownership of its pool slot: the switch queues it, forwards it,
+  /// or releases the slot where the packet leaves the network (delivered,
+  /// dropped, unroutable). No packet bytes are copied.
+  void receive(Packet* pkt);
 
   // ---- fault knobs (per port) ----
   void set_max_pps(PortId port, double pps);
@@ -99,7 +104,7 @@ class Switch {
 
  private:
   struct PortState {
-    util::FifoRing<Packet> queue;
+    util::FifoRing<Packet*> queue;  ///< pool slots, oldest first
     bool busy = false;
     double rate_gbps = 1.0;  ///< egress link rate, cached from Network
     // fault knobs. service_floor is the precomputed per-packet
@@ -115,7 +120,7 @@ class Switch {
     PortCounters counters;
   };
 
-  void enqueue(Packet&& pkt, PortId out);
+  void enqueue(Packet* pkt, PortId out);
   void start_service(PortId out);
   void finish_service(PortId out);
 

@@ -1,6 +1,7 @@
 #include "obs/net_scrape.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "sim/sharded.hpp"
 
@@ -15,6 +16,19 @@ double port_utilization(net::Network& network, net::SwitchId sw,
   if (now <= 0) return 0.0;
   return static_cast<double>(network.node(sw).counters(port).busy_time) /
          static_cast<double>(now);
+}
+
+/// `count` summed over the network's simulator (the global queue in
+/// sharded mode) and every shard queue.
+template <typename Count>
+std::uint64_t sum_over_queues(net::Network& network, Count count) {
+  std::uint64_t total = count(network.simulator());
+  if (auto* ssim = network.sharded(); ssim != nullptr) {
+    for (int i = 0; i < ssim->shard_count(); ++i) {
+      total += count(ssim->shard(i));
+    }
+  }
+  return total;
 }
 
 }  // namespace
@@ -34,16 +48,26 @@ void scrape_network(net::Network& network, MetricsRegistry& registry,
       // Live scheduled events: every shard queue plus the global/control
       // queue in sharded mode, the one queue in legacy mode. Undrained
       // cross-shard mail is one pending hop event each.
-      std::size_t depth = network.simulator().pending_events() +
-                          network.undrained_mail();
-      if (auto* ssim = network.sharded(); ssim != nullptr) {
-        for (int i = 0; i < ssim->shard_count(); ++i) {
-          depth += ssim->shard(i).pending_events();
-        }
-      }
-      return static_cast<double>(depth);
+      return static_cast<double>(
+          sum_over_queues(network,
+                          [](sim::Simulator& q) {
+                            return std::uint64_t{q.pending_events()};
+                          }) +
+          network.undrained_mail());
+    });
+    // Event-queue traffic: schedule calls that sifted into a heap vs.
+    // appended to a fixed-delay FIFO lane, over every queue. A pure
+    // function of (spec, seed, shards): cross-shard mail uses the heap.
+    registry.gauge("sim.queue.heap_pushes", [&network] {
+      return static_cast<double>(sum_over_queues(
+          network, [](sim::Simulator& q) { return q.heap_pushes(); }));
+    });
+    registry.gauge("sim.queue.lane_pushes", [&network] {
+      return static_cast<double>(sum_over_queues(
+          network, [](sim::Simulator& q) { return q.lane_pushes(); }));
     });
     registry.gauge("sim.packet_pool.in_flight", [&network] {
+      // Every packet in the network — queued, in service, or on a link.
       // Undrained cross-shard mail is in flight too, just not pooled yet.
       return static_cast<double>(network.pool_in_flight() +
                                  network.undrained_mail());

@@ -69,8 +69,22 @@ void EventQueue::pop_root() {
   }
 }
 
-
-
+std::size_t EventQueue::earliest_source() const {
+  // Keys are unique, so the least of the heap top and the lane heads is
+  // the one entry a heap-only queue would pop next. An empty heap reads
+  // as the largest key (live keys have time >= 0, so the top bit is 0).
+  std::size_t best = kHeapSource;
+  unsigned __int128 best_key =
+      heap_.empty() ? ~static_cast<unsigned __int128>(0) : heap_.front().key;
+  for (std::size_t i = 0; i < lane_count_; ++i) {
+    const auto& entries = lanes_[i].entries;
+    if (!entries.empty() && entries.front().key < best_key) {
+      best_key = entries.front().key;
+      best = i;
+    }
+  }
+  return best;
+}
 
 bool EventQueue::cancel(std::uint64_t id) {
   const auto idx = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
@@ -80,26 +94,28 @@ bool EventQueue::cancel(std::uint64_t id) {
   if (slot.generation != generation) {
     return false;  // already ran, already cancelled, or stale id
   }
-  // The heap entry stays behind as a tombstone; pop()/next_time() discard
-  // it when it surfaces, recognised by the stale generation stamp.
+  // The heap or lane entry stays behind as a tombstone; pop()/next_time()
+  // discard it when it reaches the front, recognised by the stale stamp.
   retire_slot(idx);
   return true;
 }
 
 Time EventQueue::next_time() {
   for (;;) {
-    assert(!heap_.empty());
-    const HeapEntry& top = heap_.front();
+    assert(live_ > 0);
+    const std::size_t source = earliest_source();
+    const HeapEntry& top = front_of(source);
     if (slots_[top.slot].generation == top.generation) return top.time();
-    pop_root();
+    drop_front(source);
   }
 }
 
 std::pair<Time, EventFn> EventQueue::pop() {
   for (;;) {
-    assert(!heap_.empty());
-    const HeapEntry top = heap_.front();
-    pop_root();
+    assert(live_ > 0);
+    const std::size_t source = earliest_source();
+    const HeapEntry top = front_of(source);
+    drop_front(source);
     Slot& slot = slots_[top.slot];
     if (slot.generation != top.generation) continue;  // tombstone
     std::pair<Time, EventFn> out{top.time(), std::move(slot.fn)};
@@ -111,14 +127,15 @@ std::pair<Time, EventFn> EventQueue::pop() {
 bool EventQueue::pop_if_at_most(Time until, Time& t_out, EventFn& fn_out) {
   for (;;) {
     if (live_ == 0) return false;
-    const HeapEntry top = heap_.front();
+    const std::size_t source = earliest_source();
+    const HeapEntry top = front_of(source);
     Slot& slot = slots_[top.slot];
     if (slot.generation != top.generation) {  // tombstone
-      pop_root();
+      drop_front(source);
       continue;
     }
     if (top.time() > until) return false;
-    pop_root();
+    drop_front(source);
     t_out = top.time();
     fn_out = std::move(slot.fn);
     retire_slot(top.slot);

@@ -76,6 +76,20 @@ class Lane {
     schedule_at(sim_->now() + delay, std::forward<F>(fn));
   }
 
+  /// schedule_in() for a fixed per-kind delay (a link hop): the event
+  /// rides the queue's FIFO lane for `delay`. Consumes one key of this
+  /// entity's stream (keyed) or the next insertion sequence (plain), like
+  /// schedule_in(), so the pop order is the same.
+  template <typename F>
+  void schedule_fixed(Time delay, F&& fn) {
+    if (keyed_) {
+      sim_->schedule_fixed_keyed(delay, key_base_ | seq_++,
+                                 std::forward<F>(fn));
+    } else {
+      sim_->schedule_fixed(delay, std::forward<F>(fn));
+    }
+  }
+
  private:
   Simulator* sim_ = nullptr;
   std::uint64_t key_base_ = 0;

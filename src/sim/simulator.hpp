@@ -56,6 +56,26 @@ class Simulator {
     return queue_.schedule_keyed(t, tiebreak, std::move(fn));
   }
 
+  /// Schedule fn at now() + delay where `delay` is a fixed per-kind delay
+  /// (a link hop's propagation plus any fault delay): the queue appends it
+  /// to that delay's FIFO lane instead of sifting it into the heap. Same
+  /// key, same pop order as schedule_in(delay, fn).
+  template <typename F>
+  std::uint64_t schedule_fixed(Time delay, F&& fn) {
+    assert(delay >= 0);
+    return queue_.schedule_fixed(now_ + delay, delay, std::forward<F>(fn));
+  }
+
+  /// Keyed twin of schedule_fixed(): same order as
+  /// schedule_at_keyed(now() + delay, tiebreak, fn).
+  template <typename F>
+  std::uint64_t schedule_fixed_keyed(Time delay, std::uint64_t tiebreak,
+                                     F&& fn) {
+    assert(delay >= 0);
+    return queue_.schedule_fixed_keyed(now_ + delay, delay, tiebreak,
+                                       std::forward<F>(fn));
+  }
+
   bool cancel(std::uint64_t id) { return queue_.cancel(id); }
 
   /// Run until the event queue is empty or `until` is passed.
@@ -69,9 +89,17 @@ class Simulator {
   [[nodiscard]] bool pending() const { return !queue_.empty(); }
   /// Number of live scheduled events (the obs event-queue-depth gauge).
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  /// Schedule calls that went to the heap / to a fixed-delay lane (the
+  /// sim.queue.* gauges).
+  [[nodiscard]] std::uint64_t heap_pushes() const {
+    return queue_.heap_pushes();
+  }
+  [[nodiscard]] std::uint64_t lane_pushes() const {
+    return queue_.lane_pushes();
+  }
 
   /// Time of the earliest pending event, if any. Non-const: surfacing the
-  /// answer may discard cancelled tombstones at the top of the heap. The
+  /// answer may discard cancelled tombstones at the front of the queue. The
   /// sharded driver polls this per window to bound conservative progress.
   [[nodiscard]] std::optional<Time> next_event_time() {
     if (queue_.empty()) return std::nullopt;

@@ -40,6 +40,12 @@ class FifoRing {
     return data_[head_];
   }
 
+  /// Newest element.
+  [[nodiscard]] const T& back() const {
+    assert(count_ > 0);
+    return data_[(head_ + count_ - 1) & mask_];
+  }
+
   void pop_front() {
     assert(count_ > 0);
     data_[head_] = T{};  // release resources held by the departed element

@@ -8,6 +8,7 @@
 #include "control/path_registry.hpp"
 #include "net/fat_tree.hpp"
 #include "net/network.hpp"
+#include "path_recorder.hpp"
 #include "sim/simulator.hpp"
 
 namespace mars::dataplane {
@@ -22,6 +23,7 @@ struct Fixture {
   control::PathRegistry registry{ft.topology, net.routing(), {}};
   std::vector<Notification> notifications;
   MarsPipeline pipeline;
+  test_support::PathRecorder paths;
   std::vector<net::Packet> delivered;
 
   explicit Fixture(PipelineConfig cfg = {})
@@ -31,6 +33,7 @@ struct Fixture {
                  }) {
     pipeline.set_control_mat(registry.mat());
     net.add_observer(pipeline);
+    net.add_observer(paths);
     net.set_delivery_callback([this](const net::Packet& p, sim::Time) {
       delivered.push_back(p);
     });
@@ -68,7 +71,7 @@ TEST(PipelineTest, PathIdMatchesRegistry) {
   for (const auto& p : f.delivered) {
     const std::span<const net::SwitchId> path = f.registry.lookup(p.path_id);
     ASSERT_FALSE(path.empty()) << "unknown PathID " << p.path_id;
-    EXPECT_EQ(net::SwitchPath(path.begin(), path.end()), p.true_path)
+    EXPECT_EQ(net::SwitchPath(path.begin(), path.end()), f.paths.path_of(p))
         << "PathID decompressed to the wrong switch sequence";
   }
 }
@@ -87,7 +90,7 @@ TEST(PipelineTest, DistinctRoutesYieldDistinctPathIds) {
   std::set<std::vector<net::SwitchId>> paths;
   for (const auto& p : f.delivered) {
     ids.insert(p.path_id);
-    paths.insert(p.true_path);
+    paths.insert(f.paths.path_of(p));
   }
   EXPECT_GT(paths.size(), 1u);
   EXPECT_EQ(ids.size(), paths.size());  // bijection on this sample

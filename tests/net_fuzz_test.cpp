@@ -11,6 +11,7 @@
 #include "dataplane/mars_pipeline.hpp"
 #include "net/fat_tree.hpp"
 #include "net/network.hpp"
+#include "path_recorder.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "workload/traffic_gen.hpp"
@@ -90,12 +91,14 @@ TEST_P(NetFuzzTest, PipelinePathIdsAlwaysDecompress) {
   dataplane::MarsPipeline pipeline(ft.topology.switch_count(), {}, nullptr);
   pipeline.set_control_mat(registry.mat());
   network.add_observer(pipeline);
+  test_support::PathRecorder paths;
+  network.add_observer(paths);
 
   int checked = 0;
   network.set_delivery_callback([&](const net::Packet& p, sim::Time) {
     const std::span<const net::SwitchId> path = registry.lookup(p.path_id);
     ASSERT_FALSE(path.empty()) << "PathID " << p.path_id;
-    EXPECT_EQ(net::SwitchPath(path.begin(), path.end()), p.true_path);
+    EXPECT_EQ(net::SwitchPath(path.begin(), path.end()), paths.path_of(p));
     ++checked;
   });
 

@@ -5,6 +5,7 @@
 #include "control/path_registry.hpp"
 #include "net/network.hpp"
 #include "net/routing.hpp"
+#include "path_recorder.hpp"
 #include "sim/simulator.hpp"
 
 namespace mars::net {
@@ -62,11 +63,13 @@ TEST(LeafSpineTest, TrafficFlowsEndToEnd) {
   sim::Simulator sim;
   const auto ls = build_leaf_spine({.leaves = 4, .spines = 2});
   Network net(sim, ls.topology);
+  test_support::PathRecorder paths;
+  net.add_observer(paths);
   int delivered = 0;
   net.set_delivery_callback(
       [&](const Packet& p, sim::Time) {
         ++delivered;
-        EXPECT_EQ(p.true_path.size(), 3u);  // leaf-spine-leaf
+        EXPECT_EQ(paths.path_of(p).size(), 3u);  // leaf-spine-leaf
       });
   for (std::uint32_t h = 0; h < 20; ++h) {
     net.inject({ls.leaf[0], ls.leaf[3]}, h * 2654435761u, 700);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/fat_tree.hpp"
+#include "path_recorder.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -23,9 +24,11 @@ struct Fixture {
   sim::Simulator sim;
   FatTree ft = build_fat_tree({.k = 4});
   Network net{sim, ft.topology};
+  test_support::PathRecorder paths;
   std::vector<Delivery> deliveries;
 
   Fixture() {
+    net.add_observer(paths);
     net.set_delivery_callback([this](const Packet& p, sim::Time t) {
       deliveries.push_back(Delivery{p, t});
     });
@@ -41,9 +44,10 @@ TEST(NetworkTest, DeliversAPacketEndToEnd) {
   const auto& d = f.deliveries[0];
   EXPECT_EQ(d.pkt.flow, flow);
   // Inter-pod path visits 5 switches.
-  EXPECT_EQ(d.pkt.true_path.size(), 5u);
-  EXPECT_EQ(d.pkt.true_path.front(), flow.source);
-  EXPECT_EQ(d.pkt.true_path.back(), flow.sink);
+  const SwitchPath& path = f.paths.path_of(d.pkt);
+  EXPECT_EQ(path.size(), 5u);
+  EXPECT_EQ(path.front(), flow.source);
+  EXPECT_EQ(path.back(), flow.sink);
   EXPECT_GT(d.at, 0);
   EXPECT_EQ(f.net.stats().delivered, 1u);
   EXPECT_EQ(f.net.stats().injected, 1u);
@@ -66,7 +70,7 @@ TEST(NetworkTest, SamePacketsSameFlowFollowOnePath) {
   f.sim.run();
   ASSERT_EQ(f.deliveries.size(), 20u);
   for (const auto& d : f.deliveries) {
-    EXPECT_EQ(d.pkt.true_path, f.deliveries[0].pkt.true_path);
+    EXPECT_EQ(f.paths.path_of(d.pkt), f.paths.path_of(f.deliveries[0].pkt));
   }
 }
 

@@ -1,12 +1,14 @@
 // The declarative experiment engine: topology/system registries,
-// up-front scenario validation, multi-fault schedules, and the
-// leaf-spine end-to-end path.
+// up-front scenario validation, multi-fault schedules, the leaf-spine
+// end-to-end path, and the event-queue traffic gauges.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "mars/scenario.hpp"
 #include "mars/system_registry.hpp"
@@ -269,6 +271,59 @@ TEST(LeafSpineScenarioTest, DeterministicInSeed) {
   EXPECT_EQ(a.events_executed, b.events_executed);
   EXPECT_EQ(a.net_stats.delivered, b.net_stats.delivered);
   EXPECT_EQ(a.outcome("mars").rank, b.outcome("mars").rank);
+}
+
+// ------------------------------------------------------- queue traffic gauges
+
+double gauge(const obs::MetricsSnapshot& snap, std::string_view name) {
+  for (const auto& [key, value] : snap.gauges) {
+    if (key == name) return value;
+  }
+  ADD_FAILURE() << "no gauge " << name;
+  return -1.0;
+}
+
+obs::MetricsSnapshot observed_run(int shards) {
+  Observability obs;
+  auto cfg = default_scenario(faults::FaultKind::kDrop, 21);
+  cfg.systems = {"mars"};
+  cfg.sim.shards = shards;
+  cfg.observability = &obs;
+  (void)run_scenario(cfg);
+  return obs.snapshot;
+}
+
+TEST(QueueGaugesTest, LanePushesAreLinkHopsAndPushesAreEveryEvent) {
+  // One queue: every link hop is a fixed-delay event, and plain
+  // scheduling never falls back from its lane, so lane pushes are
+  // exactly the packets the ports forwarded. Nothing in this trial
+  // cancels, so every push is an executed or a still-pending event.
+  const obs::MetricsSnapshot snap = observed_run(0);
+  double forwarded = 0.0;
+  for (const auto& [name, value] : snap.gauges) {
+    if (name.starts_with("net.sw") && name.ends_with(".tx_packets")) {
+      forwarded += value;
+    }
+  }
+  const double heap = gauge(snap, "sim.queue.heap_pushes");
+  const double lane = gauge(snap, "sim.queue.lane_pushes");
+  EXPECT_GT(lane, 0.0);
+  EXPECT_EQ(lane, forwarded);
+  EXPECT_EQ(heap + lane, gauge(snap, "sim.events_executed") +
+                             gauge(snap, "sim.event_queue_depth"));
+}
+
+TEST(QueueGaugesTest, ArePureFunctionsOfSpecSeedAndShards) {
+  auto pushes = [](int shards) {
+    const obs::MetricsSnapshot snap = observed_run(shards);
+    return std::pair{gauge(snap, "sim.queue.heap_pushes"),
+                     gauge(snap, "sim.queue.lane_pushes")};
+  };
+  for (const int shards : {0, 2}) {
+    const auto first = pushes(shards);
+    EXPECT_GT(first.second, 0.0) << shards << " shards";
+    EXPECT_EQ(first, pushes(shards)) << shards << " shards";
+  }
 }
 
 }  // namespace

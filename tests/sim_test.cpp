@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/lane.hpp"
 #include "sim/time.hpp"
 
 namespace mars::sim {
@@ -127,6 +133,208 @@ TEST(EventQueueTest, SizeCountsOnlyLiveEvents) {
   EXPECT_EQ(q.next_time(), 2);
   q.pop().second();
   EXPECT_TRUE(q.empty());
+}
+
+// ---- fixed-delay lanes ----
+
+TEST(EventQueueLaneTest, FixedDelaysBeyondTheCapUseTheHeap) {
+  EventQueue q;
+  std::vector<Time> order;
+  const Time delays = static_cast<Time>(EventQueue::kMaxLanes) + 2;
+  for (Time d = delays; d >= 1; --d) {
+    q.schedule_fixed(d, d, [&order, d] { order.push_back(d); });
+  }
+  EXPECT_EQ(q.lane_pushes(), EventQueue::kMaxLanes);
+  EXPECT_EQ(q.heap_pushes(), 2u);
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(order, (std::vector<Time>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(EventQueueLaneTest, EqualTimeKeyInversionFallsBackToTheHeap) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_fixed_keyed(100, 10, 20, [&] { order.push_back(20); });
+  q.schedule_fixed_keyed(100, 10, 10, [&] { order.push_back(10); });
+  q.schedule_fixed_keyed(100, 10, 30, [&] { order.push_back(30); });
+  EXPECT_EQ(q.lane_pushes(), 2u);  // keys 20, 30
+  EXPECT_EQ(q.heap_pushes(), 1u);  // key 10 would unsort the lane
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(order, (std::vector<int>{10, 20, 30}));
+}
+
+TEST(EventQueueLaneTest, LaneAndHeapMergeByFullKeyAtEqualTimes) {
+  // Same time on both sides: the insertion sequence decides, whichever
+  // side holds the entry.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(50, [&] { order.push_back(0); });             // heap, seq 0
+  q.schedule_fixed(50, 5, [&] { order.push_back(1); });    // lane, seq 1
+  q.schedule(50, [&] { order.push_back(2); });             // heap, seq 2
+  q.schedule_fixed(50, 5, [&] { order.push_back(3); });    // lane, seq 3
+  Time t = 0;
+  EventFn fn;
+  while (q.pop_if_at_most(50, t, fn)) fn();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueueLaneTest, CancelledLaneEntriesAreSkipped) {
+  EventQueue q;
+  std::vector<int> order;
+  const auto a = q.schedule_fixed(10, 10, [&] { order.push_back(0); });
+  const auto b = q.schedule_fixed(20, 10, [&] { order.push_back(1); });
+  q.schedule_fixed(30, 10, [&] { order.push_back(2); });
+  ASSERT_EQ(q.lane_pushes(), 3u);
+  EXPECT_TRUE(q.cancel(b));  // middle of the lane
+  EXPECT_TRUE(q.cancel(a));  // lane head
+  EXPECT_FALSE(q.cancel(a));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), 30);
+  q.pop().second();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(order, (std::vector<int>{2}));
+}
+
+TEST(EventQueueLaneTest, RandomizedScheduleCancelPopMatchesReferenceOrder) {
+  // A reference model keeps every live event's (time, key) and pops the
+  // least by a full sort. Plain events take the queue's insertion
+  // sequence (below 2^40), keyed ones (entity << 40 | per-entity seq) as
+  // sim::Lane does, so the two never collide. Seven fixed delays exceed
+  // the lane cap, a 10 ns time grid makes equal times common across
+  // lanes and heap, and descending-entity bursts force equal-time key
+  // inversions.
+  constexpr std::uint64_t kEntities = 4;
+  const std::vector<Time> delays{0, 10, 20, 30, 40, 50, 60};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    auto below = [&rng](std::uint64_t n) { return rng() % n; };
+
+    struct Ref {
+      Time t;
+      std::uint64_t key;
+      int tag;
+      std::uint64_t id;
+    };
+    EventQueue q;
+    std::vector<Ref> live;
+    std::vector<std::uint64_t> dead_ids;
+    std::vector<int> fired;
+    Time now = 0;
+    std::uint64_t plain_seq = 0;
+    std::vector<std::uint64_t> entity_seq(kEntities + 1, 0);
+    int next_tag = 0;
+
+    auto add = [&](Time t, std::uint64_t key, std::uint64_t id) {
+      live.push_back(Ref{t, key, next_tag++, id});
+    };
+    auto fn_for = [&fired](int tag) {
+      return [&fired, tag] { fired.push_back(tag); };
+    };
+    auto plain = [&](Time t, const Time* delay) {
+      const std::uint64_t key = plain_seq++;
+      const auto fn = fn_for(next_tag);
+      add(t, key,
+          delay != nullptr ? q.schedule_fixed(t, *delay, fn)
+                           : q.schedule(t, fn));
+    };
+    auto keyed = [&](Time t, const Time* delay, std::uint64_t entity) {
+      const std::uint64_t key = (entity << 40) | entity_seq[entity]++;
+      const auto fn = fn_for(next_tag);
+      add(t, key,
+          delay != nullptr ? q.schedule_fixed_keyed(t, *delay, key, fn)
+                           : q.schedule_keyed(t, key, fn));
+    };
+    auto earliest = [&] {
+      return std::min_element(live.begin(), live.end(),
+                              [](const Ref& a, const Ref& b) {
+                                return std::tie(a.t, a.key) <
+                                       std::tie(b.t, b.key);
+                              });
+    };
+    // Pop through one of the three entry points and check it against the
+    // reference.
+    auto pop_one = [&] {
+      const auto it = earliest();
+      const std::uint64_t mode = below(3);
+      if (mode == 0) {
+        const Time until = now + static_cast<Time>(below(8)) * 10;
+        Time t = -1;
+        EventFn fn;
+        const bool popped = q.pop_if_at_most(until, t, fn);
+        ASSERT_EQ(popped, it != live.end() && it->t <= until);
+        if (!popped) return;
+        ASSERT_EQ(t, it->t);
+        fn();
+      } else {
+        if (it == live.end()) return;
+        if (mode == 1) ASSERT_EQ(q.next_time(), it->t);
+        auto [t, fn] = q.pop();
+        ASSERT_EQ(t, it->t);
+        fn();
+      }
+      ASSERT_EQ(fired.back(), it->tag);
+      now = it->t;
+      dead_ids.push_back(it->id);
+      live.erase(it);
+    };
+
+    for (int op = 0; op < 3000; ++op) {
+      const Time delay = delays[below(delays.size())];
+      const std::uint64_t roll = below(100);
+      if (roll < 25) {
+        plain(now + delay, &delay);
+      } else if (roll < 35) {
+        plain(now + static_cast<Time>(below(10)) * 10, nullptr);
+      } else if (roll < 50) {
+        keyed(now + delay, &delay, 1 + below(kEntities));
+      } else if (roll < 55) {
+        keyed(now + static_cast<Time>(below(10)) * 10, nullptr,
+              1 + below(kEntities));
+      } else if (roll < 60) {
+        for (std::uint64_t e = kEntities; e >= 1; --e) {
+          keyed(now + delay, &delay, e);
+        }
+      } else if (roll < 70) {
+        if (!live.empty()) {
+          const auto victim = live.begin() +
+                              static_cast<std::ptrdiff_t>(below(live.size()));
+          ASSERT_TRUE(q.cancel(victim->id));
+          dead_ids.push_back(victim->id);
+          live.erase(victim);
+        } else if (!dead_ids.empty()) {
+          ASSERT_FALSE(q.cancel(dead_ids[below(dead_ids.size())]));
+        }
+      } else {
+        pop_one();
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      ASSERT_EQ(q.size(), live.size());
+    }
+    while (!live.empty()) {
+      pop_one();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_GT(q.lane_pushes(), 0u);
+    EXPECT_GT(q.heap_pushes(), 0u);
+  }
+}
+
+TEST(LaneTest, ScheduleFixedTakesOneKeyAndMergesWithHeapEvents) {
+  // A keyed lane's fixed-delay event consumes one key of its entity's
+  // stream, exactly like schedule_in, and sorts against other entities'
+  // heap events at the same time by that key.
+  Simulator sim;
+  Lane high = Lane::keyed(sim, 2);
+  Lane low = Lane::keyed(sim, 1);
+  std::vector<int> order;
+  high.schedule_fixed(10, [&] { order.push_back(2); });
+  low.schedule_in(10, [&] { order.push_back(1); });
+  EXPECT_EQ(high.next_key(), (std::uint64_t{2} << Lane::kSeqBits) | 1);
+  EXPECT_EQ(sim.lane_pushes(), 1u);
+  EXPECT_EQ(sim.heap_pushes(), 1u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(SimulatorTest, TimeAdvancesMonotonically) {

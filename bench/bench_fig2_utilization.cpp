@@ -17,12 +17,11 @@
 #include <string>
 #include <vector>
 
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
-#include "net/network.hpp"
 #include "obs/net_scrape.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
-#include "sim/simulator.hpp"
 #include "util/stats.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -38,12 +37,12 @@ struct UtilSample {
 
 UtilSample measure(double inter_pod_fraction, sim::Time duration,
                    std::uint64_t seed) {
-  sim::Simulator simulator;
   // Production fabrics oversubscribe the core (Benson et al. observe the
   // consequence: core links run hotter). 2:1 here.
   auto ft = net::build_fat_tree({.k = 4, .edge_agg_gbps = 0.008,
                                  .agg_core_gbps = 0.004});
-  net::Network network(simulator, ft.topology);
+  net::Engine engine(ft.topology);
+  net::Network& network = engine.network();
   workload::TrafficGenerator traffic(network, seed);
   workload::BackgroundConfig cfg;
   cfg.flows = 40;
@@ -56,13 +55,13 @@ UtilSample measure(double inter_pod_fraction, sim::Time duration,
                       {.per_port = false, .link_utilization = true,
                        .totals = false});
   obs::SeriesStore series;
-  obs::Sampler sampler(simulator, registry, series,
+  obs::Sampler sampler(engine.global(), registry, series,
                        {.period = 500 * sim::kMillisecond,
                         .until = duration});
   sampler.start();
 
   traffic.start();
-  simulator.run(duration);
+  engine.run(duration);
   sampler.sample_now();  // final off-grid scrape at end-of-run
   registry.remove_gauges();
 

@@ -13,12 +13,11 @@
 
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
-#include "net/network.hpp"
 #include "obs/net_scrape.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
-#include "sim/simulator.hpp"
 #include "util/stats.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -28,10 +27,10 @@ using namespace mars;
 using namespace mars::sim::literals;
 
 struct Substrate {
-  sim::Simulator simulator;
   net::FatTree ft = net::build_fat_tree(
       {.k = 4, .edge_agg_gbps = 0.007, .agg_core_gbps = 0.010});
-  net::Network network{simulator, ft.topology};
+  net::Engine engine{ft.topology};
+  net::Network& network = engine.network();
   workload::TrafficGenerator traffic{network, 3};
 
   Substrate() {
@@ -57,7 +56,7 @@ void fig7a() {
   faults::FaultInjector injector(s.network, s.traffic, 0xFA17);
   s.traffic.start();
   injector.inject(faults::FaultKind::kMicroBurst, 2_s);
-  s.simulator.run(4_s);
+  s.engine.run(4_s);
 
   std::printf("  t(s) | p50 latency ms | p99 latency ms\n");
   for (const auto& [bucket, values] : latency) {
@@ -89,7 +88,7 @@ void fig7b() {
                       {.per_port = true, .link_utilization = false,
                        .totals = false});
   obs::SeriesStore series;
-  obs::Sampler sampler(s.simulator, registry, series,
+  obs::Sampler sampler(s.engine.global(), registry, series,
                        {.period = 100_ms, .until = 4_s});
   sampler.start();
 
@@ -110,7 +109,7 @@ void fig7b() {
   injector.apply(schedule);
 
   s.traffic.start();
-  s.simulator.run(4_s);
+  s.engine.run(4_s);
   registry.remove_gauges();
 
   const std::string sw_prefix = "net.sw" + std::to_string(chooser) + ".";
@@ -136,7 +135,7 @@ void BM_FaultScenarioRun(benchmark::State& state) {
     faults::FaultInjector injector(s.network, s.traffic, 0xFA17);
     s.traffic.start();
     injector.inject(faults::FaultKind::kMicroBurst, 2_s);
-    s.simulator.run(4_s);
+    s.engine.run(4_s);
     benchmark::DoNotOptimize(s.network.stats().delivered);
   }
 }

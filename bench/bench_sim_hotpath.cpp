@@ -3,6 +3,9 @@
 // allocation counter. Every MARS experiment replays millions of packets
 // through this loop, so these numbers bound experiment scale.
 //
+// The leaf-spine replays run on the one event engine (net::Engine, one
+// shard), as every scenario does.
+//
 // Run `bench/run_sim_hotpath.sh` to emit BENCH_sim_hotpath.json; the
 // committed file tracks the trajectory across PRs (baseline vs current).
 
@@ -14,12 +17,12 @@
 #include <new>
 #include <vector>
 
+#include "net/engine.hpp"
 #include "net/leaf_spine.hpp"
-#include "net/network.hpp"
 #include "obs/net_scrape.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
-#include "sim/simulator.hpp"
+#include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -124,10 +127,10 @@ void BM_EventQueue_ScheduleCancel(benchmark::State& state) {
 // arenas are warm.
 
 void BM_LeafSpine_HotPath(benchmark::State& state) {
-  sim::Simulator sim;
   auto fabric = net::build_leaf_spine(
       {.leaves = 8, .spines = 4, .leaf_spine_gbps = 10.0});
-  net::Network network(sim, fabric.topology);
+  net::Engine engine(fabric.topology);
+  net::Network& network = engine.network();
 
   workload::TrafficGenerator traffic(network, 42);
   workload::BackgroundConfig bg;
@@ -137,17 +140,18 @@ void BM_LeafSpine_HotPath(benchmark::State& state) {
   traffic.start();
 
   // Warm-up: let queues, pools, and arenas reach steady state.
-  sim.run(5 * sim::kMillisecond);
+  engine.run(5 * sim::kMillisecond);
 
-  const std::uint64_t events0 = sim.events_executed();
+  const std::uint64_t events0 = engine.sim().events_executed();
   const std::uint64_t packets0 = traffic.packets_injected();
   const std::uint64_t allocs0 = alloc_count();
 
   for (auto _ : state) {
-    sim.run(sim.now() + sim::kMillisecond);
+    engine.run(engine.now() + sim::kMillisecond);
   }
 
-  const auto events = static_cast<double>(sim.events_executed() - events0);
+  const auto events =
+      static_cast<double>(engine.sim().events_executed() - events0);
   const auto packets =
       static_cast<double>(traffic.packets_injected() - packets0);
   const auto allocs = static_cast<double>(alloc_count() - allocs0);
@@ -166,10 +170,10 @@ void BM_LeafSpine_HotPath(benchmark::State& state) {
 // percent of BM_LeafSpine_HotPath; bench/run_sim_hotpath.sh records the
 // pairwise ratio as instrumented_unattached_ratio.
 void BM_LeafSpine_HotPath_Instrumented(benchmark::State& state) {
-  sim::Simulator sim;
   auto fabric = net::build_leaf_spine(
       {.leaves = 8, .spines = 4, .leaf_spine_gbps = 10.0});
-  net::Network network(sim, fabric.topology);
+  net::Engine engine(fabric.topology);
+  net::Network& network = engine.network();
 
   obs::MetricsRegistry registry;
   obs::scrape_network(network, registry);  // lazy gauges, never read
@@ -183,17 +187,18 @@ void BM_LeafSpine_HotPath_Instrumented(benchmark::State& state) {
   traffic.add_background(bg, fabric.leaf, /*pods=*/1);
   traffic.start();
 
-  sim.run(5 * sim::kMillisecond);
+  engine.run(5 * sim::kMillisecond);
 
-  const std::uint64_t events0 = sim.events_executed();
+  const std::uint64_t events0 = engine.sim().events_executed();
   const std::uint64_t packets0 = traffic.packets_injected();
   const std::uint64_t allocs0 = alloc_count();
 
   for (auto _ : state) {
-    sim.run(sim.now() + sim::kMillisecond);
+    engine.run(engine.now() + sim::kMillisecond);
   }
 
-  const auto events = static_cast<double>(sim.events_executed() - events0);
+  const auto events =
+      static_cast<double>(engine.sim().events_executed() - events0);
   const auto packets =
       static_cast<double>(traffic.packets_injected() - packets0);
   const auto allocs = static_cast<double>(alloc_count() - allocs0);

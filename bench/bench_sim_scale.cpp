@@ -25,15 +25,12 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "net/network.hpp"
-#include "net/partition.hpp"
+#include "net/engine.hpp"
 #include "net/topology_registry.hpp"
 #include "obs/json_writer.hpp"
-#include "parallel/thread_pool.hpp"
 #include "sim/sharded.hpp"
 #include "sim/time.hpp"
 #include "workload/traffic_gen.hpp"
@@ -91,23 +88,9 @@ Point run_point(const Options& opt, int shards) {
       static_cast<Time>(opt.propagation_us * mars::sim::kMicrosecond);
   mars::net::BuiltFabric fabric =
       mars::net::TopologyRegistry::instance().build(spec);
-  const mars::net::Partition partition =
-      mars::net::partition_topology(fabric.topology, shards);
-
-  mars::sim::ShardedConfig config;
-  config.shards = shards;
-  config.control_latency = 1 * mars::sim::kMillisecond;
-  config.lookahead = config.control_latency;
-  if (!partition.boundary_links.empty()) {
-    config.lookahead =
-        std::min(config.lookahead, partition.min_boundary_propagation);
-  }
-
-  // N shards on N threads: the calling thread works the last shard.
-  std::optional<mars::parallel::ThreadPool> pool;
-  if (shards > 1) pool.emplace(static_cast<std::size_t>(shards - 1));
-  mars::sim::ShardedSimulator ssim(pool ? &*pool : nullptr, config);
-  mars::net::Network network(ssim, fabric.topology, partition);
+  mars::net::Engine engine(fabric.topology, {.shards = shards});
+  mars::sim::ShardedSimulator& ssim = engine.sim();
+  mars::net::Network& network = engine.network();
   for (mars::net::SwitchId sw = 0; sw < network.switch_count(); ++sw) {
     network.node(sw).set_queue_capacity(4096);
   }

@@ -9,9 +9,9 @@
 
 #include "faults/schedule.hpp"
 #include "mars/scenario.hpp"
+#include "net/engine.hpp"
 #include "net/topology_registry.hpp"
 #include "rca/signatures.hpp"
-#include "sim/simulator.hpp"
 
 namespace {
 
@@ -37,9 +37,11 @@ int main(int argc, char** argv) {
   auto cfg = default_scenario(fault, seed);
   const sim::Time fault_at = cfg.first_fault_at();
 
-  sim::Simulator simulator;
   auto fabric = net::TopologyRegistry::instance().build(cfg.topology);
-  net::Network network(simulator, fabric.topology);
+  net::Engine engine(fabric.topology,
+                     {.shards = cfg.sim.shards,
+                      .control_latency = cfg.sim.control_latency});
+  net::Network& network = engine.network();
   for (net::SwitchId sw = 0; sw < network.switch_count(); ++sw) {
     network.node(sw).set_queue_capacity(cfg.queue_capacity);
   }
@@ -52,7 +54,7 @@ int main(int argc, char** argv) {
   traffic.start();
   const auto truths = injector.apply(cfg.faults);
   const auto truth = truths.empty() ? std::nullopt : truths.front();
-  simulator.run(cfg.duration);
+  engine.run(cfg.duration);
 
   if (!truth || mars_system.diagnoses().empty()) {
     std::printf("no fault or no diagnosis\n");

@@ -15,9 +15,9 @@
 #include <cstdlib>
 
 #include "mars/mars.hpp"
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
 #include "rca/report.hpp"
-#include "sim/simulator.hpp"
 #include "workload/trace.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -30,10 +30,10 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 23;
 
-  sim::Simulator simulator;
   auto ft = net::build_fat_tree(
       {.k = 4, .edge_agg_gbps = 0.007, .agg_core_gbps = 0.010});
-  net::Network network(simulator, ft.topology);
+  net::Engine engine(ft.topology);
+  net::Network& network = engine.network();
   for (net::SwitchId sw = 0; sw < network.switch_count(); ++sw) {
     network.node(sw).set_queue_capacity(4096);
   }
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   const auto storm = workload::make_incast(incast, seed);
   storm.replay(network);
 
-  simulator.run(6_s);
+  engine.run(6_s);
 
   std::printf("incast: %d sources x %d packets into s%u at t=3s\n", sources,
               incast.packets_per_source, incast.sink);

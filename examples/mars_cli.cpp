@@ -54,6 +54,7 @@
 #include "mars/scenario.hpp"
 #include "mars/scenario_spec.hpp"
 #include "mars/system_registry.hpp"
+#include "net/engine.hpp"
 #include "net/routing.hpp"
 #include "obs/json_writer.hpp"
 #include "telemetry/backend.hpp"
@@ -428,17 +429,19 @@ int main(int argc, char** argv) {
   if (want_obs) cfg.observability = &obs;
 
   // The trace dump reruns the workload generator standalone so the CSV
-  // matches what the scenario injected (same seed, same generator).
+  // matches what the scenario injected (same seed, same generator). Flow
+  // arrivals are the same at every shard count, so one shard keeps the
+  // recorder on one thread.
   if (!trace_out.empty()) {
-    sim::Simulator simulator;
     auto fabric = net::TopologyRegistry::instance().build(cfg.topology);
-    net::Network network(simulator, fabric.topology);
+    net::Engine engine(fabric.topology);
+    net::Network& network = engine.network();
     workload::TraceRecorder recorder;
     network.add_observer(recorder);
     workload::TrafficGenerator traffic(network, cfg.seed);
     traffic.add_background(cfg.background, fabric.edge, fabric.pods);
     traffic.start();
-    simulator.run(cfg.duration);
+    engine.run(cfg.duration);
     std::ofstream out;
     if (!open_out(out, trace_out)) return 1;
     recorder.trace().write_csv(out);

@@ -12,24 +12,24 @@
 
 #include "faults/injector.hpp"
 #include "mars/mars.hpp"
-#include "rca/report.hpp"
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
-#include "net/network.hpp"
-#include "sim/simulator.hpp"
+#include "rca/report.hpp"
 #include "workload/traffic_gen.hpp"
 
 int main() {
   using namespace mars;
   using namespace mars::sim::literals;
 
-  // 1. A discrete-event simulator drives everything.
-  sim::Simulator simulator;
-
-  // 2. Build the network substrate: a K=4 fat-tree of BMv2-scale switches
+  // 1. Build the network substrate: a K=4 fat-tree of BMv2-scale switches
   //    (8 Mbps links ~ a software switch's forwarding budget).
   auto ft = net::build_fat_tree(
       {.k = 4, .edge_agg_gbps = 0.007, .agg_core_gbps = 0.010});
-  net::Network network(simulator, ft.topology);
+
+  // 2. The discrete-event engine drives everything (one shard here; a
+  //    scenario's "sim" block asks for more).
+  net::Engine engine(ft.topology);
+  net::Network& network = engine.network();
   for (net::SwitchId sw = 0; sw < network.switch_count(); ++sw) {
     network.node(sw).set_queue_capacity(4096);
   }
@@ -60,7 +60,7 @@ int main() {
 
   // 6. Run six simulated seconds (a second of tail lets evidence stuck
   //    behind the throttled port flush and refine the diagnosis).
-  simulator.run(6_s);
+  engine.run(6_s);
 
   // 7. Read the diagnosis.
   std::printf("injected : %s\n",

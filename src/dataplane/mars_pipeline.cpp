@@ -99,58 +99,36 @@ void MarsPipeline::on_enqueue(net::SwitchContext& ctx, net::Packet& pkt,
 void MarsPipeline::maybe_check_latency(net::SwitchContext& ctx,
                                        net::Packet& pkt, bool at_sink) {
   if (!pkt.telemetry) return;
-  if (config_.sharded) {
-    // Flagging hop: decide in-band only (no shared-map writes — this runs
-    // on the flagging switch's shard thread).
-    if (!pkt.anomaly_flagged) {
-      const sim::Time latency =
-          ctx.sim.now() - pkt.telemetry->source_timestamp;
-      if (latency > threshold(pkt.flow)) {
-        pkt.anomaly_flagged = true;
-        pkt.anomaly_reporter = ctx.id;
-        pkt.anomaly_latency = latency;
-      }
+  // Observer callbacks run on shard threads, so every mutation stays
+  // inside the packet or the state of ctx.id. The flagging hop decides
+  // in-band only: it sets the suppression flag (§4.2.2) and records
+  // itself and its latency in the packet.
+  if (!pkt.anomaly_flagged) {
+    const sim::Time latency = ctx.sim.now() - pkt.telemetry->source_timestamp;
+    if (latency > threshold(pkt.flow)) {
+      pkt.anomaly_flagged = true;
+      pkt.anomaly_reporter = ctx.id;
+      pkt.anomaly_latency = latency;
     }
-    if (!at_sink) return;
-    // Sink: the flow's streak lives here, updated in delivery order.
-    SwitchState& st = state_[ctx.id];
-    std::uint32_t& streak = st.sink_latency_streak[pkt.flow];
-    if (!pkt.anomaly_flagged) {
-      streak = 0;
-      return;
-    }
-    if (++streak < config_.latency_persistence) return;
-    Notification n;
-    n.kind = Notification::Kind::kHighLatency;
-    n.reporter = pkt.anomaly_reporter;
-    n.flow = pkt.flow;
-    n.when = ctx.sim.now();
-    n.latency = pkt.anomaly_latency;
-    n.threshold = threshold(pkt.flow);
-    notify(ctx, n);
+  }
+  if (!at_sink) return;
+  // The sink owns the flow's delivery order, so the streak lives here: a
+  // clean telemetry packet breaks it, and the anomaly must persist across
+  // telemetry packets before the sink notifies on the flagging hop's
+  // behalf (single-epoch ambient queueing spikes stay local).
+  std::uint32_t& streak = state_[ctx.id].sink_latency_streak[pkt.flow];
+  if (!pkt.anomaly_flagged) {
+    streak = 0;
     return;
   }
-  if (pkt.anomaly_flagged) return;  // an earlier hop already handled it
-  const sim::Time latency = ctx.sim.now() - pkt.telemetry->source_timestamp;
-  const sim::Time thr = threshold(pkt.flow);
-  if (latency <= thr) {
-    // A telemetry packet that reaches its sink clean breaks the streak.
-    if (at_sink) latency_streak_[pkt.flow] = 0;
-    return;
-  }
-  // Set the in-header flag so downstream hops stay quiet (§4.2.2).
-  pkt.anomaly_flagged = true;
-  // Require the anomaly to persist across telemetry packets before
-  // notifying; single-epoch ambient queueing spikes stay local.
-  std::uint32_t& streak = latency_streak_[pkt.flow];
   if (++streak < config_.latency_persistence) return;
   Notification n;
   n.kind = Notification::Kind::kHighLatency;
-  n.reporter = ctx.id;
+  n.reporter = pkt.anomaly_reporter;
   n.flow = pkt.flow;
   n.when = ctx.sim.now();
-  n.latency = latency;
-  n.threshold = thr;
+  n.latency = pkt.anomaly_latency;
+  n.threshold = threshold(pkt.flow);
   notify(ctx, n);
 }
 
@@ -158,13 +136,16 @@ void MarsPipeline::notify(net::SwitchContext& ctx, Notification n) {
   SwitchState& st = state_[ctx.id];
   n.origin = ctx.id;
   const sim::Time now = ctx.sim.now();
-  // One notification per switch per window (§4.2.2).
-  if (st.last_notification >= 0 &&
-      now - st.last_notification < config_.notification_window) {
-    ++st.overheads.window_suppressed;
-    return;
+  // One notification per reporter per window (§4.2.2), kept by the
+  // sending switch.
+  const auto [last, first] = st.last_notification.try_emplace(n.reporter, now);
+  if (!first) {
+    if (now - last->second < config_.notification_window) {
+      ++st.overheads.window_suppressed;
+      return;
+    }
+    last->second = now;
   }
-  st.last_notification = now;
   ++st.overheads.notifications;
   if (n.kind == Notification::Kind::kHighLatency) {
     ++st.overheads.latency_notifications;
@@ -172,19 +153,6 @@ void MarsPipeline::notify(net::SwitchContext& ctx, Notification n) {
     ++st.overheads.drop_notifications;
   }
   st.overheads.notification_bytes += Notification::kWireBytes;
-  if (tracer_ != nullptr) {
-    obs::SpanArgs args{{"kind", kind_name(n.kind)},
-                       {"reporter", std::uint64_t{n.reporter}},
-                       {"flow", net::to_string(n.flow)}};
-    if (n.kind == Notification::Kind::kHighLatency) {
-      args.emplace_back("latency_ms", sim::to_seconds(n.latency) * 1e3);
-      args.emplace_back("threshold_ms", sim::to_seconds(n.threshold) * 1e3);
-    } else {
-      args.emplace_back("epoch_gap", n.epoch_gap);
-      args.emplace_back("dropped_estimate", n.dropped_estimate);
-    }
-    tracer_->instant("notification", "dataplane", now, std::move(args));
-  }
   if (notify_fn_) notify_fn_(n);
 }
 

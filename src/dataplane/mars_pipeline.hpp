@@ -6,12 +6,12 @@
 //                   one-telemetry-packet-per-flow-per-epoch marking;
 //   every switch:   per-hop PathID update (CRC over {PathID, switch,
 //                   in port, out port, control}), INT queue-depth
-//                   accumulation, in-switch latency-threshold checks with
-//                   the anomaly-suppression flag and a per-switch
-//                   notification window;
+//                   accumulation, in-switch latency-threshold checks that
+//                   set the anomaly-suppression flag in-band;
 //   sink switch:    Egress Table counting, telemetry extraction into the
 //                   Ring Table, drop detection (count mismatch + epoch
-//                   gap), INT header removal.
+//                   gap), the latency persistence streak, notifications
+//                   behind a per-reporter window, INT header removal.
 
 #include <cstdint>
 #include <functional>
@@ -22,7 +22,6 @@
 #include "dataplane/notification.hpp"
 #include "net/observer.hpp"
 #include "obs/registry.hpp"
-#include "obs/tracer.hpp"
 #include "telemetry/backend.hpp"
 #include "telemetry/path_id.hpp"
 #include "telemetry/tables.hpp"
@@ -37,9 +36,13 @@ struct PipelineConfig {
   /// detection, notifications) is backend-invariant.
   telemetry::BackendConfig backend;
   sim::Time epoch_period = telemetry::kDefaultEpochPeriod;
-  /// A switch sends at most one notification per window (paper §4.2.2).
-  /// Short enough that a congestion fault's HighLatency and Drop
-  /// notifications both surface within one controller collection period.
+  /// At most one notification per window names a given reporting switch
+  /// (paper §4.2.2: one per switch per window). The sink issues every
+  /// notification, so it keeps the window per reporter: one flagging
+  /// hop's window never throttles another's, nor the sink's own drop
+  /// notifications. Short enough that a congestion fault's HighLatency
+  /// and Drop notifications both surface within one controller
+  /// collection period.
   sim::Time notification_window = 150 * sim::kMillisecond;
   /// Count-mismatch tolerance: packets in flight across an epoch boundary
   /// make c_s and c_d differ by a few even when nothing dropped. The
@@ -56,14 +59,6 @@ struct PipelineConfig {
   std::size_t ring_capacity = 1024;
   /// Threshold used for flows the controller has not yet configured.
   sim::Time default_threshold = 10 * sim::kSecond;
-  /// Sharded-substrate mode: observer callbacks run concurrently on shard
-  /// threads, so every mutation must stay inside the packet or the
-  /// per-switch state of ctx.id. The one cross-switch structure of the
-  /// legacy path — the latency streak, written at the flagging hop — moves
-  /// to the sink: the flagging hop only sets the in-band anomaly fields
-  /// and the sink (which owns the flow's delivery order) keeps the streak
-  /// and issues the notification on the flagging hop's behalf.
-  bool sharded = false;
 };
 
 /// Cumulative data-plane overhead counters (Fig. 9 accounting).
@@ -117,11 +112,10 @@ class MarsPipeline : public net::PacketObserver {
   [[nodiscard]] PipelineOverheads overheads() const;
   [[nodiscard]] const PipelineConfig& config() const { return config_; }
 
-  // ---- observability (both optional; nullptr = zero overhead) ----
-  /// Emit a virtual-time instant per notification sent to the controller.
-  void set_tracer(obs::SpanTracer* tracer) { tracer_ = tracer; }
+  // ---- observability (optional; nullptr = zero overhead) ----
   /// Record each delivered telemetry packet's end-to-end latency into
-  /// "mars.telemetry_latency_ns" on `registry` (nullptr detaches).
+  /// "mars.telemetry_latency_ns" on `registry` (nullptr detaches). The
+  /// histogram is shared by every sink, so attach it only at one shard.
   void set_metrics(obs::MetricsRegistry* registry) {
     latency_hist_ =
         registry ? &registry->histogram("mars.telemetry_latency_ns") : nullptr;
@@ -141,7 +135,9 @@ class MarsPipeline : public net::PacketObserver {
   struct SwitchState {
     telemetry::IngressTable ingress;
     telemetry::EgressTable egress;
-    sim::Time last_notification = -1;
+    /// Time of the last notification this switch sent per reporter (the
+    /// notification window, see PipelineConfig::notification_window).
+    std::unordered_map<net::SwitchId, sim::Time> last_notification;
     /// Latest telemetry epoch this switch has locally observed; advances
     /// drive TelemetryBackend::on_epoch_rollover.
     telemetry::EpochId last_epoch = 0;
@@ -149,8 +145,8 @@ class MarsPipeline : public net::PacketObserver {
     std::unordered_map<net::FlowId, telemetry::EpochId> last_seen_epoch;
     /// Consecutive count-mismatch epochs per flow (drop persistence).
     std::unordered_map<net::FlowId, std::uint32_t> mismatch_streak;
-    /// Sharded mode: the latency streak, kept at the flow's sink (see
-    /// PipelineConfig::sharded).
+    /// Consecutive flagged telemetry packets per flow, kept at the flow's
+    /// sink in delivery order (see maybe_check_latency).
     std::unordered_map<net::FlowId, std::uint32_t> sink_latency_streak;
     /// Per-switch slice of the overhead counters (merged by overheads()).
     PipelineOverheads overheads;
@@ -170,13 +166,6 @@ class MarsPipeline : public net::PacketObserver {
   std::vector<SwitchState> state_;
   telemetry::ControlMat mat_;
   std::unordered_map<net::FlowId, sim::Time> thresholds_;
-  /// Consecutive anomalous telemetry packets per flow. Incremented once
-  /// per packet at the hop that first exceeds the threshold (the
-  /// suppression flag guarantees once), reset when a packet reaches its
-  /// sink clean. Conceptually each flow's counter lives where its
-  /// anomalies surface; a single map keeps that bookkeeping simple.
-  std::unordered_map<net::FlowId, std::uint32_t> latency_streak_;
-  obs::SpanTracer* tracer_ = nullptr;
   obs::LogHistogram* latency_hist_ = nullptr;
 };
 

@@ -1,5 +1,10 @@
 #pragma once
 // Data-plane -> control-plane notification packets (paper §4.2.2, §4.3).
+//
+// A notification leaves its origin switch's shard as control mail
+// (ShardedSimulator::post_control) and reaches the global domain one
+// control latency later, where the ControlChannel decides whether and
+// when the controller sees it.
 
 #include <cstdint>
 
@@ -13,10 +18,11 @@ struct Notification {
 
   Kind kind = Kind::kHighLatency;
   net::SwitchId reporter = net::kInvalidSwitch;  ///< switch that triggered
-  /// Switch that physically sent the packet (== reporter in legacy mode;
-  /// in sharded mode latency notifications are issued at the sink on
-  /// behalf of the flagging hop, so the sender is the sink). Not part of
-  /// the 32-byte wire format — routing metadata for the simulator.
+  /// Switch that physically sent the packet. Latency notifications are
+  /// issued at the flow's sink on behalf of the flagging hop, so their
+  /// origin is the sink; a drop notification's origin is its reporter.
+  /// Not part of the 32-byte wire format — routing metadata for the
+  /// simulator (the control message leaves from the origin's shard).
   net::SwitchId origin = net::kInvalidSwitch;
   net::FlowId flow;
   sim::Time when = 0;

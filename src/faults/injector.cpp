@@ -509,8 +509,8 @@ std::uint64_t FaultInjector::gray_counter_sum(const GrayWatch& watch) const {
 
 void FaultInjector::schedule_probes(std::size_t watch_index, sim::Time at,
                                     sim::Time duration) {
-  // Probes run on the control-plane simulator: in sharded mode its events
-  // execute between conservative windows with every shard quiescent, so
+  // Probes run on the control-plane simulator: its events execute
+  // between conservative windows with every shard quiescent, so
   // reading PortCounters here is race-free (same contract the fault
   // mutations above rely on).
   auto& sim = network_->simulator();

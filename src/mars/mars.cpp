@@ -11,8 +11,6 @@ namespace mars {
 MarsSystem::MarsSystem(net::Network& network, MarsConfig config)
     : network_(&network), config_(config),
       accumulator_(config.rca.accumulator) {
-  const bool sharded = network.is_sharded();
-  config_.pipeline.sharded = sharded;
   registry_ = control::PathRegistryCache::instance().get_or_build(
       network.topology(), network.routing(), config_.pipeline.path_id);
   if (config_.log != nullptr) {
@@ -30,45 +28,39 @@ MarsSystem::MarsSystem(net::Network& network, MarsConfig config)
          {"conflict_free", std::uint64_t{audit.conflict_free ? 1u : 0u}}});
   }
 
-  if (sharded) {
-    // Notifications cross shards as control mail: posted from the sending
-    // switch's shard thread, keyed on its lane, delivered to the global
-    // (control-plane) simulator control_latency later. The degraded
-    // channel model is not built — validation restricts sharded runs to a
-    // perfect channel, and a perfect channel equals no channel.
-    pipeline_ = std::make_unique<dataplane::MarsPipeline>(
-        network.topology().switch_count(), config_.pipeline,
-        [this](const dataplane::Notification& n) {
-          auto* ssim = network_->sharded();
-          sim::Lane& lane = network_->node(n.origin).lane();
-          ssim->post_control(
-              network_->shard_of(n.origin),
-              lane.now() + ssim->control_latency(), lane.next_key(),
-              sim::EventFn([this, n] { controller_->on_notification(n); }));
-        });
-  } else {
-    pipeline_ = std::make_unique<dataplane::MarsPipeline>(
-        network.topology().switch_count(), config_.pipeline,
-        [this](const dataplane::Notification& n) { channel_->offer(n); });
-  }
+  // Notifications cross to the control plane as control mail: posted from
+  // the sending switch's shard thread, keyed on its lane, and run in the
+  // global (control-plane) domain one control latency later, where the
+  // channel decides whether and when the controller sees them.
+  pipeline_ = std::make_unique<dataplane::MarsPipeline>(
+      network.topology().switch_count(), config_.pipeline,
+      [this](const dataplane::Notification& n) {
+        sim::ShardedSimulator& pdes = network_->pdes();
+        sim::Lane& lane = network_->node(n.origin).lane();
+        pdes.post_control(
+            network_->shard_of(n.origin), lane.now() + pdes.control_latency(),
+            lane.next_key(),
+            sim::EventFn([this, n] { on_notification(n); }));
+      });
   pipeline_->set_control_mat(registry_->mat());
 
-  if (!sharded) {
-    channel_ = std::make_unique<control::ControlChannel>(
-        network.simulator(), *pipeline_, config_.channel);
-    channel_->set_deliver([this](const dataplane::Notification& n) {
-      controller_->on_notification(n);
-    });
-  }
+  // The channel and the controller live in the global domain, which runs
+  // only between windows, so they work at every shard count. A perfect
+  // channel forwards synchronously and draws nothing.
+  channel_ = std::make_unique<control::ControlChannel>(
+      network.simulator(), *pipeline_, config_.channel);
+  channel_->set_deliver([this](const dataplane::Notification& n) {
+    controller_->on_notification(n);
+  });
 
   controller_ = std::make_unique<control::Controller>(network, *pipeline_,
                                                       config_.controller);
-  if (channel_) controller_->set_channel(channel_.get());
+  controller_->set_channel(channel_.get());
   analyzer_ = std::make_unique<rca::RootCauseAnalyzer>(
       *registry_, config_.rca, &network.topology());
   if (config_.log != nullptr) {
     controller_->set_event_log(config_.log);
-    if (channel_) channel_->set_event_log(config_.log);
+    channel_->set_event_log(config_.log);
   }
   if (config_.provenance != nullptr) {
     controller_->set_provenance(config_.provenance);
@@ -122,20 +114,39 @@ MarsSystem::MarsSystem(net::Network& network, MarsConfig config)
   });
 
   if (config_.tracer != nullptr) {
-    // Sharded: the pipeline's callbacks run on shard threads, where the
-    // tracer/histogram would race; controller and analyzer run in the
-    // single-threaded global domain and keep their hooks.
-    if (!sharded) pipeline_->set_tracer(config_.tracer);
     controller_->set_tracer(config_.tracer);
     analyzer_->set_tracer(config_.tracer);
   }
   if (config_.metrics != nullptr) {
-    if (!sharded) pipeline_->set_metrics(config_.metrics);
+    // The pipeline's callbacks run on shard threads; its latency
+    // histogram is one structure shared by every sink, so it is attached
+    // only when a single thread runs them all.
+    if (network.pdes().shard_count() == 1) {
+      pipeline_->set_metrics(config_.metrics);
+    }
     analyzer_->set_metrics(config_.metrics);
     register_metrics(*config_.metrics);
   }
 
   network.add_observer(*pipeline_);
+}
+
+void MarsSystem::on_notification(const dataplane::Notification& n) {
+  if (config_.tracer != nullptr) {
+    obs::SpanArgs args{{"kind", dataplane::kind_name(n.kind)},
+                       {"reporter", std::uint64_t{n.reporter}},
+                       {"flow", net::to_string(n.flow)}};
+    if (n.kind == dataplane::Notification::Kind::kHighLatency) {
+      args.emplace_back("latency_ms", sim::to_seconds(n.latency) * 1e3);
+      args.emplace_back("threshold_ms", sim::to_seconds(n.threshold) * 1e3);
+    } else {
+      args.emplace_back("epoch_gap", n.epoch_gap);
+      args.emplace_back("dropped_estimate", n.dropped_estimate);
+    }
+    config_.tracer->instant("notification", "dataplane", n.when,
+                            std::move(args));
+  }
+  channel_->offer(n);
 }
 
 MarsSystem::~MarsSystem() {
@@ -188,23 +199,21 @@ void MarsSystem::register_metrics(obs::MetricsRegistry& registry) {
   registry.gauge("mars.accumulator.windows", [this] {
     return static_cast<double>(accumulator_.window_count(0));
   });
-  if (channel_ != nullptr) {
-    registry.gauge("mars.channel.notifications_dropped", [this] {
-      return static_cast<double>(channel_->stats().notifications_dropped);
-    });
-    registry.gauge("mars.channel.notifications_delayed", [this] {
-      return static_cast<double>(channel_->stats().notifications_delayed);
-    });
-    registry.gauge("mars.channel.reads_failed", [this] {
-      return static_cast<double>(channel_->stats().reads_failed);
-    });
-    registry.gauge("mars.channel.records_lost", [this] {
-      return static_cast<double>(channel_->stats().records_lost);
-    });
-    registry.gauge("mars.channel.records_corrupted", [this] {
-      return static_cast<double>(channel_->stats().records_corrupted);
-    });
-  }
+  registry.gauge("mars.channel.notifications_dropped", [this] {
+    return static_cast<double>(channel_->stats().notifications_dropped);
+  });
+  registry.gauge("mars.channel.notifications_delayed", [this] {
+    return static_cast<double>(channel_->stats().notifications_delayed);
+  });
+  registry.gauge("mars.channel.reads_failed", [this] {
+    return static_cast<double>(channel_->stats().reads_failed);
+  });
+  registry.gauge("mars.channel.records_lost", [this] {
+    return static_cast<double>(channel_->stats().records_lost);
+  });
+  registry.gauge("mars.channel.records_corrupted", [this] {
+    return static_cast<double>(channel_->stats().records_corrupted);
+  });
   registry.gauge("mars.controller.poll_fallbacks", [this] {
     return static_cast<double>(controller_->overheads().poll_reads_failed);
   });

@@ -26,14 +26,16 @@ struct MarsConfig {
   dataplane::PipelineConfig pipeline;
   control::ControllerConfig controller;
   /// Control-channel degradation model. The default is perfect — no
-  /// drops, no delays, no read failures — and a perfect channel is
-  /// bit-identical to having no channel at all.
+  /// drops, no delays, no read failures — and a perfect channel forwards
+  /// synchronously, draws no random numbers and schedules no events.
   control::ChannelConfig channel;
   rca::RcaConfig rca;
   /// Optional observability hooks (zero overhead when null). The registry
   /// gains "mars."-prefixed gauges reading the pipeline/controller
   /// overheads, ring-table occupancy, and reservoir state; the tracer gets
-  /// the notification -> collection -> diagnosis span chain. Both must
+  /// the notification -> collection -> diagnosis span chain (the
+  /// notification instant is stamped where it was sent and emitted where
+  /// it reaches the control plane). Both must
   /// outlive the MarsSystem (its destructor removes the "mars." gauges).
   obs::MetricsRegistry* metrics = nullptr;
   obs::SpanTracer* tracer = nullptr;
@@ -129,6 +131,10 @@ class MarsSystem final : public systems::TelemetrySystem {
   void register_metrics(obs::MetricsRegistry& registry) override;
 
  private:
+  /// A notification's arrival in the global domain: trace it, then offer
+  /// it to the channel.
+  void on_notification(const dataplane::Notification& n);
+
   net::Network* network_;
   MarsConfig config_;
   /// Shared immutable snapshot from the process-wide PathRegistryCache:

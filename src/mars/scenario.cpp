@@ -6,12 +6,11 @@
 
 #include "control/path_registry_cache.hpp"
 #include "mars/system_registry.hpp"
+#include "net/engine.hpp"
 #include "net/partition.hpp"
 #include "net/routing.hpp"
 #include "obs/net_scrape.hpp"
-#include "parallel/thread_pool.hpp"
 #include "sim/sharded.hpp"
-#include "sim/simulator.hpp"
 
 namespace mars {
 
@@ -191,49 +190,34 @@ std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
       }
     }
   }
-  if (config.sim.shards < 0 || config.sim.shards > 64) {
+  if (config.sim.shards < 1 || config.sim.shards > 64) {
     errors.push_back("sim.shards must be in [1, 64] (got " +
                      std::to_string(config.sim.shards) + ")");
-  } else if (config.sim.shards >= 1) {
-    if (config.sim.control_latency <= 0) {
-      errors.push_back("sim.control_latency must be positive (got " +
-                       std::to_string(config.sim.control_latency) + " ns)");
-    }
+  }
+  if (config.sim.control_latency <= 0) {
+    errors.push_back("sim.control_latency must be positive (got " +
+                     std::to_string(config.sim.control_latency) + " ns)");
+  }
+  if (config.sim.shards >= 2 && config.sim.shards <= 64) {
+    // Shard threads run observer callbacks concurrently: only state that
+    // each switch owns may be written there.
     for (const std::string& name : config.systems) {
       if (name != "mars") {
-        errors.push_back("sharded simulation (sim.shards >= 1) supports "
-                         "only the 'mars' telemetry system (got '" +
-                         name + "')");
+        errors.push_back("sim.shards >= 2 supports only the 'mars' "
+                         "telemetry system (got '" + name +
+                         "'); the baselines keep cross-switch observer "
+                         "state that shard threads may not share");
       }
-    }
-    const bool channel_perfect =
-        ch.notification_loss == 0.0 && ch.notification_delay_prob == 0.0 &&
-        ch.read_failure == 0.0 && ch.record_loss == 0.0 &&
-        ch.record_corruption == 0.0;
-    if (!channel_perfect) {
-      errors.push_back("sharded simulation requires a perfect control "
-                       "channel (mars.channel degradation knobs must all "
-                       "be zero)");
     }
     if (be.kind != telemetry::BackendKind::kPostcard) {
       errors.push_back(
-          std::string("sharded simulation supports only the 'postcard' "
+          std::string("sim.shards >= 2 supports only the 'postcard' "
                       "telemetry backend (got '") +
           telemetry::to_string(be.kind) +
           "'; int-md and histogram keep cross-switch state that shard "
           "threads may not share)");
     }
-    for (const auto& event : config.faults.events) {
-      if (faults::is_telemetry_fault(event.kind)) {
-        errors.push_back(std::string("telemetry fault '") +
-                         faults::to_string(event.kind) +
-                         "' needs the degraded control channel, which "
-                         "sharded simulation does not model");
-        break;
-      }
-    }
-    if (config.sim.shards >= 2 &&
-        net::TopologyRegistry::instance().validate(config.topology).empty()) {
+    if (net::TopologyRegistry::instance().validate(config.topology).empty()) {
       const net::BuiltFabric fabric =
           net::TopologyRegistry::instance().build(config.topology);
       const int capacity = net::partition_capacity(fabric.topology);
@@ -250,7 +234,7 @@ std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
         if (!partition.boundary_links.empty() &&
             partition.min_boundary_propagation < 1) {
           errors.push_back(
-              "sharded simulation requires positive propagation delay on "
+              "sim.shards >= 2 requires positive propagation delay on "
               "shard-boundary links (topology '" + config.topology.name +
               "' has a zero-delay boundary link)");
         }
@@ -377,8 +361,7 @@ void attribute_faults(obs::ProvenanceGraph& graph,
   }
 }
 
-/// Shared result assembly: grading queries, per-system outcomes, ground
-/// truths — identical for the legacy and sharded engines.
+/// Result assembly: grading queries, per-system outcomes, ground truths.
 ScenarioResult assemble_result(
     const ScenarioConfig& config,
     std::vector<std::unique_ptr<systems::TelemetrySystem>>& deployed,
@@ -435,36 +418,17 @@ ScenarioResult assemble_result(
   return result;
 }
 
-/// The sharded engine: partition the fabric, one event queue per shard on
-/// a thread pool, conservative-lookahead windows, control plane on the
-/// global simulator. Validation has already restricted the config to
-/// what this engine models (MARS only, perfect channel).
-ScenarioResult run_sharded_scenario(const ScenarioConfig& config) {
+}  // namespace
+
+ScenarioResult run_scenario(const ScenarioConfig& config) {
+  throw_if_invalid(config);
   net::BuiltFabric fabric =
       net::TopologyRegistry::instance().build(config.topology);
-  const net::Partition partition =
-      net::partition_topology(fabric.topology, config.sim.shards);
-
-  sim::ShardedConfig shard_config;
-  shard_config.shards = config.sim.shards;
-  shard_config.control_latency = config.sim.control_latency;
-  // Lookahead: the fastest path between shards — the slimmest boundary
-  // link, capped by the control latency (post_control requires
-  // control_latency >= lookahead).
-  shard_config.lookahead = config.sim.control_latency;
-  if (!partition.boundary_links.empty()) {
-    shard_config.lookahead = std::min(shard_config.lookahead,
-                                      partition.min_boundary_propagation);
-  }
-
-  // N shards on N threads: the calling thread works the last shard, so
-  // one shard needs no pool (ThreadPool(0) would mean one per core).
-  std::optional<parallel::ThreadPool> pool;
-  if (config.sim.shards > 1) {
-    pool.emplace(static_cast<std::size_t>(config.sim.shards - 1));
-  }
-  sim::ShardedSimulator ssim(pool ? &*pool : nullptr, shard_config);
-  net::Network network(ssim, fabric.topology, partition);
+  net::Engine engine(fabric.topology,
+                     {.shards = config.sim.shards,
+                      .control_latency = config.sim.control_latency});
+  sim::ShardedSimulator& ssim = engine.sim();
+  net::Network& network = engine.network();
   for (net::SwitchId sw = 0; sw < network.switch_count(); ++sw) {
     network.node(sw).set_queue_capacity(config.queue_capacity);
   }
@@ -472,6 +436,9 @@ ScenarioResult run_sharded_scenario(const ScenarioConfig& config) {
   Observability* obs = config.observability;
   configure_obs(config, obs);
 
+  // Deploy the named systems in config order onto the same packets. Order
+  // matters for observer callbacks (MARS's pipeline first, as the golden
+  // fingerprints were captured) — each factory attaches its observers.
   std::vector<std::unique_ptr<systems::TelemetrySystem>> deployed;
   deployed.reserve(config.systems.size());
   for (const std::string& name : config.systems) {
@@ -484,6 +451,14 @@ ScenarioResult run_sharded_scenario(const ScenarioConfig& config) {
 
   faults::FaultInjector injector(network, traffic, config.seed ^ 0xFA17,
                                  config.injector);
+  // Telemetry faults land on the first deployed system that models a
+  // degradable channel (MARS); without one they are skipped visibly.
+  for (auto& system : deployed) {
+    if (auto* channel = system->control_channel(); channel != nullptr) {
+      injector.attach_channel(channel);
+      break;
+    }
+  }
   if (obs != nullptr) {
     injector.set_metrics(obs->registry);
     injector.set_event_log(&obs->log);
@@ -613,6 +588,8 @@ ScenarioResult run_sharded_scenario(const ScenarioConfig& config) {
     }
     sampler->stop();
     obs->snapshot = obs->registry.snapshot();
+    // Scenario-scoped gauges capture the network/systems on this stack;
+    // drop them all so nothing dangles after return.
     obs->registry.remove_gauges("");
   }
 
@@ -622,139 +599,6 @@ ScenarioResult run_sharded_scenario(const ScenarioConfig& config) {
       ssim.global().now());
   if (obs != nullptr) {
     obs->log.log(obs::LogLevel::kInfo, ssim.global().now(), "scenario",
-                 "complete",
-                 {{"events", result.events_executed},
-                  {"packets", result.packets_injected}});
-    if (config.obs.provenance) {
-      attribute_faults(obs->provenance, result, fault_nodes);
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
-ScenarioResult run_scenario(const ScenarioConfig& config) {
-  throw_if_invalid(config);
-  if (config.sim.shards >= 1) return run_sharded_scenario(config);
-
-  sim::Simulator simulator;
-  net::BuiltFabric fabric =
-      net::TopologyRegistry::instance().build(config.topology);
-  net::Network network(simulator, fabric.topology);
-  for (net::SwitchId sw = 0; sw < network.switch_count(); ++sw) {
-    network.node(sw).set_queue_capacity(config.queue_capacity);
-  }
-
-  Observability* obs = config.observability;
-  configure_obs(config, obs);
-
-  // Deploy the named systems in config order onto the same packets. Order
-  // matters for observer callbacks (MARS's pipeline first, as the golden
-  // fingerprints were captured) — each factory attaches its observers.
-  std::vector<std::unique_ptr<systems::TelemetrySystem>> deployed;
-  deployed.reserve(config.systems.size());
-  for (const std::string& name : config.systems) {
-    deployed.push_back(
-        SystemRegistry::instance().create(name, network, config, obs));
-  }
-
-  workload::TrafficGenerator traffic(network, config.seed);
-  traffic.add_background(config.background, fabric.edge, fabric.pods);
-
-  faults::FaultInjector injector(network, traffic, config.seed ^ 0xFA17,
-                                 config.injector);
-  // Telemetry faults land on the first deployed system that models a
-  // degradable channel (MARS); without one they are skipped visibly.
-  for (auto& system : deployed) {
-    if (auto* channel = system->control_channel(); channel != nullptr) {
-      injector.attach_channel(channel);
-      break;
-    }
-  }
-  if (obs != nullptr) {
-    injector.set_metrics(obs->registry);
-    injector.set_event_log(&obs->log);
-  }
-
-  std::optional<obs::Sampler> sampler;
-  if (obs != nullptr) {
-    obs::scrape_network(network, obs->registry);
-    sampler.emplace(simulator, obs->registry, obs->series,
-                    obs::SamplerConfig{.period = config.sample_period,
-                                       .until = config.duration});
-    sampler->set_tracer(&obs->tracer);
-    if (config.obs.flight_recorder) {
-      sampler->set_flight_recorder(&obs->recorder);
-    }
-    sampler->start();
-  }
-
-  if (obs != nullptr) {
-    obs->log.log(obs::LogLevel::kInfo, 0, "scenario", "start",
-                 {{"topology", config.topology.name},
-                  {"seed", config.seed},
-                  {"duration_s", sim::to_seconds(config.duration)},
-                  {"systems", std::uint64_t{deployed.size()}}});
-  }
-  for (auto& system : deployed) system->start();
-  traffic.start();
-
-  const auto injected = injector.apply(config.faults);
-  std::vector<faults::GroundTruth> truths;
-  std::vector<std::string> fault_nodes;  // parallel to truths
-  for (std::size_t i = 0; i < injected.size(); ++i) {
-    if (!injected[i]) continue;
-    truths.push_back(*injected[i]);
-    if (obs != nullptr) {
-      obs::SpanArgs args{
-          {"fault", faults::to_string(config.faults.events[i].kind)},
-          {"truth", injected[i]->describe()}};
-      if (config.obs.provenance) {
-        // Ground-truth anchor: attribute_faults joins the graded culprits
-        // back to this node after the run.
-        fault_nodes.push_back(obs->provenance.add_node(
-            obs::ProvenanceGraph::NodeKind::kFault,
-            {{"kind", faults::to_string(config.faults.events[i].kind)},
-             {"truth", injected[i]->describe()},
-             {"ts_s", sim::to_seconds(config.faults.events[i].at)}}));
-        args.push_back({"prov", fault_nodes.back()});
-      }
-      obs->tracer.instant("fault_injected", "scenario",
-                          config.faults.events[i].at, args);
-    }
-  }
-
-  {
-    std::optional<obs::SpanTracer::WallSpan> run_span;
-    if (obs != nullptr) {
-      run_span.emplace(obs->tracer.wall_span(
-          "simulator.run", "sim",
-          {{"duration_s", sim::to_seconds(config.duration)}}));
-    }
-    simulator.run(config.duration);
-    if (run_span) {
-      run_span->arg({"events", simulator.events_executed()});
-    }
-  }
-  // Gray manifestation accounting is filled in by the injector's probes
-  // during the run; re-read the final ground truths (same order).
-  truths = injector.injected();
-
-  if (obs != nullptr) {
-    sampler->stop();
-    obs->snapshot = obs->registry.snapshot();
-    // Scenario-scoped gauges capture the network/systems on this stack;
-    // drop them all so nothing dangles after return.
-    obs->registry.remove_gauges("");
-  }
-
-  ScenarioResult result = assemble_result(
-      config, deployed, std::move(truths), network.stats(),
-      traffic.packets_injected(), simulator.events_executed(),
-      simulator.now());
-  if (obs != nullptr) {
-    obs->log.log(obs::LogLevel::kInfo, simulator.now(), "scenario",
                  "complete",
                  {{"events", result.events_executed},
                   {"packets", result.packets_injected}});

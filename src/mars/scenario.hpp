@@ -9,7 +9,7 @@
 // packets, warms the reservoirs, applies the schedule, and returns every
 // system's ranked culprit list plus overhead accounting and the ground
 // truths. Trials are deterministic in their seed, and independent trials
-// can run on separate threads (each owns its simulator and network); see
+// can run on separate threads (each owns its engine and network); see
 // mars/sweep.hpp for the batch driver.
 
 #include <optional>
@@ -114,20 +114,22 @@ struct ScenarioConfig {
   };
   ObsConfig obs;
 
-  /// Sharded-simulation settings (the spec's "sim" block). shards == 0
-  /// (the default) runs the classic single-queue simulator, bit-identical
-  /// to earlier releases; shards >= 1 runs the conservative-lookahead
-  /// sharded engine — its own golden universe (notification delivery
-  /// becomes an explicit control-latency hop), pinned by its own
-  /// fingerprints which must agree at every shard count. Sharded runs are
-  /// restricted by validate_scenario: systems must be {"mars"}, the
-  /// control channel must be perfect, no telemetry fault kinds, and for
-  /// shards >= 2 the topology must offer enough partition components with
-  /// positive boundary-link propagation.
+  /// Event-engine settings (the spec's "sim" block). Every trial runs on
+  /// the keyed sharded engine (net::Engine): one shard by default, up to
+  /// 64, and a fixed seed gives the same execution at every shard count
+  /// (pinned by the sharded golden fingerprints). A data-plane
+  /// notification reaches the control plane one control_latency after it
+  /// is sent. At shards >= 2 the shard threads run observer callbacks
+  /// concurrently, so validate_scenario allows only state each switch
+  /// owns: systems must be {"mars"} (the baselines keep cross-switch
+  /// observer state), the backend must be postcard (int-md and histogram
+  /// keep cross-switch stacks and digests), and the topology must offer
+  /// enough partition components with positive boundary-link
+  /// propagation.
   struct SimConfig {
-    int shards = 0;
-    /// Data-plane -> controller notification latency; also the floor of
-    /// the conservative lookahead window.
+    int shards = 1;
+    /// Data-plane -> controller notification latency; also the ceiling
+    /// of the conservative lookahead window.
     sim::Time control_latency = 1 * sim::kMillisecond;
   };
   SimConfig sim;

@@ -196,9 +196,9 @@ struct ScenarioSpec {
   };
   Rca rca;
 
-  /// Sharded-simulation block ("sim"). Unset runs the classic
-  /// single-queue engine; {"shards": N} runs N topology shards with
-  /// conservative lookahead on a thread pool (see DESIGN.md).
+  /// Event-engine block ("sim"). Unset runs one shard; {"shards": N}
+  /// runs N topology shards with conservative lookahead on N threads (see
+  /// DESIGN.md "Event engine").
   struct Sim {
     std::optional<int> shards;                 ///< must be in [1, 64]
     std::optional<double> control_latency_s;   ///< notification latency

@@ -14,33 +14,27 @@ namespace {
 constexpr sim::Time kNoMail = std::numeric_limits<sim::Time>::max();
 }  // namespace
 
-Network::Network(sim::Simulator& sim, Topology topology)
-    : sim_(&sim), topology_(std::move(topology)), routing_(topology_) {
-  wire_topology();
-  for (auto& sw : switches_) sw->bind_lane(sim::Lane::plain(sim));
-}
-
-Network::Network(sim::ShardedSimulator& sharded, Topology topology,
+Network::Network(sim::ShardedSimulator& pdes, Topology topology,
                  const Partition& partition)
-    : sim_(&sharded.global()),
+    : pdes_(&pdes),
+      sim_(&pdes.global()),
       topology_(std::move(topology)),
       routing_(topology_),
-      sharded_(&sharded),
       shard_of_(partition.shard_of) {
   assert(shard_of_.size() == topology_.switch_count());
-  assert(partition.shards <= sharded.shard_count());
+  assert(partition.shards <= pdes.shard_count());
   wire_topology();
-  shard_state_ = std::vector<ShardState>(
-      static_cast<std::size_t>(sharded.shard_count()));
+  shard_state_ =
+      std::vector<ShardState>(static_cast<std::size_t>(pdes.shard_count()));
   for (ShardState& s : shard_state_) s.earliest_mail.fill(kNoMail);
   mailbox_.resize(2 * shard_state_.size() * shard_state_.size());
   packet_seq_.assign(switch_count(), 0);
   for (auto& sw : switches_) {
-    sw->bind_lane(sim::Lane::keyed(sharded.shard(shard_of_[sw->id()]),
-                                   sw->id()));
+    sw->bind_lane(
+        sim::Lane::keyed(pdes.shard(shard_of_[sw->id()]), sw->id()));
   }
-  sharded.set_mail_hooks({.drain = [this](int shard) { drain_mail(shard); },
-                          .seal = [this] { return seal_mail(); }});
+  pdes.set_mail_hooks({.drain = [this](int shard) { drain_mail(shard); },
+                       .seal = [this] { return seal_mail(); }});
 }
 
 void Network::wire_topology() {
@@ -64,9 +58,8 @@ void Network::wire_topology() {
 }
 
 sim::Lane Network::flow_lane(SwitchId source, std::size_t flow_index) {
-  if (sharded_ == nullptr) return sim::Lane::plain(*sim_);
   return sim::Lane::keyed(
-      sharded_->shard(shard_of_[source]),
+      pdes_->shard(shard_of_[source]),
       static_cast<std::uint64_t>(switch_count()) + flow_index);
 }
 
@@ -77,16 +70,11 @@ std::uint64_t Network::inject(FlowId flow, std::uint32_t flow_hash,
   pkt.flow = flow;
   pkt.flow_hash = flow_hash;
   pkt.size_bytes = size_bytes;
-  if (sharded_ != nullptr) {
-    // Per-source ids keep assignment shard-local; the source's shard clock
-    // is the injection time (flow arrival events run on that shard).
-    pkt.id = (static_cast<std::uint64_t>(flow.source) << 40) |
-             ++packet_seq_[flow.source];
-    pkt.created = switches_[flow.source]->lane().now();
-  } else {
-    pkt.id = next_packet_id_++;
-    pkt.created = sim_->now();
-  }
+  // Per-source ids keep assignment shard-local; the source's shard clock
+  // is the injection time (flow arrival events run on that shard).
+  pkt.id = (static_cast<std::uint64_t>(flow.source) << 40) |
+           ++packet_seq_[flow.source];
+  pkt.created = switches_[flow.source]->lane().now();
   ++stats_for(flow.source).injected;
   switches_[flow.source]->receive(pool_for(flow.source).acquire(pkt));
   return pkt.id;
@@ -100,7 +88,7 @@ void Network::forward_to_neighbor(SwitchId from, PortId from_port,
   sim::Lane& lane = switches_[from]->lane();
   const sim::Time delay = link.propagation + extra_delay;
 
-  if (sharded_ != nullptr && shard_of_[from] != shard_of_[next]) {
+  if (shard_of_[from] != shard_of_[next]) {
     // Boundary hop: post into this window's mailbox half; the destination
     // drains it at the start of the next window. link.propagation >=
     // lookahead (validated), so the arrival is provably outside the window
@@ -108,7 +96,7 @@ void Network::forward_to_neighbor(SwitchId from, PortId from_port,
     const sim::Time at = lane.now() + delay;
     const std::uint64_t key = lane.next_key();
     const int src_shard = shard_of_[from];
-    const std::size_t half = sharded_->mail_half();
+    const std::size_t half = pdes_->mail_half();
     mailbox(half, src_shard, shard_of_[next])
         .push_back(PacketMail{at, key, next, *pkt});
     ShardState& src = shard_state_[src_shard];
@@ -132,13 +120,13 @@ void Network::drain_mail(int shard) {
   // in the previous window and is touched by nobody else now, so no lock.
   // Visit order is irrelevant for determinism — each mail carries its own
   // (time, key) — but keep it fixed anyway.
-  const std::size_t post = sharded_->mail_half();
+  const std::size_t post = pdes_->mail_half();
   ShardState& own = shard_state_[shard];
   // Our own half `post` starts empty: its destinations drained it at the
   // start of the previous window.
   own.mail_posted[post] = 0;
   own.earliest_mail[post] = kNoMail;
-  sim::Simulator& queue = sharded_->shard(shard);
+  sim::Simulator& queue = pdes_->shard(shard);
   for (int src = 0; src < static_cast<int>(shard_state_.size()); ++src) {
     std::vector<PacketMail>& box = mailbox(post ^ 1, src, shard);
     for (const PacketMail& mail : box) {
@@ -172,24 +160,23 @@ std::optional<sim::Time> Network::seal_mail() {
   ++mailbox_stats_.batch_hist[b];
   sim::Time earliest = kNoMail;
   for (const ShardState& s : shard_state_) {
-    earliest = std::min(earliest, s.earliest_mail[sharded_->mail_half()]);
+    earliest = std::min(earliest, s.earliest_mail[pdes_->mail_half()]);
   }
   return earliest;
 }
 
 std::size_t Network::undrained_mail() const {
-  if (sharded_ == nullptr) return 0;
   // Between windows only the half the last window posted into holds mail:
   // the other half was drained at that window's start.
   std::size_t total = 0;
   for (const ShardState& s : shard_state_) {
-    total += s.mail_posted[sharded_->mail_half()];
+    total += s.mail_posted[pdes_->mail_half()];
   }
   return total;
 }
 
 std::size_t Network::pool_in_flight() const {
-  std::size_t total = pool_.in_flight();
+  std::size_t total = 0;
   for (const auto& s : shard_state_) total += s.pool.in_flight();
   return total;
 }
@@ -197,7 +184,7 @@ std::size_t Network::pool_in_flight() const {
 std::size_t Network::pool_peak_in_flight() const {
   // slot_count() is the arena high-water mark: slots are only ever added
   // (never shrunk), one per peak concurrent packet in the network.
-  std::size_t total = pool_.slot_count();
+  std::size_t total = 0;
   for (const auto& s : shard_state_) total += s.pool.slot_count();
   return total;
 }
@@ -214,7 +201,6 @@ void Network::deliver(Switch& sink, Packet* pkt) {
 }
 
 NetworkStats Network::stats() const {
-  if (sharded_ == nullptr) return stats_;
   NetworkStats total;
   for (const ShardState& s : shard_state_) {
     total.injected += s.stats.injected;
@@ -223,10 +209,6 @@ NetworkStats Network::stats() const {
     total.unroutable += s.stats.unroutable;
   }
   return total;
-}
-
-double Network::port_rate_gbps(SwitchId sw, PortId port) const {
-  return port_links_[sw][port].gbps;
 }
 
 std::vector<Network::LinkUtilization> Network::link_utilization() const {

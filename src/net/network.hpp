@@ -1,18 +1,18 @@
 #pragma once
-// The assembled network: topology + routing + switches over a simulator,
-// with monitoring observers attached. This is the substrate equivalent of
-// the paper's Mininet/BMv2 testbed.
+// The assembled network: topology + routing + switches over the keyed
+// sharded event engine, with monitoring observers attached. This is the
+// substrate equivalent of the paper's Mininet/BMv2 testbed. Build one with
+// net::Engine (net/engine.hpp), which partitions the topology and sets up
+// the engine first.
 //
-// Two execution modes share the same forwarding logic:
-//
-//   * legacy (single simulator): every switch binds a plain Lane on the
-//     one queue — byte-identical to pre-shard releases;
-//   * sharded: switches bind keyed Lanes on their shard's simulator.
+// Every switch schedules through a keyed Lane on the queue of the shard
+// the partition gives it (one shard by default), so a run replays the
+// same events at every shard count.
 //
 // Every packet lives in one PacketPool slot from inject() until it leaves
 // the network (net/packet_pool.hpp has the ownership rules); switches,
 // port queues and hop events pass the slot pointer. A link hop between
-// two switches of the same queue — every hop in legacy mode — is one
+// two switches of the same shard — every hop at one shard — is one
 // Lane::schedule_fixed(propagation + fault delay) call, so it rides the
 // event queue's FIFO lane for that delay (sim/event_queue.hpp) instead of
 // the heap.
@@ -28,10 +28,9 @@
 // mail carries the sender's lane key, the destination pops the exact
 // event order a single-shard run would — the determinism invariant.
 //
-// In sharded mode each shard owns its own PacketPool and NetworkStats
-// (cache-line padded; stats() merges), and packet ids are per-source
-// (source id << 40 | per-source seq) so id assignment never needs a
-// cross-shard counter.
+// Each shard owns its own PacketPool and NetworkStats (cache-line padded;
+// stats() merges), and packet ids are per source (source id << 40 |
+// per-source seq), so id assignment never needs a cross-shard counter.
 
 #include <array>
 #include <cstdint>
@@ -66,17 +65,15 @@ struct NetworkStats {
 
 class Network {
  public:
-  /// The topology is copied; routing tables are built immediately.
-  Network(sim::Simulator& sim, Topology topology);
-
-  /// Sharded substrate: every switch binds a keyed lane on the shard the
-  /// partition assigns it to; registers the mail hooks on the sharded
-  /// simulator. The partition must cover this topology.
-  Network(sim::ShardedSimulator& sharded, Topology topology,
+  /// Every switch binds a keyed lane on the shard the partition assigns
+  /// it to; registers the mail hooks on `pdes`. The partition must cover
+  /// this topology. The topology is copied; routing tables are built
+  /// immediately. net::Engine is the one caller.
+  Network(sim::ShardedSimulator& pdes, Topology topology,
           const Partition& partition);
 
-  /// The control-plane simulator: the only simulator in legacy mode, the
-  /// global (single-threaded, between-windows) domain in sharded mode.
+  /// The control-plane simulator: the global (single-threaded,
+  /// between-windows) domain of the engine.
   [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
   [[nodiscard]] const Topology& topology() const { return topology_; }
   [[nodiscard]] RoutingTable& routing() { return routing_; }
@@ -85,15 +82,12 @@ class Network {
   [[nodiscard]] const Switch& node(SwitchId id) const { return *switches_[id]; }
   [[nodiscard]] std::size_t switch_count() const { return switches_.size(); }
 
-  // ---- sharded-mode introspection ----
-  [[nodiscard]] bool is_sharded() const { return sharded_ != nullptr; }
-  [[nodiscard]] sim::ShardedSimulator* sharded() { return sharded_; }
-  [[nodiscard]] int shard_of(SwitchId sw) const {
-    return shard_of_.empty() ? 0 : shard_of_[sw];
-  }
+  /// The engine: every shard queue plus the global domain.
+  [[nodiscard]] sim::ShardedSimulator& pdes() { return *pdes_; }
+  [[nodiscard]] int shard_of(SwitchId sw) const { return shard_of_[sw]; }
   /// A keyed lane for the flow generator of flow `flow_index` homed at
   /// `source`, on the source's shard. Entity ids switch_count()+index
-  /// never collide with switch lanes. Legacy mode returns a plain lane.
+  /// never collide with switch lanes.
   [[nodiscard]] sim::Lane flow_lane(SwitchId source, std::size_t flow_index);
 
   /// Attach a monitoring system. Observers are invoked in attach order.
@@ -103,8 +97,8 @@ class Network {
 
   /// Inject a packet at its source switch at the current simulation time.
   /// `flow_hash` carries the per-flow entropy a real switch would take from
-  /// the 5-tuple. Returns the assigned packet id. In sharded mode this must
-  /// run on the source's shard (flow arrival events do) or between windows.
+  /// the 5-tuple. Returns the assigned packet id. Must run on the source's
+  /// shard (flow arrival events do) or between windows.
   std::uint64_t inject(FlowId flow, std::uint32_t flow_hash,
                        std::uint32_t size_bytes);
 
@@ -112,7 +106,7 @@ class Network {
   using DeliveryFn = std::function<void(const Packet&, sim::Time)>;
   void set_delivery_callback(DeliveryFn fn) { on_delivery_ = std::move(fn); }
 
-  /// Aggregate counters; merged across shards in sharded mode.
+  /// Aggregate counters, merged across shards.
   [[nodiscard]] NetworkStats stats() const;
 
   /// Fraction of capacity used on each direction of each link since t=0.
@@ -134,8 +128,8 @@ class Network {
   /// over every pool — the memory footprint of the traffic in the network.
   [[nodiscard]] std::size_t pool_peak_in_flight() const;
 
-  /// Cross-shard packet-mailbox accounting (sharded mode; all-zero in
-  /// legacy mode). One batch is the mail posted in one window, counted at
+  /// Cross-shard packet-mailbox accounting (all-zero at one shard). One
+  /// batch is the mail posted in one window, counted at
   /// the barrier that ends it; one "drain" is a window that posted at
   /// least one mail. `batch_hist` buckets mails-per-batch by log2, so a
   /// fat tail means windows move bursts rather than a steady trickle.
@@ -170,13 +164,11 @@ class Network {
   [[nodiscard]] std::vector<PacketObserver*>& observers() {
     return observers_;
   }
-  /// Link rate (bits/ns == Gbps) behind a switch port.
-  [[nodiscard]] double port_rate_gbps(SwitchId sw, PortId port) const;
 
  private:
   /// Per-port link facts, flattened out of Topology so the per-hop path
-  /// (forward_to_neighbor) and per-service path (port_rate_gbps) read one
-  /// cache line instead of chasing peer()/links() indirections.
+  /// (forward_to_neighbor) reads one cache line instead of chasing
+  /// peer()/links() indirections.
   struct PortLink {
     SwitchId neighbor = kInvalidSwitch;
     PortId neighbor_port = 0;
@@ -218,10 +210,10 @@ class Network {
   [[nodiscard]] std::optional<sim::Time> seal_mail();
 
   [[nodiscard]] NetworkStats& stats_for(SwitchId sw) {
-    return sharded_ != nullptr ? shard_state_[shard_of_[sw]].stats : stats_;
+    return shard_state_[shard_of_[sw]].stats;
   }
   [[nodiscard]] PacketPool& pool_for(SwitchId sw) {
-    return sharded_ != nullptr ? shard_state_[shard_of_[sw]].pool : pool_;
+    return shard_state_[shard_of_[sw]].pool;
   }
   [[nodiscard]] std::vector<PacketMail>& mailbox(std::size_t half,
                                                  int src_shard,
@@ -232,19 +224,14 @@ class Network {
         .mail;
   }
 
-  sim::Simulator* sim_;
+  sim::ShardedSimulator* pdes_;
+  sim::Simulator* sim_;  ///< pdes_->global()
   Topology topology_;
   RoutingTable routing_;
   std::vector<std::vector<PortLink>> port_links_;  // [switch][port]
   std::vector<std::unique_ptr<Switch>> switches_;
-  PacketPool pool_;
   std::vector<PacketObserver*> observers_;
   DeliveryFn on_delivery_;
-  NetworkStats stats_;
-  std::uint64_t next_packet_id_ = 1;
-
-  // ---- sharded mode ----
-  sim::ShardedSimulator* sharded_ = nullptr;
   std::vector<int> shard_of_;                   // per switch
   std::vector<ShardState> shard_state_;         // per shard
   std::vector<Mailbox> mailbox_;  // [half][src shard][dst shard]

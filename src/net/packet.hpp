@@ -49,10 +49,10 @@ struct Packet {
   bool has_path_id = false;     ///< source switch inserted the PathID field
   std::optional<IntHeader> telemetry;  ///< present on telemetry packets
   bool anomaly_flagged = false; ///< suppresses duplicate notifications
-  /// Sharded mode: the switch that set the suppression flag and the
-  /// latency it observed, carried in-band so the sink can issue the
-  /// notification from its own shard (the flagging switch may live on
-  /// another shard whose notification state must not be touched here).
+  /// The switch that set the suppression flag and the latency it
+  /// observed, carried in-band so the sink can issue the notification from
+  /// its own shard (the flagging switch may live on another shard whose
+  /// notification state must not be touched there).
   SwitchId anomaly_reporter = kInvalidSwitch;
   sim::Time anomaly_latency = 0;
 

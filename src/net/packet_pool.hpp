@@ -13,7 +13,7 @@
 //     or the scheduled hop event.
 //   * The packet is released to the pool of the switch where it leaves
 //     the network: delivered at its sink, dropped (tail or fault), or
-//     unroutable. In sharded mode a packet crossing a shard boundary is
+//     unroutable. A packet crossing a shard boundary is
 //     copied into its mail and its source slot released at once; the
 //     destination shard acquires a slot from its own pool when it drains
 //     the mail. A pool is thus only ever touched by its own shard.

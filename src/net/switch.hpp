@@ -12,10 +12,9 @@
 // service path and draw no RNG.
 //
 // All of a switch's event scheduling goes through its Lane, bound by the
-// Network right after construction: a plain lane on the single simulator
-// in legacy mode (byte-identical to the historical behavior), or a keyed
-// lane on the owning shard's simulator in sharded mode (so service and
-// hop events replay identically at any shard count).
+// Network right after construction: a keyed lane on the owning shard's
+// simulator, so service and hop events replay identically at any shard
+// count.
 //
 // Packets are handled by pool slot (net/packet_pool.hpp): receive() takes
 // ownership of a slot pointer, the port queues hold slot pointers, and a
@@ -96,9 +95,8 @@ class Switch {
     ports_[port].rate_gbps = gbps;
   }
 
-  /// Internal: called once by Network to attach this switch to its
-  /// simulator (plain lane: the shared simulator; keyed lane: the owning
-  /// shard's simulator).
+  /// Internal: called once by Network to attach this switch to a keyed
+  /// lane on its shard's simulator.
   void bind_lane(sim::Lane lane) { lane_ = lane; }
   [[nodiscard]] sim::Lane& lane() { return lane_; }
 

@@ -18,16 +18,12 @@ double port_utilization(net::Network& network, net::SwitchId sw,
          static_cast<double>(now);
 }
 
-/// `count` summed over the network's simulator (the global queue in
-/// sharded mode) and every shard queue.
+/// `count` summed over the global queue and every shard queue.
 template <typename Count>
 std::uint64_t sum_over_queues(net::Network& network, Count count) {
-  std::uint64_t total = count(network.simulator());
-  if (auto* ssim = network.sharded(); ssim != nullptr) {
-    for (int i = 0; i < ssim->shard_count(); ++i) {
-      total += count(ssim->shard(i));
-    }
-  }
+  sim::ShardedSimulator& pdes = network.pdes();
+  std::uint64_t total = count(pdes.global());
+  for (int i = 0; i < pdes.shard_count(); ++i) total += count(pdes.shard(i));
   return total;
 }
 
@@ -39,15 +35,14 @@ void scrape_network(net::Network& network, MetricsRegistry& registry,
 
   if (options.totals) {
     registry.gauge("sim.events_executed", [&network] {
-      return static_cast<double>(network.simulator().events_executed());
+      return static_cast<double>(network.pdes().events_executed());
     });
     registry.gauge("sim.time_s", [&network] {
       return sim::to_seconds(network.simulator().now());
     });
     registry.gauge("sim.event_queue_depth", [&network] {
       // Live scheduled events: every shard queue plus the global/control
-      // queue in sharded mode, the one queue in legacy mode. Undrained
-      // cross-shard mail is one pending hop event each.
+      // queue. Undrained cross-shard mail is one pending hop event each.
       return static_cast<double>(
           sum_over_queues(network,
                           [](sim::Simulator& q) {

@@ -8,17 +8,17 @@
 //
 // Fixed-delay lanes. Most events a network schedules are link hops at
 // now + propagation, and a topology has one or two propagation values.
-// schedule_fixed() tags an event with its delay; the queue keeps one lane
-// (a growable ring of heap entries) per distinct delay, up to kMaxLanes,
-// and appends the entry to its delay's lane only when its (time, key) is
-// at least the lane's tail key. Otherwise — and for a delay past the cap —
-// the entry goes to the heap. Every lane is therefore sorted, its head is
-// its minimum, and every pop takes the least of the heap top and the lane
-// heads by the full key: exactly the order of a heap-only queue. Plain
-// scheduling never falls back (now never decreases and the sequence
-// increases); keyed scheduling falls back only on an equal-time key
-// inversion between entities. A lane push is a ring append instead of a
-// sift, and the heap stays about half as deep.
+// schedule_fixed_keyed() tags an event with its delay; the queue keeps one
+// lane (a growable ring of heap entries) per distinct delay, up to
+// kMaxLanes, and appends the entry to its delay's lane only when its
+// (time, key) is at least the lane's tail key. Otherwise — and for a
+// delay past the cap — the entry goes to the heap. Every lane is
+// therefore sorted, its head is its minimum, and every pop takes the
+// least of the heap top and the lane heads by the full key: exactly the
+// order of a heap-only queue. Since now never decreases, an append falls
+// back to the heap only on an equal-time key inversion between entities.
+// A lane push is a ring append instead of a sift, and the heap stays
+// about half as deep.
 //
 // Event ids are generation-stamped: the returned uint64 packs
 // (generation << 32 | slot index), and a slot's generation bumps every
@@ -52,7 +52,8 @@ namespace mars::sim {
 class EventQueue {
  public:
   /// Distinct delays that get a FIFO lane; the first kMaxLanes delays
-  /// passed to schedule_fixed() claim one each, later ones use the heap.
+  /// passed to schedule_fixed_keyed() claim one each, later ones use the
+  /// heap.
   static constexpr std::size_t kMaxLanes = 4;
 
   /// Schedule fn at absolute time t. Returns an id usable with cancel().
@@ -101,16 +102,7 @@ class EventQueue {
   /// Schedule fn at absolute time t == now + delay, where `delay` is a
   /// fixed per-kind delay (a link's propagation): the entry rides the FIFO
   /// lane for `delay` when that keeps the lane sorted, the heap otherwise.
-  /// Pops in the same order as schedule(t, fn).
-  template <typename F>
-  std::uint64_t schedule_fixed(Time t, Time delay, F&& fn) {
-    const std::uint32_t idx = alloc_slot();
-    slots_[idx].fn.assign(std::forward<F>(fn));
-    return push_fixed(t, delay, next_seq_++, idx);
-  }
-
-  /// Keyed twin of schedule_fixed(): pops in the same order as
-  /// schedule_keyed(t, tiebreak, fn).
+  /// Pops in the same order as schedule_keyed(t, tiebreak, fn).
   template <typename F>
   std::uint64_t schedule_fixed_keyed(Time t, Time delay,
                                      std::uint64_t tiebreak, F&& fn) {

@@ -56,7 +56,9 @@ void ShardedSimulator::run_window(std::size_t lane) {
   // scheduled at >= T_l can reach another shard before T_l + lookahead >=
   // window_).
   const std::uint64_t before = s.sim.events_executed();
-  s.sim.run(window_ - 1);
+  // The clock stays at the shard's last event: a global round moves it
+  // on (plan_window), and an unbounded run ends every clock there.
+  s.sim.run_events(window_ - 1);
   const std::uint64_t ran = s.sim.events_executed() - before;
   s.window_ran = ran;
   ++s.stats.windows;
@@ -81,7 +83,8 @@ bool ShardedSimulator::plan_window(Time until) {
       if (const auto t = s.sim.next_event_time()) t_l = std::min(t_l, *t);
     }
     const Time t_g = global_.next_event_time().value_or(kInf);
-    if (std::min(t_l, t_g) > until) return false;
+    const Time next = std::min(t_l, t_g);
+    if (next == kInf || next > until) return false;
 
     if (t_g <= t_l) {
       // Global events run BEFORE any shard event at the same time: a
@@ -89,8 +92,10 @@ bool ShardedSimulator::plan_window(Time until) {
       // to exactly the shard events at t >= T, independent of sharding.
       // They run here, between windows, with every shard quiescent, so
       // they may touch shard state (schedule onto shard lanes, flip
-      // switch fault knobs) directly.
+      // switch fault knobs, inject packets) directly — with every shard
+      // clock first moved to T, so what they schedule there starts at T.
       ++sync_.global_rounds;
+      for (auto& s : shards_) s.sim.advance_to(t_g);
       global_.run(t_g);
       continue;
     }
@@ -99,7 +104,7 @@ bool ShardedSimulator::plan_window(Time until) {
     // Capped by the next global event (rule above), by end-of-run
     // (until + 1 so events at exactly `until` still execute, matching
     // Simulator::run), and by the conservative lookahead bound.
-    Time w = until + 1;
+    Time w = until == kInf ? kInf : until + 1;
     bool stalled = false;
     bool capped_by_global = false;
     if (t_l + config_.lookahead < w) {
@@ -146,7 +151,12 @@ void ShardedSimulator::run(Time until) {
     }
   }
   // Advance every clock to `until` exactly like Simulator::run does on an
-  // empty queue (pending events, if any, are all beyond `until`).
+  // empty queue (pending events, if any, are all beyond `until`); an
+  // unbounded run leaves every clock at the last event anywhere.
+  if (until == kInf) {
+    until = global_.now();
+    for (const auto& s : shards_) until = std::max(until, s.sim.now());
+  }
   for (auto& s : shards_) s.sim.run(until);
   global_.run(until);
 }

@@ -1,5 +1,9 @@
 #pragma once
-// Sharded discrete-event simulation with conservative lookahead.
+// Sharded discrete-event simulation with conservative lookahead — the one
+// event engine. Every run uses it, with one shard unless configured for
+// more; net::Engine (net/engine.hpp) sets it up. At one shard the window
+// protocol below still runs (windows of one lookahead each, no mail), so
+// a run gives the same answer at every shard count.
 //
 // The topology is partitioned into shards; each shard owns a Simulator
 // (its own event queue, its own virtual clock) and runs on its own thread:
@@ -23,10 +27,10 @@
 //      T_g = global next-event;
 //   4. if min(T_l, T_g) > until: done (mail arriving after `until` stays
 //      pending, undrained);
-//   5. if T_g <= T_l: run the global queue up to T_g and recompute
-//      (global events — threshold writes, fault lambdas, burst starts —
-//      observe and mutate shard state at an exact virtual time, before
-//      any shard event at or after it);
+//   5. if T_g <= T_l: move every shard clock to T_g, run the global
+//      queue up to T_g and recompute (global events — threshold writes,
+//      fault lambdas, channel deliveries — observe and mutate shard state
+//      at an exact virtual time, before any shard event at or after it);
 //   6. else the next window is W = min(T_l + lookahead, T_g, until + 1)
 //      and every shard runs step 1 for it.
 //
@@ -59,6 +63,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -179,9 +184,10 @@ class ShardedSimulator {
   /// sorted by (at, key), and scheduled at the next barrier.
   void post_control(int shard, Time at, std::uint64_t key, EventFn fn);
 
-  /// Run every queue to `until` (inclusive, like Simulator::run). Uses
-  /// the pool's run_epochs loop; the pool must be otherwise idle.
-  void run(Time until);
+  /// Run every queue to `until` (inclusive, like Simulator::run; the
+  /// default runs until every queue is empty). Uses the pool's run_epochs
+  /// loop; the pool must be otherwise idle.
+  void run(Time until = std::numeric_limits<Time>::max());
 
   /// Sum of events executed across all shard queues and the global queue.
   /// Shard-count-invariant for a fixed seed (the determinism fingerprint).

@@ -5,6 +5,13 @@
 namespace mars::sim {
 
 void Simulator::run(Time until) {
+  run_events(until);
+  if (now_ < until && until != std::numeric_limits<Time>::max()) {
+    now_ = until;
+  }
+}
+
+void Simulator::run_events(Time until) {
   // Fused peek+pop: one heap traversal per event instead of a next_time()
   // probe followed by a pop().
   Time t = 0;
@@ -16,19 +23,6 @@ void Simulator::run(Time until) {
     fn();
     fn.reset();
   }
-  if (now_ < until && until != std::numeric_limits<Time>::max()) {
-    now_ = until;
-  }
-}
-
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  auto [t, fn] = queue_.pop();
-  assert(t >= now_);
-  now_ = t;
-  ++executed_;
-  fn();
-  return true;
 }
 
 }  // namespace mars::sim

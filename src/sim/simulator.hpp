@@ -59,15 +59,7 @@ class Simulator {
   /// Schedule fn at now() + delay where `delay` is a fixed per-kind delay
   /// (a link hop's propagation plus any fault delay): the queue appends it
   /// to that delay's FIFO lane instead of sifting it into the heap. Same
-  /// key, same pop order as schedule_in(delay, fn).
-  template <typename F>
-  std::uint64_t schedule_fixed(Time delay, F&& fn) {
-    assert(delay >= 0);
-    return queue_.schedule_fixed(now_ + delay, delay, std::forward<F>(fn));
-  }
-
-  /// Keyed twin of schedule_fixed(): same order as
-  /// schedule_at_keyed(now() + delay, tiebreak, fn).
+  /// order as schedule_at_keyed(now() + delay, tiebreak, fn).
   template <typename F>
   std::uint64_t schedule_fixed_keyed(Time delay, std::uint64_t tiebreak,
                                      F&& fn) {
@@ -79,11 +71,21 @@ class Simulator {
   bool cancel(std::uint64_t id) { return queue_.cancel(id); }
 
   /// Run until the event queue is empty or `until` is passed.
-  /// Events at exactly `until` still execute.
+  /// Events at exactly `until` still execute. A bounded run leaves the
+  /// clock at `until`; an unbounded one at the last event.
   void run(Time until = std::numeric_limits<Time>::max());
 
-  /// Execute exactly one event if any remain. Returns false when drained.
-  bool step();
+  /// Execute every event at or before `until`, leaving the clock at the
+  /// last one (run() without its final clock advance).
+  void run_events(Time until);
+
+  /// Move the clock forward to `t` without running anything. Every pending
+  /// event must be at or after `t` (the sharded driver calls this before
+  /// a global round, so global events read every shard clock at their own
+  /// time).
+  void advance_to(Time t) {
+    if (t > now_) now_ = t;
+  }
 
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
   [[nodiscard]] bool pending() const { return !queue_.empty(); }

@@ -28,10 +28,11 @@
 // returns from on_hop_egress() are what its wire format *would* occupy,
 // which is exactly what the bandwidth-vs-accuracy frontier compares.
 //
-// Shard discipline: hooks run on shard threads in sharded mode and may
-// only touch per-switch state of ctx.id. Only the postcard backend honors
-// that (int-md and histogram keep cross-switch in-flight state), so
-// validate_scenario restricts sharded runs to the postcard backend.
+// Shard discipline: hooks run on shard threads and, at two or more
+// shards, concurrently, so they may only touch per-switch state of
+// ctx.id. Only the postcard backend honors that (int-md and histogram
+// keep cross-switch in-flight state), so validate_scenario allows the
+// other two at one shard only, where a single thread runs every hook.
 
 #include <cstdint>
 #include <memory>

@@ -23,8 +23,9 @@
 // win. Drained digests are also cheaper than full RtRecords
 // (kDigestWireBytes vs RtRecord::kWireBytes).
 //
-// Not shard-safe: digests aggregate at sinks while latency evidence
-// accrues at transit switches of other shards.
+// One shard only: digests aggregate at sinks while latency evidence
+// accrues at transit switches of other shards, so at two or more shards
+// the shard threads would race on them (validate_scenario rejects that).
 
 #include <cstdint>
 #include <map>

@@ -11,8 +11,9 @@
 // differs is the accounted wire format (stack vs fixed header) and the
 // extra hop-level evidence kept at sinks.
 //
-// Not shard-safe: the in-flight hop stacks are keyed by packet id and
-// written at every hop the packet crosses.
+// One shard only: the in-flight hop stacks are keyed by packet id and
+// written at every hop the packet crosses, so at two or more shards the
+// shard threads would race on them (validate_scenario rejects that).
 
 #include <cstdint>
 #include <unordered_map>

@@ -8,23 +8,20 @@
 namespace mars::workload {
 
 TrafficGenerator::TrafficGenerator(net::Network& network, std::uint64_t seed)
-    : network_(&network), rng_(seed), seed_(seed),
-      sharded_(network.is_sharded()) {}
+    : network_(&network), rng_(seed), seed_(seed) {}
 
 void TrafficGenerator::add_flow(const FlowSpec& spec) {
   flows_.push_back(spec);
-  if (sharded_) {
-    // Per-flow stream seeded from (generator seed, flow index) only — the
-    // draw sequence cannot depend on how other flows interleave.
-    const std::size_t index = flows_.size() - 1;
-    FlowRuntime rt;
-    std::uint64_t sm = seed_ ^ (0xA5A5A5A5A5A5A5A5ull +
-                                static_cast<std::uint64_t>(index));
-    rt.rng = util::Rng(util::splitmix64(sm));
-    rt.lane = network_->flow_lane(spec.flow.source, index);
-    runtime_.push_back(std::move(rt));
-  }
-  if (running_) schedule_next(flows_.size() - 1);
+  // Per-flow stream seeded from (generator seed, flow index) only — the
+  // draw sequence cannot depend on how other flows interleave.
+  const std::size_t index = flows_.size() - 1;
+  FlowRuntime rt;
+  std::uint64_t sm =
+      seed_ ^ (0xA5A5A5A5A5A5A5A5ull + static_cast<std::uint64_t>(index));
+  rt.rng = util::Rng(util::splitmix64(sm));
+  rt.lane = network_->flow_lane(spec.flow.source, index);
+  runtime_.push_back(std::move(rt));
+  if (running_) schedule_next(index);
 }
 
 void TrafficGenerator::add_background(const BackgroundConfig& config,
@@ -79,12 +76,7 @@ void TrafficGenerator::start() {
   for (std::size_t i = 0; i < flows_.size(); ++i) schedule_next(i);
 }
 
-void TrafficGenerator::stop_at(sim::Time at) {
-  for (auto& spec : flows_) spec.stop = std::min(spec.stop, at);
-}
-
 std::uint64_t TrafficGenerator::packets_injected() const {
-  if (!sharded_) return injected_;
   std::uint64_t total = 0;
   for (const FlowRuntime& rt : runtime_) total += rt.injected;
   return total;
@@ -101,45 +93,6 @@ double TrafficGenerator::rate_multiplier(const FlowSpec& spec,
 }
 
 void TrafficGenerator::schedule_next(std::size_t flow_index) {
-  if (sharded_) {
-    schedule_next_sharded(flow_index);
-    return;
-  }
-  auto& sim = network_->simulator();
-  const FlowSpec& spec = flows_[flow_index];
-  const sim::Time now = sim.now();
-  if (now >= spec.stop) return;
-
-  const double mult = std::max(rate_multiplier(spec, now), 0.05);
-  const double rate = spec.pps * mult;  // packets per second
-  // Erlang(shape) gap: sum of `shape` exponentials at rate shape*rate
-  // keeps the mean at 1/rate while smoothing the variance.
-  const int shape = std::max(spec.arrival_shape, 1);
-  double gap_s = 0.0;
-  for (int i = 0; i < shape; ++i) {
-    gap_s += rng_.exponential(rate * shape);
-  }
-  sim::Time next =
-      std::max<sim::Time>(now, spec.start) +
-      static_cast<sim::Time>(gap_s * static_cast<double>(sim::kSecond));
-  if (next < spec.start) next = spec.start;
-  if (next >= spec.stop) return;
-
-  auto arrival = [this, flow_index] {
-    const FlowSpec& s = flows_[flow_index];
-    const double raw = rng_.lognormal(s.size_mu, s.size_sigma);
-    const auto size = static_cast<std::uint32_t>(
-        std::clamp(raw, 64.0, 1500.0));
-    network_->inject(s.flow, s.flow_hash, size);
-    ++injected_;
-    schedule_next(flow_index);
-  };
-  static_assert(sim::event_fn_fits_inline<decltype(arrival)>,
-                "per-packet arrival closure must fit the inline buffer");
-  sim.schedule_at(next, std::move(arrival));
-}
-
-void TrafficGenerator::schedule_next_sharded(std::size_t flow_index) {
   FlowRuntime& rt = runtime_[flow_index];
   const FlowSpec& spec = flows_[flow_index];
   const sim::Time now = rt.lane.now();
@@ -147,6 +100,8 @@ void TrafficGenerator::schedule_next_sharded(std::size_t flow_index) {
 
   const double mult = std::max(rate_multiplier(spec, now), 0.05);
   const double rate = spec.pps * mult;  // packets per second
+  // Erlang(shape) gap: sum of `shape` exponentials at rate shape*rate
+  // keeps the mean at 1/rate while smoothing the variance.
   const int shape = std::max(spec.arrival_shape, 1);
   double gap_s = 0.0;
   for (int i = 0; i < shape; ++i) {

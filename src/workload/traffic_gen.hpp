@@ -10,6 +10,11 @@
 // concentrates load on core links, Fig. 2).
 //
 // Micro-bursts are short-lived flows exceeding 1000 pps (Fig. 7a).
+//
+// Every flow draws its gaps and sizes from its own RNG stream, seeded by
+// (generator seed, flow index), and schedules its arrivals on its own
+// keyed lane on the source switch's shard (Network::flow_lane), so the
+// packets a flow injects are the same at every shard count.
 
 #include <cstdint>
 #include <limits>
@@ -78,19 +83,15 @@ class TrafficGenerator {
   /// Begin scheduling packet arrivals.
   void start();
 
-  /// Cease generating for every flow at absolute time `at` (flows with an
-  /// earlier stop keep it). Packets already scheduled still inject.
-  void stop_at(sim::Time at);
-
   [[nodiscard]] const std::vector<FlowSpec>& flows() const { return flows_; }
   [[nodiscard]] std::uint64_t packets_injected() const;
 
  private:
-  /// Sharded mode gives every flow its own rng and its own keyed lane on
-  /// the source switch's shard: arrival events then replay identically at
-  /// any shard count, and flows on different shards never race on shared
-  /// generator state. (Legacy mode keeps the single shared rng_ so the
-  /// historical golden fingerprints are untouched.)
+  /// Every flow has its own rng and its own keyed lane on the source
+  /// switch's shard: arrival events then replay identically at any shard
+  /// count, and flows on different shards never race on shared generator
+  /// state. The shared rng_ draws only placement, rates and burst hashes,
+  /// all before the run.
   struct FlowRuntime {
     util::Rng rng{0};
     sim::Lane lane;
@@ -98,19 +99,16 @@ class TrafficGenerator {
   };
 
   void schedule_next(std::size_t flow_index);
-  void schedule_next_sharded(std::size_t flow_index);
   [[nodiscard]] double rate_multiplier(const FlowSpec& spec,
                                        sim::Time now) const;
 
   net::Network* network_;
   util::Rng rng_;
   std::uint64_t seed_;
-  bool sharded_;
   std::vector<FlowSpec> flows_;
-  std::vector<FlowRuntime> runtime_;  ///< index-aligned with flows_ (sharded)
+  std::vector<FlowRuntime> runtime_;  ///< index-aligned with flows_
   DiurnalConfig diurnal_;
   bool running_ = false;
-  std::uint64_t injected_ = 0;
 };
 
 }  // namespace mars::workload

@@ -16,8 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
-#include "sim/simulator.hpp"
 
 namespace mars::baselines {
 namespace {
@@ -25,14 +25,14 @@ namespace {
 using namespace mars::sim::literals;
 
 struct Fixture {
-  sim::Simulator sim;
   net::FatTree ft = net::build_fat_tree({.k = 4});
-  net::Network net{sim, ft.topology};
+  net::Engine engine{ft.topology};
+  net::Network& net = engine.network();
 
   void traffic(net::FlowId flow, std::uint32_t hash, int count,
                sim::Time gap, sim::Time start = 0) {
     for (int i = 0; i < count; ++i) {
-      sim.schedule_in(start + gap * i, [this, flow, hash] {
+      engine.global().schedule_in(start + gap * i, [this, flow, hash] {
         net.inject(flow, hash, 500);
       });
     }
@@ -44,7 +44,7 @@ TEST(SpiderMonTest, NoTriggerOnHealthyTraffic) {
   SpiderMon sm(f.ft.topology.switch_count());
   f.net.add_observer(sm);
   f.traffic({f.ft.edge[0], f.ft.edge[1]}, 5, 100, 5_ms);
-  f.sim.run();
+  f.engine.run();
   EXPECT_FALSE(sm.triggered());
   EXPECT_TRUE(sm.diagnose().empty());
   EXPECT_GT(sm.overheads().telemetry_bytes, 0u);  // headers always ride
@@ -62,7 +62,7 @@ TEST(SpiderMonTest, QueueingDelayTriggersAndLocalizesSwitch) {
   // Two flows sharing the throttled queue create wait-for edges.
   f.traffic(flow, 5, 100, 2_ms);
   f.traffic(flow, 1234567, 100, 2_ms);
-  f.sim.run();
+  f.engine.run();
   ASSERT_TRUE(sm.triggered());
   const auto culprits = sm.diagnose();
   ASSERT_FALSE(culprits.empty());
@@ -87,7 +87,7 @@ TEST(SpiderMonTest, NoTriggerOnPureDelayFault) {
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 5, out));
   f.net.node(flow.source).set_extra_delay(out, 20_ms);  // outside the queue
   f.traffic(flow, 5, 100, 5_ms);
-  f.sim.run();
+  f.engine.run();
   EXPECT_FALSE(sm.triggered());  // the paper's "-" cell
 }
 
@@ -214,7 +214,7 @@ class SpiderMonPair {
       : aggregated_(ft_.topology.switch_count(), config),
         reference_(config) {}
 
-  void advance_to(sim::Time t) { sim_.run(t); }
+  void advance_to(sim::Time t) { engine_.run(t); }
 
   /// A new packet of `flow` joins `queue` now; returns its id.
   std::uint64_t inject(net::FlowId flow, Queue queue) {
@@ -232,7 +232,7 @@ class SpiderMonPair {
     const auto depth = static_cast<std::uint32_t>(fifo.size());
     aggregated_.on_enqueue(ctx, packets_[id], queue.second, depth);
     reference_.on_enqueue(ctx, packets_[id], queue.second, depth);
-    fifo.emplace_back(id, sim_.now());
+    fifo.emplace_back(id, engine_.now());
   }
 
   /// The head of `queue` departs now; returns its id.
@@ -241,7 +241,7 @@ class SpiderMonPair {
     const auto [id, since] = fifo.front();
     fifo.pop_front();
     auto ctx = context(queue.first);
-    const sim::Time hop_latency = sim_.now() - since;
+    const sim::Time hop_latency = engine_.now() - since;
     aggregated_.on_egress(ctx, packets_[id], queue.second, hop_latency);
     reference_.on_egress(ctx, packets_[id], queue.second, hop_latency);
     return id;
@@ -278,12 +278,13 @@ class SpiderMonPair {
  private:
   net::SwitchContext context(net::SwitchId sw) {
     net::Switch& node = net_.node(sw);
-    return net::SwitchContext{sim_, node, sw, node.layer()};
+    return net::SwitchContext{node.lane().simulator(), node, sw,
+                              node.layer()};
   }
 
-  sim::Simulator sim_;
   net::FatTree ft_ = net::build_fat_tree({.k = 4});
-  net::Network net_{sim_, ft_.topology};
+  net::Engine engine_{ft_.topology};
+  net::Network& net_ = engine_.network();
   SpiderMon aggregated_;
   ReferenceSpiderMon reference_;
   std::deque<net::Packet> packets_;  // indexed by id; stable references
@@ -417,7 +418,7 @@ TEST(IntSightTest, SloViolationProducesFlowReports) {
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 5, out));
   f.net.node(flow.source).set_max_pps(out, 50.0);
   f.traffic(flow, 5, 200, 2_ms);
-  f.sim.run();
+  f.engine.run();
   EXPECT_TRUE(is.triggered());
   EXPECT_FALSE(is.reports().empty());
   const auto culprits = is.diagnose();
@@ -437,7 +438,7 @@ TEST(IntSightTest, ContentionBitmapMarksCongestedSwitch) {
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 5, out));
   f.net.node(flow.source).set_max_pps(out, 50.0);
   f.traffic(flow, 5, 200, 2_ms);
-  f.sim.run();
+  f.engine.run();
   const auto culprits = is.diagnose();
   ASSERT_FALSE(culprits.empty());
   EXPECT_EQ(culprits[0].location, std::vector<net::SwitchId>{flow.source});
@@ -449,7 +450,7 @@ TEST(IntSightTest, HeaderBytesAreLarge) {
   f.net.add_observer(is);
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};  // 5-switch path
   f.traffic(flow, 5, 10, 1_ms);
-  f.sim.run();
+  f.engine.run();
   // 33B per packet per traversed link (4 inter-switch hops).
   EXPECT_EQ(is.overheads().telemetry_bytes, 10u * 4u * 33u);
 }
@@ -460,7 +461,7 @@ TEST(SynDbTest, RecordsEverythingAndChargesBandwidth) {
   f.net.add_observer(db);
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};
   f.traffic(flow, 5, 50, 1_ms);
-  f.sim.run();
+  f.engine.run();
   const auto oh = db.overheads();
   EXPECT_EQ(oh.telemetry_bytes, 0u);  // no INT headers
   // >= one ingress + one egress record per hop per packet.
@@ -474,14 +475,14 @@ TEST(SynDbTest, ExpertQueryLocalizesSlowSwitch) {
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   // Healthy baseline, then throttle.
   f.traffic(flow, 5, 200, 2_ms);
-  f.sim.run(500_ms);
+  f.engine.run(500_ms);
   net::PortId out = 0;
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 5, out));
   f.net.node(flow.source).set_max_pps(out, 50.0);
   f.traffic(flow, 5, 100, 2_ms, 10_ms);
-  f.sim.run();
+  f.engine.run();
   const auto culprits = db.diagnose_with_hint(
-      faults::FaultKind::kProcessRateDecrease, f.sim.now());
+      faults::FaultKind::kProcessRateDecrease, f.engine.now());
   ASSERT_FALSE(culprits.empty());
   EXPECT_EQ(culprits[0].location, std::vector<net::SwitchId>{flow.source});
 }
@@ -495,9 +496,9 @@ TEST(SynDbTest, ExpertQueryLocalizesDrops) {
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 5, out));
   f.net.node(flow.source).set_drop_probability(out, 0.5);
   f.traffic(flow, 5, 100, 2_ms);
-  f.sim.run();
+  f.engine.run();
   const auto culprits =
-      db.diagnose_with_hint(faults::FaultKind::kDrop, f.sim.now());
+      db.diagnose_with_hint(faults::FaultKind::kDrop, f.engine.now());
   ASSERT_FALSE(culprits.empty());
   EXPECT_EQ(culprits[0].location, std::vector<net::SwitchId>{flow.source});
   EXPECT_EQ(culprits[0].cause, rca::CauseKind::kDrop);
@@ -508,7 +509,7 @@ TEST(SynDbTest, UnaidedDiagnosisIsEmpty) {
   SynDb db;
   f.net.add_observer(db);
   f.traffic({f.ft.edge[0], f.ft.edge[1]}, 5, 10, 1_ms);
-  f.sim.run();
+  f.engine.run();
   EXPECT_TRUE(db.diagnose().empty());
 }
 

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "control/path_registry.hpp"
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
 #include "net/network.hpp"
-#include "sim/simulator.hpp"
 
 namespace mars::control {
 namespace {
@@ -14,9 +14,9 @@ using namespace mars::sim::literals;
 
 // A network with real traffic so ring tables carry genuine records.
 struct Fixture {
-  sim::Simulator sim;
   net::FatTree ft = net::build_fat_tree({.k = 4});
-  net::Network net{sim, ft.topology};
+  net::Engine engine{ft.topology};
+  net::Network& net = engine.network();
   PathRegistry registry{ft.topology, net.routing(), {}};
   dataplane::MarsPipeline pipeline;
   std::vector<dataplane::Notification> delivered;
@@ -31,13 +31,14 @@ struct Fixture {
   void run_traffic(int packets = 300) {
     const net::FlowId flow{ft.edge[0], ft.edge[1]};
     for (int i = 0; i < packets; ++i) {
-      sim.schedule_in(5_ms * i, [this, flow] { net.inject(flow, 3, 500); });
+      engine.global().schedule_in(5_ms * i,
+                                  [this, flow] { net.inject(flow, 3, 500); });
     }
-    sim.run(packets * 5_ms + 1_s);
+    engine.run(packets * 5_ms + 1_s);
   }
 
   ControlChannel make_channel(ChannelConfig cfg) {
-    ControlChannel channel(sim, pipeline, cfg);
+    ControlChannel channel(engine.global(), pipeline, cfg);
     channel.set_deliver([this](const dataplane::Notification& n) {
       delivered.push_back(n);
     });
@@ -71,9 +72,9 @@ TEST(ControlChannelTest, PerfectChannelIsTransparent) {
   }
   // A perfect channel never schedules events: everything above ran with
   // the simulator idle.
-  const auto events_before = f.sim.events_executed();
-  f.sim.run(f.sim.now() + 1_s);
-  EXPECT_EQ(f.sim.events_executed(), events_before);
+  const auto events_before = f.engine.sim().events_executed();
+  f.engine.run(f.engine.now() + 1_s);
+  EXPECT_EQ(f.engine.sim().events_executed(), events_before);
 
   const ChannelStats& s = channel.stats();
   EXPECT_EQ(s.notifications_dropped, 0u);
@@ -106,7 +107,7 @@ TEST(ControlChannelTest, DelayedNotificationsArriveLater) {
   auto channel = f.make_channel(cfg);
   channel.offer(Fixture::notification());
   EXPECT_TRUE(f.delivered.empty());  // in flight, not dropped
-  f.sim.run(1_s);
+  f.engine.run(1_s);
   EXPECT_EQ(f.delivered.size(), 1u);
   EXPECT_EQ(channel.stats().notifications_delayed, 1u);
 }
@@ -145,7 +146,7 @@ TEST(ControlChannelTest, GenuineRecordsAreAlwaysPlausible) {
   const auto records = f.pipeline.ring_snapshot(f.ft.edge[1]);
   ASSERT_FALSE(records.empty());
   for (const auto& rec : records) {
-    EXPECT_TRUE(plausible_record(rec, f.sim.now()));
+    EXPECT_TRUE(plausible_record(rec, f.engine.now()));
   }
 }
 
@@ -161,7 +162,7 @@ TEST(ControlChannelTest, SomeCorruptionIsCaughtByPlausibility) {
   ASSERT_GT(channel.stats().records_corrupted, 10u);
   std::size_t implausible = 0;
   for (const auto& rec : read.records) {
-    if (!plausible_record(rec, f.sim.now())) ++implausible;
+    if (!plausible_record(rec, f.engine.now())) ++implausible;
   }
   // 3 of the 5 corruption modes violate internal consistency; with every
   // record corrupted, a healthy share must be detectable (the silent modes
@@ -178,9 +179,9 @@ TEST(ControlChannelTest, ScheduledDegradationRaisesAndRestoresTheDial) {
   channel.schedule_degradation(ControlChannel::Dial::kNotificationLoss, 0.9,
                                1_s, 2_s);
   EXPECT_EQ(channel.stats().scheduled_faults, 1u);
-  f.sim.run(1_s + 1_ms);
+  f.engine.run(1_s + 1_ms);
   EXPECT_DOUBLE_EQ(channel.config().notification_loss, 0.9);
-  f.sim.run(3_s + 1_ms);
+  f.engine.run(3_s + 1_ms);
   EXPECT_DOUBLE_EQ(channel.config().notification_loss, 0.1);
 }
 
@@ -191,9 +192,9 @@ TEST(ControlChannelTest, DegradationWindowNeverLowersAStrongerDial) {
   auto channel = f.make_channel(cfg);
   channel.schedule_degradation(ControlChannel::Dial::kReadFailure, 0.3, 1_s,
                                1_s);
-  f.sim.run(1_s + 1_ms);
+  f.engine.run(1_s + 1_ms);
   EXPECT_DOUBLE_EQ(channel.config().read_failure, 0.8);  // max() kept it
-  f.sim.run(3_s);
+  f.engine.run(3_s);
   EXPECT_DOUBLE_EQ(channel.config().read_failure, 0.8);
 }
 

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "control/path_registry.hpp"
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
 #include "net/network.hpp"
-#include "sim/simulator.hpp"
 
 namespace mars::control {
 namespace {
@@ -13,9 +13,9 @@ namespace {
 using namespace mars::sim::literals;
 
 struct Fixture {
-  sim::Simulator sim;
   net::FatTree ft = net::build_fat_tree({.k = 4});
-  net::Network net{sim, ft.topology};
+  net::Engine engine{ft.topology};
+  net::Network& net = engine.network();
   PathRegistry registry{ft.topology, net.routing(), {}};
   dataplane::MarsPipeline pipeline;
   Controller controller;
@@ -54,7 +54,7 @@ struct Fixture {
   void traffic(net::FlowId flow, std::uint32_t hash, int count,
                sim::Time gap, sim::Time start = 0) {
     for (int i = 0; i < count; ++i) {
-      sim.schedule_in(start + gap * i, [this, flow, hash] {
+      engine.global().schedule_in(start + gap * i, [this, flow, hash] {
         net.inject(flow, hash, 500);
       });
     }
@@ -65,7 +65,7 @@ TEST(ControllerTest, PollingWarmsReservoirAndInstallsThreshold) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   f.traffic(flow, 3, 200, 5_ms);  // 1s of traffic -> 20 epochs of telemetry
-  f.sim.run(2_s);  // bounded: the controller polls forever by design
+  f.engine.run(2_s);  // bounded: the controller polls forever by design
   const auto* res = f.controller.reservoir(flow);
   ASSERT_NE(res, nullptr);
   EXPECT_TRUE(res->warmed_up());
@@ -80,7 +80,7 @@ TEST(ControllerTest, DynamicThresholdCatchesInjectedCongestion) {
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   // Warm up with healthy traffic.
   f.traffic(flow, 3, 400, 5_ms);
-  f.sim.run(2_s);
+  f.engine.run(2_s);
   ASSERT_TRUE(f.controller.reservoir(flow) != nullptr &&
               f.controller.reservoir(flow)->warmed_up());
   EXPECT_EQ(f.diagnoses.size(), 0u);  // healthy: no diagnosis sessions
@@ -91,7 +91,7 @@ TEST(ControllerTest, DynamicThresholdCatchesInjectedCongestion) {
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 3, out));
   f.net.node(flow.source).set_max_pps(out, 40.0);
   f.traffic(flow, 3, 200, 5_ms, 10_ms);
-  f.sim.run(f.sim.now() + 8_s);
+  f.engine.run(f.engine.now() + 8_s);
   EXPECT_GE(f.diagnoses.size(), 1u);
   EXPECT_FALSE(f.diagnoses[0].records.empty());
 }
@@ -100,12 +100,12 @@ TEST(ControllerTest, DiagnosisCollectsOnlyEdgeSwitchData) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};
   f.traffic(flow, 3, 100, 5_ms);
-  f.sim.run(1_s);  // bounded: polling reschedules forever
+  f.engine.run(1_s);  // bounded: polling reschedules forever
   // Force a diagnosis.
   dataplane::Notification n;
   n.kind = dataplane::Notification::Kind::kHighLatency;
   n.flow = flow;
-  n.when = f.sim.now();
+  n.when = f.engine.now();
   f.controller.on_notification(n);
   ASSERT_EQ(f.diagnoses.size(), 1u);
   // Every record came from an edge switch's ring table (sinks are edges).
@@ -119,7 +119,7 @@ TEST(ControllerTest, ResponseWindowRateLimitsDiagnoses) {
   Fixture f;
   dataplane::Notification n;
   n.kind = dataplane::Notification::Kind::kHighLatency;
-  n.when = f.sim.now();
+  n.when = f.engine.now();
   for (int i = 0; i < 10; ++i) f.controller.on_notification(n);
   EXPECT_EQ(f.controller.overheads().diagnoses, 1u);
   EXPECT_EQ(f.controller.overheads().notifications_suppressed, 9u);
@@ -137,16 +137,16 @@ TEST(ControllerTest, DelayedCollectionFoldsLaterNotifications) {
 
   dataplane::Notification first;
   first.kind = dataplane::Notification::Kind::kDrop;
-  first.when = f.sim.now();
+  first.when = f.engine.now();
   delayed.on_notification(first);
   // A different-kind notification arrives while collection is pending.
-  f.sim.schedule_in(50_ms, [&] {
+  f.engine.global().schedule_in(50_ms, [&] {
     dataplane::Notification second;
     second.kind = dataplane::Notification::Kind::kHighLatency;
-    second.when = f.sim.now();
+    second.when = f.engine.now();
     delayed.on_notification(second);
   });
-  f.sim.run(1_s);
+  f.engine.run(1_s);
   ASSERT_EQ(sessions.size(), 1u);
   EXPECT_EQ(sessions[0].notifications.size(), 2u);
   EXPECT_TRUE(sessions[0].saw(dataplane::Notification::Kind::kDrop));
@@ -157,11 +157,11 @@ TEST(ControllerTest, ThresholdSnapshotTravelsWithDiagnosis) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   f.traffic(flow, 3, 300, 5_ms);
-  f.sim.run(2_s);
+  f.engine.run(2_s);
   dataplane::Notification n;
   n.kind = dataplane::Notification::Kind::kHighLatency;
   n.flow = flow;
-  n.when = f.sim.now();
+  n.when = f.engine.now();
   f.controller.on_notification(n);
   ASSERT_EQ(f.diagnoses.size(), 1u);
   EXPECT_TRUE(f.diagnoses[0].thresholds.count(flow));

@@ -2,14 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <span>
 #include <vector>
 
 #include "control/path_registry.hpp"
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
 #include "net/network.hpp"
 #include "path_recorder.hpp"
-#include "sim/simulator.hpp"
 
 namespace mars::dataplane {
 namespace {
@@ -17,9 +18,9 @@ namespace {
 using namespace mars::sim::literals;
 
 struct Fixture {
-  sim::Simulator sim;
   net::FatTree ft = net::build_fat_tree({.k = 4});
-  net::Network net{sim, ft.topology};
+  net::Engine engine{ft.topology};
+  net::Network& net = engine.network();
   control::PathRegistry registry{ft.topology, net.routing(), {}};
   std::vector<Notification> notifications;
   MarsPipeline pipeline;
@@ -44,7 +45,7 @@ struct Fixture {
   void traffic(net::FlowId flow, std::uint32_t hash, int count,
                sim::Time gap) {
     for (int i = 0; i < count; ++i) {
-      sim.schedule_in(gap * i, [this, flow, hash] {
+      engine.global().schedule_in(gap * i, [this, flow, hash] {
         net.inject(flow, hash, 500);
       });
     }
@@ -55,7 +56,7 @@ TEST(PipelineTest, MarksOneTelemetryPacketPerFlowPerEpoch) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   f.traffic(flow, 7, 50, 10_ms);  // 50 packets over 500ms = 5 epochs
-  f.sim.run();
+  f.engine.run();
   ASSERT_EQ(f.delivered.size(), 50u);
   EXPECT_EQ(f.pipeline.overheads().telemetry_packets_marked, 5u);
   // INT headers are stripped at the sink: no delivered packet carries one.
@@ -66,7 +67,7 @@ TEST(PipelineTest, PathIdMatchesRegistry) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};
   f.traffic(flow, 99, 10, 1_ms);
-  f.sim.run();
+  f.engine.run();
   ASSERT_FALSE(f.delivered.empty());
   for (const auto& p : f.delivered) {
     const std::span<const net::SwitchId> path = f.registry.lookup(p.path_id);
@@ -81,11 +82,11 @@ TEST(PipelineTest, DistinctRoutesYieldDistinctPathIds) {
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};
   // Many flow hashes explore multiple ECMP paths.
   for (std::uint32_t h = 0; h < 64; ++h) {
-    f.sim.schedule_in(h * 100'000, [&f, flow, h] {
+    f.engine.global().schedule_in(h * 100'000, [&f, flow, h] {
       f.net.inject(flow, h * 2654435761u, 500);
     });
   }
-  f.sim.run();
+  f.engine.run();
   std::set<std::uint32_t> ids;
   std::set<std::vector<net::SwitchId>> paths;
   for (const auto& p : f.delivered) {
@@ -100,7 +101,7 @@ TEST(PipelineTest, RingTableRecordsTelemetryAtSink) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   f.traffic(flow, 5, 30, 10_ms);
-  f.sim.run();
+  f.engine.run();
   const auto records = f.pipeline.ring_snapshot(flow.sink);
   ASSERT_GE(records.size(), 2u);
   for (const auto& rec : records) {
@@ -117,9 +118,9 @@ TEST(PipelineTest, EgressTableCountsAllPackets) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   f.traffic(flow, 5, 20, 1_ms);
-  f.sim.run();
+  f.engine.run();
   const auto& et = f.pipeline.egress_table(flow.sink);
-  EXPECT_EQ(et.flow_current_packets(flow.source, f.sim.now()), 20u);
+  EXPECT_EQ(et.flow_current_packets(flow.source, f.engine.now()), 20u);
 }
 
 TEST(PipelineTest, HighLatencyTriggersNotification) {
@@ -133,14 +134,59 @@ TEST(PipelineTest, HighLatencyTriggersNotification) {
   // Spread packets over several epochs: the persistence filter requires
   // consecutive anomalous telemetry packets before notifying.
   f.traffic(flow, 5, 150, 5_ms);
-  f.sim.run();
+  f.engine.run();
   ASSERT_GE(f.notifications.size(), 1u);
   EXPECT_EQ(f.notifications[0].kind, Notification::Kind::kHighLatency);
   EXPECT_EQ(f.notifications[0].flow, flow);
   EXPECT_GT(f.notifications[0].latency, 1_ms);
-  // Per-switch windows bound the notification rate well below the number
-  // of over-threshold packets.
+  // The notification window bounds the rate well below the number of
+  // over-threshold packets.
   EXPECT_LT(f.notifications.size(), 30u);
+}
+
+TEST(PipelineTest, NotificationWindowIsKeptPerReporterAtTheSink) {
+  // Two flows into one sink, each slowed at its own source, so each is
+  // flagged by a different hop. The sink issues both flows' latency
+  // notifications and its own drop notifications (the slowed flows fall
+  // behind their epoch counts); its window must throttle each reporter on
+  // its own, not let one reporter's notification silence another's.
+  Fixture f;
+  const net::SwitchId sink = f.ft.edge[1];
+  const net::FlowId near{f.ft.edge[0], sink};
+  const net::FlowId far{f.ft.edge[2], sink};
+  for (const net::FlowId& flow : {near, far}) {
+    f.pipeline.set_threshold(flow, 1_ms);
+    net::PortId out = 0;
+    ASSERT_TRUE(f.net.routing().select_port(flow.source, sink, 5, out));
+    f.net.node(flow.source).set_max_pps(out, 50.0);
+    f.traffic(flow, 5, 150, 5_ms);
+  }
+  f.engine.run();
+
+  const sim::Time window = f.pipeline.config().notification_window;
+  std::vector<sim::Time> from_near;
+  std::vector<sim::Time> from_far;
+  std::vector<sim::Time> from_sink;
+  for (const Notification& n : f.notifications) {
+    EXPECT_EQ(n.origin, sink);
+    if (n.kind == Notification::Kind::kDrop) {
+      EXPECT_EQ(n.reporter, sink);
+      from_sink.push_back(n.when);
+      continue;
+    }
+    ASSERT_TRUE(n.reporter == near.source || n.reporter == far.source);
+    (n.reporter == near.source ? from_near : from_far).push_back(n.when);
+  }
+  ASSERT_FALSE(from_near.empty());
+  ASSERT_FALSE(from_far.empty());
+  // One notification per reporter per window...
+  for (const auto* times : {&from_near, &from_far, &from_sink}) {
+    for (std::size_t i = 1; i < times->size(); ++i) {
+      EXPECT_GE((*times)[i] - (*times)[i - 1], window);
+    }
+  }
+  // ...but the two reporters' notifications do share a window.
+  EXPECT_LT(std::abs(from_near.front() - from_far.front()), window);
 }
 
 TEST(PipelineTest, SingleEpochSpikeIsFilteredByPersistence) {
@@ -153,7 +199,7 @@ TEST(PipelineTest, SingleEpochSpikeIsFilteredByPersistence) {
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 5, out));
   f.net.node(flow.source).set_max_pps(out, 50.0);
   f.traffic(flow, 5, 10, 1_ms);  // all within one epoch
-  f.sim.run();
+  f.engine.run();
   EXPECT_TRUE(f.notifications.empty());
 }
 
@@ -168,7 +214,7 @@ TEST(PipelineTest, DropDetectedByCountMismatch) {
   // mismatch between source and sink epoch counts.
   f.net.node(flow.source).set_drop_probability(out, 0.5);
   f.traffic(flow, 5, 200, 5_ms);  // 1s of traffic across 10 epochs
-  f.sim.run();
+  f.engine.run();
   bool saw_drop = false;
   for (const auto& n : f.notifications) {
     saw_drop |= n.kind == Notification::Kind::kDrop;
@@ -184,14 +230,14 @@ TEST(PipelineTest, DropDetectedByEpochGap) {
 
   // Healthy epoch 0 traffic.
   f.traffic(flow, 5, 10, 5_ms);
-  f.sim.run(99_ms);
+  f.engine.run(99_ms);
   // Total loss for two full epochs, then recovery.
   f.net.node(flow.source).set_drop_probability(out, 1.0);
   f.traffic(flow, 5, 40, 5_ms);
-  f.sim.run(299_ms);
+  f.engine.run(299_ms);
   f.net.node(flow.source).clear_faults();
   f.traffic(flow, 5, 10, 5_ms);
-  f.sim.run();
+  f.engine.run();
 
   bool saw_gap = false;
   for (const auto& n : f.notifications) {
@@ -206,7 +252,7 @@ TEST(PipelineTest, TelemetryBandwidthAccountingGrows) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};
   f.traffic(flow, 5, 10, 1_ms);
-  f.sim.run();
+  f.engine.run();
   const auto& oh = f.pipeline.overheads();
   // Every packet carries 1 PathID byte per link; telemetry packets add 11B.
   EXPECT_GT(oh.telemetry_bytes, 0u);

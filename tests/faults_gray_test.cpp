@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
-#include "sim/simulator.hpp"
 
 namespace mars::faults {
 namespace {
@@ -17,9 +17,9 @@ namespace {
 using namespace mars::sim::literals;
 
 struct Fixture {
-  sim::Simulator sim;
   net::FatTree ft = net::build_fat_tree({.k = 4});
-  net::Network net{sim, ft.topology};
+  net::Engine engine{ft.topology};
+  net::Network& net = engine.network();
   workload::TrafficGenerator gen{net, 3};
   FaultInjector injector{net, gen, 17};
 
@@ -54,8 +54,8 @@ TEST(GrayFaultsTest, FlapTimelineIsSeedDeterministic) {
   EXPECT_EQ(ta->switch_id, tb->switch_id);
   EXPECT_EQ(ta->port, tb->port);
 
-  sim::Simulator sim2;
-  net::Network net2{sim2, a.ft.topology};
+  net::Engine engine2{a.ft.topology};
+  net::Network& net2 = engine2.network();
   workload::TrafficGenerator gen2{net2, 3};
   FaultInjector other{net2, gen2, 18};  // different injector seed
   workload::BackgroundConfig cfg;
@@ -92,7 +92,7 @@ TEST(GrayFaultsTest, FlapManifestsAndIsAccounted) {
   const auto truth =
       f.injector.inject(gray_event(FaultKind::kLinkFlap, 1_s, 2_s));
   ASSERT_TRUE(truth.has_value());
-  f.sim.run(4_s);
+  f.engine.run(4_s);
   const GroundTruth& final = f.injector.injected().front();
   EXPECT_GT(final.windows_total, 0u);
   EXPECT_GT(final.windows_active, 0u);
@@ -118,7 +118,7 @@ TEST(GrayFaultsTest, UnloadedSlowDrainManifestsNowhere) {
   event.target_port = 0;
   const auto truth = f.injector.inject(event);
   ASSERT_TRUE(truth.has_value());
-  f.sim.run(4_s);
+  f.engine.run(4_s);
   const GroundTruth& final = f.injector.injected().front();
   EXPECT_GT(final.windows_total, 0u);
   EXPECT_EQ(final.windows_active, 0u);
@@ -133,7 +133,7 @@ TEST(GrayFaultsTest, GatedDelayInertBelowThreshold) {
   event.gray.gate_depth = 64;  // far above any queue this trial builds
   const auto truth = f.injector.inject(event);
   ASSERT_TRUE(truth.has_value());
-  f.sim.run(4_s);
+  f.engine.run(4_s);
   EXPECT_EQ(f.injector.injected().front().manifestation_ratio, 0.0);
 }
 

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
-#include "sim/simulator.hpp"
 
 namespace mars::faults {
 namespace {
@@ -11,9 +11,9 @@ namespace {
 using namespace mars::sim::literals;
 
 struct Fixture {
-  sim::Simulator sim;
   net::FatTree ft = net::build_fat_tree({.k = 4});
-  net::Network net{sim, ft.topology};
+  net::Engine engine{ft.topology};
+  net::Network& net = engine.network();
   workload::TrafficGenerator gen{net, 3};
   FaultInjector injector{net, gen, 17};
 
@@ -41,14 +41,14 @@ TEST(FaultInjectorTest, EcmpRewritesWeightsAndRestores) {
   ASSERT_TRUE(truth.has_value());
   const auto sw = truth->switch_id;
   ASSERT_NE(sw, net::kInvalidSwitch);
-  f.sim.run(1500_ms);  // mid-fault
+  f.engine.run(1500_ms);  // mid-fault
   bool skewed = false;
   for (net::SwitchId dst = 0; dst < f.net.switch_count(); ++dst) {
     const auto& g = f.net.routing().group(sw, dst);
     for (const auto& m : g.members) skewed |= (m.weight > 1);
   }
   EXPECT_TRUE(skewed);
-  f.sim.run(3_s);  // past restoration
+  f.engine.run(3_s);  // past restoration
   for (net::SwitchId dst = 0; dst < f.net.switch_count(); ++dst) {
     for (const auto& m : f.net.routing().group(sw, dst).members) {
       EXPECT_EQ(m.weight, 1u);
@@ -83,7 +83,7 @@ TEST(FaultInjectorTest, DropFaultCausesLoss) {
   Fixture f;
   const auto truth = f.injector.inject(FaultKind::kDrop, 1_s);
   ASSERT_TRUE(truth.has_value());
-  f.sim.run(3_s);
+  f.engine.run(3_s);
   EXPECT_GT(f.net.stats().dropped, 0u);
 }
 
@@ -94,7 +94,7 @@ TEST(FaultInjectorTest, DelayFaultRestoredAfterDuration) {
   FaultInjector inj{f.net, f.gen, 5, cfg};
   const auto truth = inj.inject(FaultKind::kDelay, 1_s);
   ASSERT_TRUE(truth.has_value());
-  f.sim.run(5_s);
+  f.engine.run(5_s);
   // After clear_faults, traffic flows without the extra delay: compare a
   // probe's transit to the healthy baseline by injecting directly.
   std::vector<sim::Time> transits;
@@ -105,7 +105,7 @@ TEST(FaultInjectorTest, DelayFaultRestoredAfterDuration) {
                 truth->switch_id == f.ft.edge[0] ? f.ft.edge[0]
                                                  : f.ft.edge[1]},
                1, 500);
-  f.sim.run(10_s);
+  f.engine.run(10_s);
   ASSERT_FALSE(transits.empty());
   EXPECT_LT(transits.back(), 5_ms);
 }

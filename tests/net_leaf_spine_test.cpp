@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "control/path_registry.hpp"
+#include "net/engine.hpp"
 #include "net/network.hpp"
 #include "net/routing.hpp"
 #include "path_recorder.hpp"
-#include "sim/simulator.hpp"
 
 namespace mars::net {
 namespace {
@@ -60,9 +60,9 @@ TEST(LeafSpineTest, PathRegistryResolvesUniqueIds) {
 }
 
 TEST(LeafSpineTest, TrafficFlowsEndToEnd) {
-  sim::Simulator sim;
   const auto ls = build_leaf_spine({.leaves = 4, .spines = 2});
-  Network net(sim, ls.topology);
+  Engine engine{ls.topology};
+  Network& net = engine.network();
   test_support::PathRecorder paths;
   net.add_observer(paths);
   int delivered = 0;
@@ -74,7 +74,7 @@ TEST(LeafSpineTest, TrafficFlowsEndToEnd) {
   for (std::uint32_t h = 0; h < 20; ++h) {
     net.inject({ls.leaf[0], ls.leaf[3]}, h * 2654435761u, 700);
   }
-  sim.run();
+  engine.run();
   EXPECT_EQ(delivered, 20);
 }
 

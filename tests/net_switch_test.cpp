@@ -5,9 +5,9 @@
 
 #include <vector>
 
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
 #include "path_recorder.hpp"
-#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace mars::net {
@@ -21,9 +21,9 @@ struct Delivery {
 };
 
 struct Fixture {
-  sim::Simulator sim;
   FatTree ft = build_fat_tree({.k = 4});
-  Network net{sim, ft.topology};
+  Engine engine{ft.topology};
+  Network& net = engine.network();
   test_support::PathRecorder paths;
   std::vector<Delivery> deliveries;
 
@@ -39,7 +39,7 @@ TEST(NetworkTest, DeliversAPacketEndToEnd) {
   Fixture f;
   const FlowId flow{f.ft.edge[0], f.ft.edge[4]};
   f.net.inject(flow, 0xABCD, 1000);
-  f.sim.run();
+  f.engine.run();
   ASSERT_EQ(f.deliveries.size(), 1u);
   const auto& d = f.deliveries[0];
   EXPECT_EQ(d.pkt.flow, flow);
@@ -57,7 +57,7 @@ TEST(NetworkTest, LatencyIncludesSerializationAndPropagation) {
   Fixture f;
   const FlowId flow{f.ft.edge[0], f.ft.edge[1]};  // intra-pod: 3 switches
   f.net.inject(flow, 1, 1250);  // 1250B at 10Gbps = 1us serialization
-  f.sim.run();
+  f.engine.run();
   ASSERT_EQ(f.deliveries.size(), 1u);
   // 2 store-and-forward hops: 2 * (1us serialization + 1us propagation).
   EXPECT_EQ(f.deliveries[0].at, 4_us);
@@ -67,7 +67,7 @@ TEST(NetworkTest, SamePacketsSameFlowFollowOnePath) {
   Fixture f;
   const FlowId flow{f.ft.edge[0], f.ft.edge[6]};
   for (int i = 0; i < 20; ++i) f.net.inject(flow, 777, 500);
-  f.sim.run();
+  f.engine.run();
   ASSERT_EQ(f.deliveries.size(), 20u);
   for (const auto& d : f.deliveries) {
     EXPECT_EQ(f.paths.path_of(d.pkt), f.paths.path_of(f.deliveries[0].pkt));
@@ -84,7 +84,7 @@ TEST(NetworkTest, ConservationAcrossManyFlows) {
       ++injected;
     }
   }
-  f.sim.run();
+  f.engine.run();
   const auto& st = f.net.stats();
   EXPECT_EQ(st.injected, static_cast<std::uint64_t>(injected));
   EXPECT_EQ(st.injected, st.delivered + st.dropped + st.unroutable);
@@ -99,9 +99,9 @@ TEST(NetworkTest, ProcessRateFaultBuildsQueueAndDelays) {
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 42, out));
   f.net.node(flow.source).set_max_pps(out, 100.0);  // paper: < 100 pps
 
-  const auto t0 = f.sim.now();
+  const auto t0 = f.engine.now();
   for (int i = 0; i < 10; ++i) f.net.inject(flow, 42, 500);
-  f.sim.run();
+  f.engine.run();
   ASSERT_EQ(f.deliveries.size(), 10u);
   // At 100 pps the 10th packet leaves the source no earlier than 90ms.
   EXPECT_GE(f.deliveries.back().at - t0, 90_ms);
@@ -114,7 +114,7 @@ TEST(NetworkTest, DropFaultDropsEverything) {
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 9, out));
   f.net.node(flow.source).set_drop_probability(out, 1.0);
   for (int i = 0; i < 5; ++i) f.net.inject(flow, 9, 500);
-  f.sim.run();
+  f.engine.run();
   EXPECT_EQ(f.deliveries.size(), 0u);
   EXPECT_EQ(f.net.stats().dropped, 5u);
   EXPECT_EQ(f.net.node(flow.source).counters(out).drops, 5u);
@@ -127,14 +127,14 @@ TEST(NetworkTest, ExtraDelayFaultDelaysWithoutQueueing) {
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 5, out));
 
   f.net.inject(flow, 5, 1250);
-  f.sim.run();
+  f.engine.run();
   ASSERT_EQ(f.deliveries.size(), 1u);
   const auto healthy_transit = f.deliveries[0].at - f.deliveries[0].pkt.created;
 
   f.deliveries.clear();
   f.net.node(flow.source).set_extra_delay(out, 10_ms);
   f.net.inject(flow, 5, 1250);
-  f.sim.run();
+  f.engine.run();
   ASSERT_EQ(f.deliveries.size(), 1u);
   const auto faulty_transit = f.deliveries[0].at - f.deliveries[0].pkt.created;
   EXPECT_EQ(faulty_transit - healthy_transit, 10_ms);
@@ -150,7 +150,7 @@ TEST(NetworkTest, TailDropWhenQueueOverflows) {
   f.net.node(flow.source).set_queue_capacity(4);
   f.net.node(flow.source).set_max_pps(out, 10.0);  // drain very slowly
   for (int i = 0; i < 50; ++i) f.net.inject(flow, 3, 500);
-  f.sim.run(10_s);
+  f.engine.run(10_s);
   EXPECT_GT(f.net.stats().dropped, 0u);
   EXPECT_EQ(f.net.stats().injected, 50u);
 }
@@ -163,7 +163,7 @@ TEST(NetworkTest, ClearFaultsRestoresHealth) {
   f.net.node(flow.source).set_drop_probability(out, 1.0);
   f.net.node(flow.source).clear_faults();
   f.net.inject(flow, 4, 500);
-  f.sim.run();
+  f.engine.run();
   EXPECT_EQ(f.deliveries.size(), 1u);
 }
 
@@ -185,7 +185,7 @@ TEST(NetworkTest, ObserverSeesIngressEgressDeliver) {
   f.net.add_observer(rec);
   const FlowId flow{f.ft.edge[0], f.ft.edge[4]};  // 5-switch path
   f.net.inject(flow, 8, 900);
-  f.sim.run();
+  f.engine.run();
   EXPECT_EQ(rec.ingress, 5);
   EXPECT_EQ(rec.enqueue, 4);  // sink does not enqueue
   EXPECT_EQ(rec.egress, 4);
@@ -197,7 +197,7 @@ TEST(NetworkTest, UtilizationAccountsBusyTime) {
   Fixture f;
   const FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   for (int i = 0; i < 100; ++i) f.net.inject(flow, 2, 1250);
-  f.sim.run();
+  f.engine.run();
   const auto utils = f.net.link_utilization();
   double max_util = 0.0;
   for (const auto& u : utils) max_util = std::max(max_util, u.utilization);

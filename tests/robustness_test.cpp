@@ -10,8 +10,8 @@
 #include "mars/mars.hpp"
 #include "mars/scenario.hpp"
 #include "mars/sweep.hpp"
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
-#include "sim/simulator.hpp"
 #include "workload/traffic_gen.hpp"
 
 namespace mars {
@@ -107,10 +107,10 @@ TEST(RobustnessTest, PerfectChannelReportsFullConfidence) {
 // confidence; the quarantine counters only see detectable damage.)
 TEST(RobustnessTest, AggressiveChaosSoakHoldsInvariants) {
   for (std::uint64_t seed = 100; seed < 120; ++seed) {
-    sim::Simulator sim;
     net::FatTree ft = net::build_fat_tree(
         {.k = 4, .edge_agg_gbps = 0.007, .agg_core_gbps = 0.010});
-    net::Network net{sim, ft.topology};
+    net::Engine engine{ft.topology};
+    net::Network& net = engine.network();
     for (net::SwitchId sw = 0; sw < net.switch_count(); ++sw) {
       net.node(sw).set_queue_capacity(4096);
     }
@@ -135,13 +135,13 @@ TEST(RobustnessTest, AggressiveChaosSoakHoldsInvariants) {
     net::PortId out = 0;
     ASSERT_TRUE(net.routing().select_port(spec.flow.source, spec.flow.sink,
                                           spec.flow_hash, out));
-    sim.schedule_at(3_s, [&net, &spec, out] {
+    engine.global().schedule_at(3_s, [&net, &spec, out] {
       net.node(spec.flow.source).set_max_pps(out, 60.0);
     });
 
-    sim.run(6_s);  // returns: no hang past the horizon
-    EXPECT_GT(sim.events_executed(), 0u) << "seed " << seed;
-    EXPECT_LE(sim.now(), 6_s) << "seed " << seed;
+    engine.run(6_s);  // returns: no hang past the horizon
+    EXPECT_GT(engine.sim().events_executed(), 0u) << "seed " << seed;
+    EXPECT_LE(engine.now(), 6_s) << "seed " << seed;
 
     const auto confidence = mars.confidence();
     bool any_degraded = false;
@@ -173,9 +173,9 @@ TEST(RobustnessTest, RetriesAreBoundedAndAccounted) {
   (void)result;
   // Accounting is visible through the obs gauges in scenario runs; here we
   // check the controller directly on a hand-wired system.
-  sim::Simulator sim;
   net::FatTree ft = net::build_fat_tree({.k = 4});
-  net::Network net{sim, ft.topology};
+  net::Engine engine{ft.topology};
+  net::Network& net = engine.network();
   MarsConfig mc;
   mc.channel.read_failure = 0.6;
   mc.controller.max_read_retries = 2;
@@ -183,9 +183,9 @@ TEST(RobustnessTest, RetriesAreBoundedAndAccounted) {
   MarsSystem mars{net, mc};
   dataplane::Notification n;
   n.kind = dataplane::Notification::Kind::kHighLatency;
-  n.when = sim.now();
+  n.when = engine.now();
   mars.controller().on_notification(n);
-  sim.run(10_s);  // let retry rounds play out
+  engine.run(10_s);  // let retry rounds play out
   const auto& oh = mars.controller().overheads();
   EXPECT_EQ(oh.diagnoses, 1u);
   EXPECT_GT(oh.drain_read_failures, 0u);

@@ -1,15 +1,13 @@
-// Fixed-seed determinism contract for the simulator hot path.
+// Fixed-seed determinism contract for the event engine.
 //
-// The event queue orders events by (time, schedule sequence), so a fixed
+// Every event is keyed by (time, entity, per-entity sequence), so a fixed
 // seed must reproduce a scenario bit-identically: same number of events
 // executed, same packet conservation totals, and the same Table-1
 // localization ranks for every system. The fingerprints below were
-// captured before the allocation-free hot-path rewrite (inline event
-// closures, generation-stamped cancellation, pooled packets) and pin the
-// rewrite — and any future optimization — to the exact same executions.
-// If an intentional behavior change lands (new RNG draws, different event
-// counts), re-capture these with the harness in bench/run_sim_hotpath.sh's
-// sibling note in DESIGN.md ("Simulator hot path").
+// captured on the engine's default of one shard and pin any future
+// optimization to the exact same executions. If an intentional
+// behavior change lands (new RNG draws, different event counts),
+// re-capture these with the harness in DESIGN.md ("Simulator hot path").
 
 #include "mars/scenario.hpp"
 #include "mars/scenario_spec.hpp"
@@ -62,13 +60,13 @@ TEST_P(ScenarioDeterminismTest, MatchesGoldenFingerprint) {
 INSTANTIATE_TEST_SUITE_P(
     GoldenFingerprints, ScenarioDeterminismTest,
     ::testing::Values(
-        Fingerprint{faults::FaultKind::kProcessRateDecrease, 7, 303897,
-                    40676, 40012, 0, std::nullopt, 1, 3, 1},
-        Fingerprint{faults::FaultKind::kProcessRateDecrease, 21, 325843,
-                    39917, 39197, 0, std::nullopt, 1, 4, 1},
-        Fingerprint{faults::FaultKind::kDrop, 7, 304784, 40676, 40123, 530,
+        Fingerprint{faults::FaultKind::kProcessRateDecrease, 7, 303511,
+                    40650, 39965, 0, std::nullopt, 1, 3, 1},
+        Fingerprint{faults::FaultKind::kProcessRateDecrease, 21, 326766,
+                    39996, 39258, 0, 20, 1, 5, 1},
+        Fingerprint{faults::FaultKind::kDrop, 7, 304422, 40650, 40079, 538,
                     2, std::nullopt, std::nullopt, 1},
-        Fingerprint{faults::FaultKind::kDrop, 21, 327619, 39917, 39468, 422,
+        Fingerprint{faults::FaultKind::kDrop, 21, 328546, 39996, 39531, 427,
                     1, std::nullopt, 9, 1}),
     [](const ::testing::TestParamInfo<Fingerprint>& info) {
       return std::string(faults::to_string(info.param.kind) ==
@@ -90,9 +88,9 @@ TEST(ScenarioDeterminismTest, SpecDrivenRunMatchesGoldenFingerprint) {
     "faults": [{"kind": "rate", "at_s": 3.0}]
   })");
   const ScenarioResult r = run_scenario(spec.to_config());
-  EXPECT_EQ(r.events_executed, 303897u);
-  EXPECT_EQ(r.net_stats.injected, 40676u);
-  EXPECT_EQ(r.net_stats.delivered, 40012u);
+  EXPECT_EQ(r.events_executed, 303511u);
+  EXPECT_EQ(r.net_stats.injected, 40650u);
+  EXPECT_EQ(r.net_stats.delivered, 39965u);
   EXPECT_EQ(r.net_stats.dropped, 0u);
   EXPECT_EQ(r.outcome("mars").rank, std::nullopt);
   EXPECT_EQ(r.outcome("spidermon").rank, std::optional<std::size_t>(1));
@@ -180,30 +178,30 @@ INSTANTIATE_TEST_SUITE_P(
     Table1Seed21, FullOutcomeGoldenTest,
     ::testing::Values(
         OutcomeGolden{faults::FaultKind::kMicroBurst,
-                      {{{"mars", 19, 0x11677f907eda19d0ull, 236952, 237284},
-                        {"spidermon", 20, 0xe9d1d64fc94a8524ull, 760720, 2556},
-                        {"intsight", 20, 0x581071b64011413bull, 6275940, 3192},
-                        {"syndb", 20, 0xb0402fff09e41d9aull, 0, 17310560}}}},
+                      {{{"mars", 19, 0xc08461b609873892ull, 234539, 176340},
+                        {"spidermon", 20, 0x355362050d143525ull, 751464, 2400},
+                        {"intsight", 20, 0xfc26ea651c1c48d7ull, 6199578, 3720},
+                        {"syndb", 20, 0x40897247b0334c50ull, 0, 17131240}}}},
         OutcomeGolden{faults::FaultKind::kEcmpImbalance,
-                      {{{"mars", 20, 0x7b00780ab9a004e1ull, 322146, 319576},
-                        {"spidermon", 20, 0x2ce8e141f331858eull, 1102464, 3156},
-                        {"intsight", 20, 0x8da8ed1ead052dd0ull, 9095328, 19248},
-                        {"syndb", 20, 0xbd3c74b9a1cc356eull, 0, 25116240}}}},
+                      {{{"mars", 20, 0x33a71b4f74364e04ull, 321691, 312296},
+                        {"spidermon", 20, 0x28b8d97c943f92e3ull, 1101172, 3156},
+                        {"intsight", 20, 0xa232b8fa79e1c459ull, 9084669, 19464},
+                        {"syndb", 20, 0x3a884c13370c1ab6ull, 0, 25096720}}}},
         OutcomeGolden{faults::FaultKind::kProcessRateDecrease,
-                      {{{"mars", 17, 0xf97bf3ae327cc6bfull, 228924, 232980},
-                        {"spidermon", 20, 0xb515856b7f9ee655ull, 726496, 2400},
-                        {"intsight", 20, 0x2ff0c3529ef4b6bfull, 5993592, 1968},
-                        {"syndb", 20, 0x1505f0a2d1653e01ull, 0, 16527480}}}},
+                      {{{"mars", 10, 0x8e21a43f7e2c01bbull, 229413, 120992},
+                        {"spidermon", 20, 0x2c9c0dcbb39bd5a3ull, 728452, 2400},
+                        {"intsight", 20, 0x034ad30df1a7a958ull, 6009729, 2352},
+                        {"syndb", 20, 0x39483f7f5a9f6c15ull, 0, 16570360}}}},
         OutcomeGolden{faults::FaultKind::kDelay,
-                      {{{"mars", 20, 0x47fbcd873736b3faull, 228924, 161212},
-                        {"spidermon", 0, 0xcbf29ce484222325ull, 726496, 0},
-                        {"intsight", 20, 0xaa03c91827057ddbull, 5993592, 1248},
-                        {"syndb", 20, 0x3c3cb9dfe7f9fcedull, 0, 16527480}}}},
+                      {{{"mars", 12, 0xf6640b83bd6224d9ull, 229413, 177712},
+                        {"spidermon", 0, 0xcbf29ce484222325ull, 728452, 0},
+                        {"intsight", 20, 0x025f6a5129c0b910ull, 6009729, 1680},
+                        {"syndb", 20, 0xd231dd84fd0810deull, 0, 16570360}}}},
         OutcomeGolden{faults::FaultKind::kDrop,
-                      {{{"mars", 11, 0x907625814e9db9fdull, 227244, 157664},
-                        {"spidermon", 0, 0xcbf29ce484222325ull, 721008, 0},
-                        {"intsight", 20, 0xe08b140c2b043836ull, 5948316, 864},
-                        {"syndb", 1, 0xa20b02f7a8ed39e4ull, 0, 16434600}}}}),
+                      {{{"mars", 9, 0xd648ffef16425bceull, 227739, 113980},
+                        {"spidermon", 0, 0xcbf29ce484222325ull, 722900, 0},
+                        {"intsight", 17, 0x52d3dcabad4ea472ull, 5963925, 1392},
+                        {"syndb", 1, 0xa21c04f7a8fbb07dull, 0, 16476400}}}}),
     [](const ::testing::TestParamInfo<OutcomeGolden>& info) {
       std::string name;
       for (const char ch : std::string(faults::to_string(info.param.kind))) {
@@ -213,18 +211,17 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Sharded engine (sim.shards >= 1): its own golden universe — notification
-// delivery becomes an explicit control-latency hop, so the fingerprints
-// differ from the legacy ones above — with one extra invariant the legacy
-// engine never had to prove: a fixed seed must produce a byte-identical
-// diagnosis at EVERY shard count. Event keys (sim/lane.hpp), not window
-// placement, carry that guarantee; these tests pin it.
+// Shard counts: a fixed seed must produce a byte-identical diagnosis at
+// EVERY shard count. Event keys (sim/lane.hpp), not window placement,
+// carry that guarantee; these tests pin it. At two or more shards only
+// MARS with the postcard backend runs (validate_scenario), so these
+// trials deploy MARS alone.
 
-ScenarioConfig sharded_config(faults::FaultKind kind, std::uint64_t seed,
+ScenarioConfig shard_config(faults::FaultKind kind, std::uint64_t seed,
                               int shards) {
   auto cfg = default_scenario(kind, seed);
   cfg.duration = 4 * sim::kSecond;
-  cfg.systems = {"mars"};  // validate_scenario: sharded runs are mars-only
+  cfg.systems = {"mars"};  // validate_scenario: >= 2 shards is mars-only
   cfg.sim.shards = shards;
   return cfg;
 }
@@ -274,7 +271,7 @@ TEST_P(ShardedScenarioDeterminismTest, ByteIdenticalAtEveryShardCount) {
 
   // Shard count 1 is the identity reference: same engine, no parallelism.
   const ScenarioResult reference =
-      run_scenario(sharded_config(golden.kind, golden.seed, 1));
+      run_scenario(shard_config(golden.kind, golden.seed, 1));
   EXPECT_EQ(reference.events_executed, golden.events);
   EXPECT_EQ(reference.net_stats.injected, golden.injected);
   EXPECT_EQ(reference.net_stats.delivered, golden.delivered);
@@ -284,7 +281,7 @@ TEST_P(ShardedScenarioDeterminismTest, ByteIdenticalAtEveryShardCount) {
   const std::string reference_bytes = serialize_diagnosis(reference);
   for (const int shards : {2, 4, 8}) {
     const ScenarioResult r =
-        run_scenario(sharded_config(golden.kind, golden.seed, shards));
+        run_scenario(shard_config(golden.kind, golden.seed, shards));
     EXPECT_EQ(serialize_diagnosis(r), reference_bytes)
         << "diagnosis diverged at " << shards << " shards";
   }
@@ -319,7 +316,7 @@ TEST(ShardedScenarioDeterminismTest, RandomizedTrafficMatchesOneShardRun) {
     const auto kind = kinds[trial % 4];
     const std::uint64_t seed = meta() % 10'000;
     auto make = [&](int shards) {
-      auto cfg = sharded_config(kind, seed, shards);
+      auto cfg = shard_config(kind, seed, shards);
       cfg.background.flows = 12 + static_cast<int>(seed % 13);
       cfg.background.pps = 120.0 + static_cast<double>(seed % 160);
       return cfg;
@@ -330,6 +327,61 @@ TEST(ShardedScenarioDeterminismTest, RandomizedTrafficMatchesOneShardRun) {
     EXPECT_EQ(serialize_diagnosis(r), serialize_diagnosis(reference))
         << "trial " << trial << ": kind " << static_cast<int>(kind)
         << " seed " << seed << " diverged at " << shards << " shards";
+  }
+}
+
+// The degraded control channel and telemetry faults run in the global
+// domain, between windows, so they too replay identically at every shard
+// count: the lossy-telemetry spec plus a notification-loss burst gives the
+// same result and the same channel damage at 1, 2 and 4 shards.
+TEST(ShardedScenarioDeterminismTest, DegradedChannelMatchesAtEveryShardCount) {
+  auto run = [](int shards) {
+    // scenarios/lossy_telemetry.json
+    ScenarioSpec spec = parse_scenario_spec(R"({
+      "name": "lossy-telemetry",
+      "topology": {"name": "fat-tree", "k": 4},
+      "seed": 7,
+      "systems": ["mars"],
+      "channel": {
+        "notification_loss": 0.2,
+        "read_failure": 0.1,
+        "record_loss": 0.05,
+        "record_corruption": 0.02
+      },
+      "faults": [
+        {"kind": "rate", "at_s": 3.0}
+      ]
+    })");
+    spec.sim.shards = shards;
+    ScenarioConfig cfg = spec.to_config();
+    faults::FaultEvent burst;
+    burst.kind = faults::FaultKind::kNotificationLoss;
+    burst.at = 3 * sim::kSecond + 200 * sim::kMillisecond;
+    burst.duration = 500 * sim::kMillisecond;
+    cfg.faults.events.push_back(burst);
+    Observability obs;
+    cfg.observability = &obs;
+    const ScenarioResult r = run_scenario(cfg);
+    std::ostringstream channel;
+    for (const auto& [name, value] : obs.snapshot.gauges) {
+      if (name.starts_with("mars.channel.")) {
+        channel << name << "=" << value << "\n";
+      }
+    }
+    return std::pair{serialize_diagnosis(r), channel.str()};
+  };
+  const auto reference = run(1);
+  EXPECT_NE(reference.second.find("mars.channel.notifications_dropped="),
+            std::string::npos);
+  EXPECT_EQ(reference.second.find("notifications_dropped=0\n"),
+            std::string::npos)
+      << "the lossy channel dropped nothing:\n" << reference.second;
+  for (const int shards : {2, 4}) {
+    const auto r = run(shards);
+    EXPECT_EQ(r.first, reference.first)
+        << "diagnosis diverged at " << shards << " shards";
+    EXPECT_EQ(r.second, reference.second)
+        << "channel gauges diverged at " << shards << " shards";
   }
 }
 

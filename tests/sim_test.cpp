@@ -142,7 +142,8 @@ TEST(EventQueueLaneTest, FixedDelaysBeyondTheCapUseTheHeap) {
   std::vector<Time> order;
   const Time delays = static_cast<Time>(EventQueue::kMaxLanes) + 2;
   for (Time d = delays; d >= 1; --d) {
-    q.schedule_fixed(d, d, [&order, d] { order.push_back(d); });
+    q.schedule_fixed_keyed(d, d, static_cast<std::uint64_t>(d),
+                           [&order, d] { order.push_back(d); });
   }
   EXPECT_EQ(q.lane_pushes(), EventQueue::kMaxLanes);
   EXPECT_EQ(q.heap_pushes(), 2u);
@@ -163,14 +164,14 @@ TEST(EventQueueLaneTest, EqualTimeKeyInversionFallsBackToTheHeap) {
 }
 
 TEST(EventQueueLaneTest, LaneAndHeapMergeByFullKeyAtEqualTimes) {
-  // Same time on both sides: the insertion sequence decides, whichever
-  // side holds the entry.
+  // Same time on both sides: the key decides, whichever side holds the
+  // entry.
   EventQueue q;
   std::vector<int> order;
-  q.schedule(50, [&] { order.push_back(0); });             // heap, seq 0
-  q.schedule_fixed(50, 5, [&] { order.push_back(1); });    // lane, seq 1
-  q.schedule(50, [&] { order.push_back(2); });             // heap, seq 2
-  q.schedule_fixed(50, 5, [&] { order.push_back(3); });    // lane, seq 3
+  q.schedule_keyed(50, 0, [&] { order.push_back(0); });           // heap
+  q.schedule_fixed_keyed(50, 5, 1, [&] { order.push_back(1); });  // lane
+  q.schedule_keyed(50, 2, [&] { order.push_back(2); });           // heap
+  q.schedule_fixed_keyed(50, 5, 3, [&] { order.push_back(3); });  // lane
   Time t = 0;
   EventFn fn;
   while (q.pop_if_at_most(50, t, fn)) fn();
@@ -180,9 +181,11 @@ TEST(EventQueueLaneTest, LaneAndHeapMergeByFullKeyAtEqualTimes) {
 TEST(EventQueueLaneTest, CancelledLaneEntriesAreSkipped) {
   EventQueue q;
   std::vector<int> order;
-  const auto a = q.schedule_fixed(10, 10, [&] { order.push_back(0); });
-  const auto b = q.schedule_fixed(20, 10, [&] { order.push_back(1); });
-  q.schedule_fixed(30, 10, [&] { order.push_back(2); });
+  const auto a =
+      q.schedule_fixed_keyed(10, 10, 0, [&] { order.push_back(0); });
+  const auto b =
+      q.schedule_fixed_keyed(20, 10, 1, [&] { order.push_back(1); });
+  q.schedule_fixed_keyed(30, 10, 2, [&] { order.push_back(2); });
   ASSERT_EQ(q.lane_pushes(), 3u);
   EXPECT_TRUE(q.cancel(b));  // middle of the lane
   EXPECT_TRUE(q.cancel(a));  // lane head
@@ -196,12 +199,12 @@ TEST(EventQueueLaneTest, CancelledLaneEntriesAreSkipped) {
 
 TEST(EventQueueLaneTest, RandomizedScheduleCancelPopMatchesReferenceOrder) {
   // A reference model keeps every live event's (time, key) and pops the
-  // least by a full sort. Plain events take the queue's insertion
-  // sequence (below 2^40), keyed ones (entity << 40 | per-entity seq) as
-  // sim::Lane does, so the two never collide. Seven fixed delays exceed
-  // the lane cap, a 10 ns time grid makes equal times common across
-  // lanes and heap, and descending-entity bursts force equal-time key
-  // inversions.
+  // least by a full sort. Plain (heap-only) events take the queue's
+  // insertion sequence (below 2^40), keyed ones (entity << 40 |
+  // per-entity seq) as sim::Lane does, so the two never collide. Seven
+  // fixed delays exceed the lane cap, a 10 ns time grid makes equal times
+  // common across lanes and heap, and descending-entity bursts force
+  // equal-time key inversions.
   constexpr std::uint64_t kEntities = 4;
   const std::vector<Time> delays{0, 10, 20, 30, 40, 50, 60};
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -230,12 +233,9 @@ TEST(EventQueueLaneTest, RandomizedScheduleCancelPopMatchesReferenceOrder) {
     auto fn_for = [&fired](int tag) {
       return [&fired, tag] { fired.push_back(tag); };
     };
-    auto plain = [&](Time t, const Time* delay) {
+    auto plain = [&](Time t) {
       const std::uint64_t key = plain_seq++;
-      const auto fn = fn_for(next_tag);
-      add(t, key,
-          delay != nullptr ? q.schedule_fixed(t, *delay, fn)
-                           : q.schedule(t, fn));
+      add(t, key, q.schedule(t, fn_for(next_tag)));
     };
     auto keyed = [&](Time t, const Time* delay, std::uint64_t entity) {
       const std::uint64_t key = (entity << 40) | entity_seq[entity]++;
@@ -281,10 +281,8 @@ TEST(EventQueueLaneTest, RandomizedScheduleCancelPopMatchesReferenceOrder) {
     for (int op = 0; op < 3000; ++op) {
       const Time delay = delays[below(delays.size())];
       const std::uint64_t roll = below(100);
-      if (roll < 25) {
-        plain(now + delay, &delay);
-      } else if (roll < 35) {
-        plain(now + static_cast<Time>(below(10)) * 10, nullptr);
+      if (roll < 10) {
+        plain(now + static_cast<Time>(below(10)) * 10);
       } else if (roll < 50) {
         keyed(now + delay, &delay, 1 + below(kEntities));
       } else if (roll < 55) {
@@ -378,18 +376,6 @@ TEST(SimulatorTest, ZeroDelayRunsAtCurrentTime) {
   });
   sim.run();
   EXPECT_EQ(when, 7);
-}
-
-TEST(SimulatorTest, StepExecutesExactlyOne) {
-  Simulator sim;
-  int ran = 0;
-  sim.schedule_in(1, [&] { ++ran; });
-  sim.schedule_in(2, [&] { ++ran; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(ran, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-  EXPECT_EQ(ran, 2);
 }
 
 TEST(TimeTest, LiteralsAndConversions) {

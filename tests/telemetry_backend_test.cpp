@@ -13,9 +13,9 @@
 #include "control/path_registry.hpp"
 #include "dataplane/mars_pipeline.hpp"
 #include "mars/scenario.hpp"
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
 #include "net/network.hpp"
-#include "sim/simulator.hpp"
 #include "telemetry/int_md_backend.hpp"
 #include "telemetry/postcard_backend.hpp"
 
@@ -51,9 +51,9 @@ TEST(BackendNamesTest, SuggestsCloseMisspellings) {
 /// schedules are identical across fixtures, which is what makes the
 /// differential meaningful.
 struct Fixture {
-  sim::Simulator sim;
   net::FatTree ft = net::build_fat_tree({.k = 4});
-  net::Network net{sim, ft.topology};
+  net::Engine engine{ft.topology};
+  net::Network& net = engine.network();
   control::PathRegistry registry{ft.topology, net.routing(), {}};
   dataplane::MarsPipeline pipeline;
 
@@ -73,8 +73,9 @@ struct Fixture {
   void traffic(net::FlowId flow, std::uint32_t hash, int count,
                sim::Time gap) {
     for (int i = 0; i < count; ++i) {
-      sim.schedule_in(gap * i,
-                      [this, flow, hash] { net.inject(flow, hash, 500); });
+      engine.global().schedule_in(gap * i, [this, flow, hash] {
+        net.inject(flow, hash, 500);
+      });
     }
   }
 };
@@ -107,9 +108,9 @@ TEST(BackendDifferentialTest, PostcardAndIntMdDrainIdenticalRecords) {
     const net::FlowId inter{f->ft.edge[0], f->ft.edge[4]};
     f->traffic(intra, 7, 40, 10_ms);
     f->traffic(inter, 99, 40, 10_ms);
-    f->sim.run();
+    f->engine.run();
   }
-  EXPECT_EQ(postcard.sim.now(), intmd.sim.now())
+  EXPECT_EQ(postcard.engine.now(), intmd.engine.now())
       << "backend choice must not move the event schedule";
   for (const net::SwitchId sink :
        {postcard.ft.edge[1], postcard.ft.edge[4]}) {
@@ -124,7 +125,7 @@ TEST(BackendDifferentialTest, IntMdHopStacksMatchTheRecordedPath) {
   Fixture f(BackendKind::kIntMd);
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};  // inter-pod, 5 hops
   f.traffic(flow, 99, 30, 10_ms);
-  f.sim.run();
+  f.engine.run();
   const auto* backend =
       dynamic_cast<const IntMdBackend*>(&f.pipeline.backend());
   ASSERT_NE(backend, nullptr);
@@ -161,7 +162,7 @@ TEST(BackendDifferentialTest, InBandByteOrderingAcrossBackends) {
     Fixture f(kinds[i]);
     const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};
     f.traffic(flow, 99, 60, 5_ms);
-    f.sim.run();
+    f.engine.run();
     inband[i] = f.pipeline.backend().counters().inband_bytes;
     EXPECT_EQ(f.pipeline.overheads().telemetry_bytes, inband[i])
         << "pipeline accounting must mirror " << to_string(kinds[i]);

@@ -8,9 +8,9 @@
 
 #include "control/path_registry.hpp"
 #include "dataplane/mars_pipeline.hpp"
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
 #include "net/network.hpp"
-#include "sim/simulator.hpp"
 
 namespace mars::telemetry {
 namespace {
@@ -47,9 +47,9 @@ TEST(EventDetectorTest, HysteresisBandSuppressesFlapping) {
 }
 
 struct Fixture {
-  sim::Simulator sim;
   net::FatTree ft = net::build_fat_tree({.k = 4});
-  net::Network net{sim, ft.topology};
+  net::Engine engine{ft.topology};
+  net::Network& net = engine.network();
   control::PathRegistry registry{ft.topology, net.routing(), {}};
   dataplane::MarsPipeline pipeline;
 
@@ -73,8 +73,9 @@ struct Fixture {
   void traffic(net::FlowId flow, std::uint32_t hash, int count,
                sim::Time gap, sim::Time start = 0) {
     for (int i = 0; i < count; ++i) {
-      sim.schedule_in(start + gap * i,
-                      [this, flow, hash] { net.inject(flow, hash, 500); });
+      engine.global().schedule_in(start + gap * i, [this, flow, hash] {
+        net.inject(flow, hash, 500);
+      });
     }
   }
 };
@@ -83,7 +84,7 @@ TEST(HistogramBackendTest, DigestsQuantizeLatencyAndDropQueueDepth) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   f.traffic(flow, 7, 40, 10_ms);
-  f.sim.run();
+  f.engine.run();
   const auto records = f.pipeline.ring_snapshot(flow.sink);
   ASSERT_FALSE(records.empty());
   const auto& backend = f.backend();
@@ -104,7 +105,7 @@ TEST(HistogramBackendTest, PortHistogramsObserveTrafficPerPort) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};
   f.traffic(flow, 99, 25, 5_ms);
-  f.sim.run(90_ms);  // stay inside epoch 0: nothing reset yet
+  f.engine.run(90_ms);  // stay inside epoch 0: nothing reset yet
   const auto& backend = f.backend();
   // The source switch egressed every packet through exactly one uplink
   // (single flow hash): its latency histogram saw each one.
@@ -127,7 +128,7 @@ TEST(HistogramBackendTest, RolloverSealsDigestsAndResetsHistograms) {
   // epoch 2 whose arrival drives observe_epoch -> rollover at each hop.
   f.traffic(flow, 7, 30, 3_ms);
   f.traffic(flow, 7, 5, 3_ms, 230_ms);
-  f.sim.run();
+  f.engine.run();
   const auto& backend = f.backend();
   EXPECT_GT(backend.counters().epochs, 0u);
   // Epoch-0 digests were sealed at rollover and are still drainable.
@@ -153,7 +154,7 @@ TEST(HistogramBackendTest, DigestFoldingBoundsStoreGrowth) {
   const net::FlowId b{f.ft.edge[2], f.ft.edge[1]};
   f.traffic(a, 7, 200, 2_ms);
   f.traffic(b, 9, 200, 2_ms);
-  f.sim.run();  // 400ms of traffic = 4+ epochs, 400 delivered packets
+  f.engine.run();  // 400ms of traffic = 4+ epochs, 400 delivered packets
   const auto records = f.pipeline.ring_snapshot(a.sink);
   EXPECT_LE(records.size(), 2u * 6u)
       << "at most flows x epochs digests, never per-packet records";
@@ -176,7 +177,7 @@ TEST(HistogramBackendTest, TriggerFiresUnderInducedTailLatency) {
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 7, out));
   f.net.node(flow.source).set_max_pps(out, 50.0);  // force queueing delay
   f.traffic(flow, 7, 120, 5_ms);
-  f.sim.run();
+  f.engine.run();
   EXPECT_GE(f.backend().counters().triggers, 1u)
       << "sustained tail latency above the bound must fire the detector";
   EXPECT_GE(f.pipeline.backend().store_size(flow.sink), 1u)

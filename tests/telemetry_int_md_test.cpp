@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
 #include "net/network.hpp"
-#include "sim/simulator.hpp"
 
 namespace mars::telemetry {
 namespace {
@@ -12,9 +12,9 @@ namespace {
 using namespace mars::sim::literals;
 
 struct Fixture {
-  sim::Simulator sim;
   net::FatTree ft = net::build_fat_tree({.k = 4});
-  net::Network net{sim, ft.topology};
+  net::Engine engine{ft.topology};
+  net::Network& net = engine.network();
   IntMdPipeline pipeline;
 
   explicit Fixture(IntMdConfig cfg = {}) : pipeline(cfg) {
@@ -24,8 +24,9 @@ struct Fixture {
   void traffic(net::FlowId flow, std::uint32_t hash, int count,
                sim::Time gap) {
     for (int i = 0; i < count; ++i) {
-      sim.schedule_in(gap * i,
-                      [this, flow, hash] { net.inject(flow, hash, 600); });
+      engine.global().schedule_in(gap * i, [this, flow, hash] {
+        net.inject(flow, hash, 600);
+      });
     }
   }
 };
@@ -34,7 +35,7 @@ TEST(IntMdTest, RecordsEveryHopInOrder) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};  // 5-switch path
   f.traffic(flow, 77, 3, 1_ms);
-  f.sim.run();
+  f.engine.run();
   ASSERT_EQ(f.pipeline.records().size(), 3u);
   for (const auto& rec : f.pipeline.records()) {
     ASSERT_EQ(rec.hops.size(), 5u);
@@ -51,13 +52,13 @@ TEST(IntMdTest, HeaderBytesGrowWithPathLength) {
   Fixture intra;
   const net::FlowId short_flow{intra.ft.edge[0], intra.ft.edge[1]};  // 3 sw
   intra.traffic(short_flow, 5, 10, 1_ms);
-  intra.sim.run();
+  intra.engine.run();
   const auto short_bytes = intra.pipeline.telemetry_bytes();
 
   Fixture inter;
   const net::FlowId long_flow{inter.ft.edge[0], inter.ft.edge[4]};  // 5 sw
   inter.traffic(long_flow, 5, 10, 1_ms);
-  inter.sim.run();
+  inter.engine.run();
   // Same packet count, longer paths: strictly more in-band bytes — the
   // Fig. 3 motivation for fixed-width PathIDs.
   EXPECT_GT(inter.pipeline.telemetry_bytes(), short_bytes);
@@ -72,7 +73,7 @@ TEST(IntMdTest, SamplingReducesCoverageAndBytes) {
   Fixture f(cfg);
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   f.traffic(flow, 5, 50, 1_ms);
-  f.sim.run();
+  f.engine.run();
   EXPECT_EQ(f.pipeline.records().size(), 10u);
 }
 
@@ -82,7 +83,7 @@ TEST(IntMdTest, MaxHopsCapsTheStack) {
   Fixture f(cfg);
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};
   f.traffic(flow, 5, 2, 1_ms);
-  f.sim.run();
+  f.engine.run();
   ASSERT_FALSE(f.pipeline.records().empty());
   // 2 transit entries + the sink's own entry appended at delivery.
   EXPECT_EQ(f.pipeline.records().front().hops.size(), 3u);
@@ -95,7 +96,7 @@ TEST(IntMdTest, MeanHopLatencyLocalizesSlowSwitch) {
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 5, out));
   f.net.node(flow.source).set_max_pps(out, 100.0);
   f.traffic(flow, 5, 50, 2_ms);
-  f.sim.run();
+  f.engine.run();
   const auto means = f.pipeline.mean_hop_latency(
       0, std::numeric_limits<sim::Time>::max());
   ASSERT_TRUE(means.count(flow.source));
@@ -114,7 +115,7 @@ TEST(IntMdTest, RetentionCapBoundsRecordGrowth) {
   Fixture f(cfg);
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   f.traffic(flow, 5, 30, 1_ms);
-  f.sim.run();
+  f.engine.run();
   EXPECT_LE(f.pipeline.records().size(), 8u);
   EXPECT_GT(f.pipeline.dropped_records(), 0u);
   // The survivors are the newest half, still in delivery order.
@@ -127,7 +128,7 @@ TEST(IntMdTest, CollectDrainsAndResetsRetention) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   f.traffic(flow, 5, 10, 1_ms);
-  f.sim.run();
+  f.engine.run();
   ASSERT_EQ(f.pipeline.records().size(), 10u);
   const auto collected = f.pipeline.collect();
   EXPECT_EQ(collected.size(), 10u);
@@ -135,7 +136,7 @@ TEST(IntMdTest, CollectDrainsAndResetsRetention) {
       << "collect() must hand off ownership, not copy";
   // Post-collect traffic accumulates fresh records from zero.
   f.traffic(flow, 5, 3, 1_ms);
-  f.sim.run();
+  f.engine.run();
   EXPECT_EQ(f.pipeline.records().size(), 3u);
 }
 
@@ -146,7 +147,7 @@ TEST(IntMdTest, DropCleansUpInFlightState) {
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 5, out));
   f.net.node(flow.source).set_drop_probability(out, 1.0);
   f.traffic(flow, 5, 10, 1_ms);
-  f.sim.run();
+  f.engine.run();
   EXPECT_TRUE(f.pipeline.records().empty());
 }
 

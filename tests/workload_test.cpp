@@ -4,8 +4,8 @@
 
 #include <map>
 
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
-#include "sim/simulator.hpp"
 
 namespace mars::workload {
 namespace {
@@ -13,9 +13,9 @@ namespace {
 using namespace mars::sim::literals;
 
 struct Fixture {
-  sim::Simulator sim;
   net::FatTree ft = net::build_fat_tree({.k = 4});
-  net::Network net{sim, ft.topology};
+  net::Engine engine{ft.topology};
+  net::Network& net = engine.network();
   TrafficGenerator gen{net, 7};
 };
 
@@ -26,7 +26,7 @@ TEST(TrafficGeneratorTest, FlowRateApproximatesSpec) {
   spec.pps = 200.0;
   f.gen.add_flow(spec);
   f.gen.start();
-  f.sim.run(5_s);
+  f.engine.run(5_s);
   // Poisson with rate 200/s over 5s: ~1000 packets, generous tolerance.
   EXPECT_NEAR(static_cast<double>(f.gen.packets_injected()), 1000.0, 150.0);
 }
@@ -40,9 +40,9 @@ TEST(TrafficGeneratorTest, FlowRespectsStartStop) {
   spec.stop = 2_s;
   f.gen.add_flow(spec);
   f.gen.start();
-  f.sim.run(900_ms);
+  f.engine.run(900_ms);
   EXPECT_EQ(f.gen.packets_injected(), 0u);
-  f.sim.run(5_s);
+  f.engine.run(5_s);
   EXPECT_NEAR(static_cast<double>(f.gen.packets_injected()), 1000.0, 200.0);
 }
 
@@ -57,7 +57,7 @@ TEST(TrafficGeneratorTest, PacketSizesWithinEthernetBounds) {
   spec.pps = 500.0;
   f.gen.add_flow(spec);
   f.gen.start();
-  f.sim.run(2_s);
+  f.engine.run(2_s);
   ASSERT_GT(sizes.size(), 100u);
   for (const auto s : sizes) {
     EXPECT_GE(s, 64u);
@@ -91,7 +91,7 @@ TEST(TrafficGeneratorTest, BurstExceedsBackgroundRate) {
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};
   f.gen.add_burst(flow, 1500.0, 1_s, 1_s);
   f.gen.start();
-  f.sim.run(3_s);
+  f.engine.run(3_s);
   // ~1500 packets within the burst second (paper: > 1000 pps).
   EXPECT_GT(f.gen.packets_injected(), 1000u);
   EXPECT_LT(f.gen.packets_injected(), 2200u);
@@ -112,7 +112,7 @@ TEST(TrafficGeneratorTest, DiurnalModulationChangesRateOverTime) {
   f.net.set_delivery_callback([&](const net::Packet&, sim::Time t) {
     ++per_second[static_cast<int>(sim::to_seconds(t))];
   });
-  f.sim.run(8_s);
+  f.engine.run(8_s);
   int lo = INT_MAX, hi = 0;
   for (const auto& [sec, n] : per_second) {
     lo = std::min(lo, n);
@@ -124,15 +124,15 @@ TEST(TrafficGeneratorTest, DiurnalModulationChangesRateOverTime) {
 
 TEST(TrafficGeneratorTest, DeterministicForSeed) {
   auto run = [](std::uint64_t seed) {
-    sim::Simulator sim;
     auto ft = net::build_fat_tree({.k = 4});
-    net::Network net{sim, ft.topology};
+    net::Engine engine{ft.topology};
+    net::Network& net = engine.network();
     TrafficGenerator gen{net, seed};
     BackgroundConfig cfg;
     cfg.flows = 8;
     gen.add_background(cfg, ft.edge, 4);
     gen.start();
-    sim.run(2 * sim::kSecond);
+    engine.run(2 * sim::kSecond);
     return gen.packets_injected();
   };
   EXPECT_EQ(run(5), run(5));

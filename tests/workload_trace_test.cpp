@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "net/engine.hpp"
 #include "net/fat_tree.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -54,9 +55,9 @@ TEST(FlowTraceTest, CommentsAndBlankLinesIgnored) {
 }
 
 struct ReplayFixture {
-  sim::Simulator sim;
   net::FatTree ft = net::build_fat_tree({.k = 4});
-  net::Network net{sim, ft.topology};
+  net::Engine engine{ft.topology};
+  net::Network& net = engine.network();
 };
 
 TEST(FlowTraceTest, ReplayInjectsAtRecordedTimes) {
@@ -65,7 +66,7 @@ TEST(FlowTraceTest, ReplayInjectsAtRecordedTimes) {
   trace.add({5_ms, {f.ft.edge[0], f.ft.edge[1]}, 1, 500});
   trace.add({9_ms, {f.ft.edge[2], f.ft.edge[3]}, 2, 600});
   EXPECT_EQ(trace.replay(f.net), 0u);
-  f.sim.run();
+  f.engine.run();
   EXPECT_EQ(f.net.stats().injected, 2u);
   EXPECT_EQ(f.net.stats().delivered, 2u);
 }
@@ -84,7 +85,7 @@ TEST(FlowTraceTest, RecordThenReplayReproducesWorkload) {
     cfg.flows = 8;
     gen.add_background(cfg, f.ft.edge, 4);
     gen.start();
-    f.sim.run(1 * sim::kSecond);
+    f.engine.run(1 * sim::kSecond);
     recorded_count = f.net.stats().injected;
     trace = recorder.take();
   }
@@ -92,7 +93,7 @@ TEST(FlowTraceTest, RecordThenReplayReproducesWorkload) {
 
   ReplayFixture replayed;
   EXPECT_EQ(trace.replay(replayed.net), 0u);
-  replayed.sim.run(1 * sim::kSecond);
+  replayed.engine.run(1 * sim::kSecond);
   EXPECT_EQ(replayed.net.stats().injected, recorded_count);
 }
 
@@ -110,7 +111,7 @@ TEST(IncastTest, ManySourcesOneSinkSynchronized) {
     EXPECT_GE(e.at, cfg.start);
   }
   trace.replay(f.net);
-  f.sim.run();
+  f.engine.run();
   EXPECT_EQ(f.net.stats().injected, 200u);
 }
 

@@ -1,23 +1,20 @@
 // mars_cli — scenario runner with command-line knobs; the operator's
 // entry point for one-off experiments without writing C++.
 //
-//   mars_cli [options]
-//     --scenario <file.json>  run a declarative ScenarioSpec (other
-//                             flags below override the spec)
-//     --fault <microburst|ecmp|rate|delay|drop|flap|slowdrain|asymloss|
-//              gateddelay>                        (default rate)
-//     --seed <n>                                  (default 1)
-//     --topology <name>       fabric from the registry (default fat-tree)
-//     --k <even n>            fat-tree arity      (default 4)
-//     --leaves <n> --spines <n>  leaf-spine shape
-//     --systems <a,b,...>     telemetry systems to deploy (default all)
-//     --backend <name>        MARS telemetry-export backend
-//                             (postcard|int-md|histogram, default postcard)
-//     --flows <n>             background flows    (scenario default)
-//     --pps <x>               per-flow rate       (scenario default)
-//     --duration <seconds>    simulated time      (default 5)
-//     --fault-at <seconds>    injection time      (default 3)
-//     --no-baselines          deploy MARS only
+//   mars_cli [--scenario FILE] [knob flags] [other flags]
+//
+// A run starts from the --scenario spec, or without one from
+// {"faults": [{"kind": "rate", "at_s": 3.0}]}, which lowers to
+// default_scenario(rate, seed 1). Each knob flag (--seed, --k, --flows,
+// --duration, --backend, --path-id-bits, ...; the usage text lists them
+// all) is an assignment to its spec key, declared in the same table row
+// (mars/scenario_spec.cpp) and parsed and checked exactly like that key in
+// a spec file. Flags apply in command-line order on top of the spec, which
+// is then lowered once and validated. Two knobs act on the fault schedule:
+//     --fault <kind>          replace the schedule with one event of this
+//                             kind at the first event's time
+//     --fault-at <seconds>    move every event to this time
+// The other flags:
 //     --list-topologies       print registered topologies and exit
 //     --list-systems          print registered telemetry systems and exit
 //     --list-backends         print telemetry-export backends and exit
@@ -25,27 +22,22 @@
 //     --metrics-out <file>    metrics snapshot + sampled series (JSON)
 //     --spans-out <file>      Chrome/Perfetto trace-event JSON
 //     --log-out <file>        structured event log (NDJSON, one event/line)
-//     --log-level <level>     log admission floor: debug|info|warn|error
 //     --provenance-out <file> diagnosis provenance DAG (JSON)
 //     --flight-out <file>     flight-recorder dumps (JSON; arms the
 //                             recorder)
-//     --path-id-hash <name>   PathID hash generator (crc16|crc32)
-//     --path-id-bits <n>      PathID width carried in the header, [1, 32]
 //     --path-audit            build the PathID registry for the configured
 //                             topology, print the collision audit, and exit
 //                             0 if conflict-free / 1 if not (no simulation)
 //     --json                  machine-readable result summary
 //
-// Unknown fault / topology / system names exit nonzero with the list of
-// known names; so does an invalid scenario (every validation error is
-// printed).
+// A bad flag value, an unknown name or an invalid scenario exits 2 with
+// every error (each names its flag or JSON path); an unwritable output
+// file or a fault with no viable target exits 1.
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -64,64 +56,26 @@ namespace {
 
 using namespace mars;
 
+/// Where a run without --scenario starts: default_scenario(rate, seed 1).
+constexpr const char* kFlagsOnlySpec =
+    R"({"faults": [{"kind": "rate", "at_s": 3.0}]})";
+
 [[noreturn]] void usage(const char* argv0) {
+  std::string knobs;  // each flag's value is the spec key it assigns
+  for (const SpecKey& key : spec_keys()) {
+    if (key.flag.empty()) continue;
+    knobs += " [" + std::string(key.flag) + " <" +
+             (key.per_fault ? "faults[]." : "") + std::string(key.path) + ">]";
+  }
   std::fprintf(stderr,
-               "usage: %s [--scenario FILE] [--fault F] [--seed N] "
-               "[--topology NAME] [--k K] [--leaves N] [--spines N] "
-               "[--systems A,B,...] [--backend NAME] [--flows N] [--pps X] "
-               "[--duration S] [--fault-at S] [--no-baselines] "
+               "usage: %s [--scenario FILE]%s "
                "[--list-topologies] [--list-systems] [--list-backends] "
                "[--trace-out FILE] [--metrics-out FILE] "
-               "[--spans-out FILE] [--log-out FILE] [--log-level LEVEL] "
-               "[--provenance-out FILE] [--flight-out FILE] "
-               "[--path-id-hash NAME] [--path-id-bits N] [--path-audit] "
+               "[--spans-out FILE] [--log-out FILE] "
+               "[--provenance-out FILE] [--flight-out FILE] [--path-audit] "
                "[--json]\n",
-               argv0);
+               argv0, knobs.c_str());
   std::exit(2);
-}
-
-faults::FaultKind parse_fault(const std::string& arg) {
-  const auto kind = faults::kind_from_name(arg);
-  if (!kind) {
-    std::fprintf(stderr, "unknown fault '%s' (known: %s)\n", arg.c_str(),
-                 faults::known_kind_names());
-    std::exit(2);
-  }
-  return *kind;
-}
-
-telemetry::BackendKind parse_backend(const std::string& arg) {
-  const auto kind = telemetry::backend_from_name(arg);
-  if (kind) return *kind;
-  std::string names;
-  for (const auto& name : telemetry::known_backend_names()) {
-    if (!names.empty()) names += ", ";
-    names += name;
-  }
-  const std::string hint = telemetry::suggest_backend(arg);
-  if (hint.empty()) {
-    std::fprintf(stderr, "unknown telemetry backend '%s' (known: %s)\n",
-                 arg.c_str(), names.c_str());
-  } else {
-    std::fprintf(stderr,
-                 "unknown telemetry backend '%s' (known: %s); did you mean "
-                 "'%s'?\n",
-                 arg.c_str(), names.c_str(), hint.c_str());
-  }
-  std::exit(2);
-}
-
-std::vector<std::string> split_csv(const std::string& arg) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= arg.size()) {
-    const std::size_t comma = arg.find(',', start);
-    const std::size_t end = comma == std::string::npos ? arg.size() : comma;
-    if (end > start) out.push_back(arg.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
 }
 
 void print_outcome_text(const SystemOutcome& outcome) {
@@ -185,21 +139,11 @@ bool open_out(std::ofstream& out, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::optional<faults::FaultKind> fault;
-  std::optional<std::uint64_t> seed;
-  std::optional<int> k, flows, leaves, spines;
-  std::optional<double> pps, duration_s, fault_at_s;
-  std::optional<std::string> topology;
-  std::optional<std::vector<std::string>> systems;
-  std::optional<telemetry::BackendKind> backend;
   std::string scenario_file;
-  bool baselines = true, json = false;
+  std::vector<std::pair<std::string, std::string>> knobs;  // flag, value
+  bool json = false, path_audit = false;
   std::string trace_out, metrics_out, spans_out;
   std::string log_out, provenance_out, flight_out;
-  std::optional<obs::LogLevel> log_level;
-  std::optional<telemetry::HashKind> path_id_hash;
-  std::optional<std::uint32_t> path_id_bits;
-  bool path_audit = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -209,32 +153,8 @@ int main(int argc, char** argv) {
     };
     if (arg == "--scenario") {
       scenario_file = next();
-    } else if (arg == "--fault") {
-      fault = parse_fault(next());
-    } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--topology") {
-      topology = next();
-    } else if (arg == "--k") {
-      k = std::atoi(next());
-    } else if (arg == "--leaves") {
-      leaves = std::atoi(next());
-    } else if (arg == "--spines") {
-      spines = std::atoi(next());
-    } else if (arg == "--systems") {
-      systems = split_csv(next());
-    } else if (arg == "--backend") {
-      backend = parse_backend(next());
-    } else if (arg == "--flows") {
-      flows = std::atoi(next());
-    } else if (arg == "--pps") {
-      pps = std::atof(next());
-    } else if (arg == "--duration") {
-      duration_s = std::atof(next());
-    } else if (arg == "--fault-at") {
-      fault_at_s = std::atof(next());
-    } else if (arg == "--no-baselines") {
-      baselines = false;
+    } else if (arg.starts_with("--") && find_spec_key(arg) != nullptr) {
+      knobs.emplace_back(arg, next());
     } else if (arg == "--list-topologies") {
       for (const auto& name : net::TopologyRegistry::instance().names()) {
         std::printf("%s\n", name.c_str());
@@ -258,31 +178,10 @@ int main(int argc, char** argv) {
       spans_out = next();
     } else if (arg == "--log-out") {
       log_out = next();
-    } else if (arg == "--log-level") {
-      const std::string name = next();
-      log_level = obs::level_from_name(name);
-      if (!log_level) {
-        std::fprintf(stderr,
-                     "unknown log level '%s' (known: debug, info, warn, "
-                     "error)\n",
-                     name.c_str());
-        return 2;
-      }
     } else if (arg == "--provenance-out") {
       provenance_out = next();
     } else if (arg == "--flight-out") {
       flight_out = next();
-    } else if (arg == "--path-id-hash") {
-      const std::string name = next();
-      path_id_hash = telemetry::hash_from_name(name);
-      if (!path_id_hash) {
-        std::fprintf(stderr,
-                     "unknown path_id hash '%s' (known: crc16, crc32)\n",
-                     name.c_str());
-        return 2;
-      }
-    } else if (arg == "--path-id-bits") {
-      path_id_bits = static_cast<std::uint32_t>(std::atoi(next()));
     } else if (arg == "--path-audit") {
       path_audit = true;
     } else if (arg == "--json") {
@@ -294,75 +193,33 @@ int main(int argc, char** argv) {
 
   ScenarioConfig cfg;
   try {
-    if (!scenario_file.empty()) {
-      cfg = load_scenario_spec(scenario_file).to_config();
-    } else {
-      cfg = default_scenario(
-          fault.value_or(faults::FaultKind::kProcessRateDecrease),
-          seed.value_or(1));
-    }
+    ScenarioSpec spec = scenario_file.empty()
+                            ? parse_scenario_spec(kFlagsOnlySpec)
+                            : load_scenario_spec(scenario_file);
+    for (const auto& [flag, value] : knobs) spec.set(flag, value);
+    if (!provenance_out.empty()) spec.set("obs.provenance", "true");
+    if (!flight_out.empty()) spec.set("obs.flight_recorder.enabled", "true");
+    cfg = spec.to_config();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  // Flags override the spec (or the defaults).
-  if (scenario_file.empty()) {
-    // defaults already applied via default_scenario
-  } else if (fault || fault_at_s) {
-    // Flag-specified fault replaces the spec's whole schedule.
-    cfg.faults = faults::FaultSchedule::single(
-        fault.value_or(faults::FaultKind::kProcessRateDecrease),
-        cfg.first_fault_at());
-  }
-  if (seed) cfg.seed = *seed;
-  if (topology) cfg.topology.name = *topology;
-  if (k) cfg.topology.k = *k;
-  if (leaves) cfg.topology.leaves = *leaves;
-  if (spines) cfg.topology.spines = *spines;
-  if (flows) cfg.background.flows = *flows;
-  if (pps) cfg.background.pps = *pps;
-  if (duration_s) {
-    cfg.duration = static_cast<sim::Time>(*duration_s * sim::kSecond);
-  }
-  if (fault_at_s) {
-    for (auto& event : cfg.faults.events) {
-      event.at = static_cast<sim::Time>(*fault_at_s * sim::kSecond);
-    }
-  }
-  if (systems) {
-    cfg.systems = *systems;
-  } else if (!baselines) {
-    cfg.systems = {"mars"};
-  }
-  if (backend) cfg.mars.pipeline.backend.kind = *backend;
-  if (path_id_hash) cfg.mars.pipeline.path_id.hash = *path_id_hash;
-  if (path_id_bits) cfg.mars.pipeline.path_id.width_bits = *path_id_bits;
-
-  if (log_level) cfg.obs.log_level = *log_level;
-  if (!provenance_out.empty()) cfg.obs.provenance = true;
-  if (!flight_out.empty()) cfg.obs.flight_recorder = true;
 
   if (path_audit) {
     // Audit only: build the registry for the configured topology and
     // PathID shape, report, and exit — deliberately before full scenario
     // validation, because auditing a non-conflict-free shape (which
     // validation rejects when MARS is deployed) is the flag's purpose.
-    if (const auto errors =
-            net::TopologyRegistry::instance().validate(cfg.topology);
-        !errors.empty()) {
+    std::vector<std::string> errors =
+        net::TopologyRegistry::instance().validate(cfg.topology);
+    check_spec_ranges(cfg, errors);
+    if (!errors.empty()) {
       for (const auto& error : errors) {
-        std::fprintf(stderr, "invalid topology: %s\n", error.c_str());
+        std::fprintf(stderr, "invalid scenario: %s\n", error.c_str());
       }
       return 2;
     }
     const telemetry::PathIdConfig& pid = cfg.mars.pipeline.path_id;
-    if (pid.width_bits < 1 || pid.width_bits > 32) {
-      std::fprintf(stderr,
-                   "telemetry.path_id.width_bits must be in [1, 32] "
-                   "(got %u)\n",
-                   pid.width_bits);
-      return 2;
-    }
     const auto fabric = net::TopologyRegistry::instance().build(cfg.topology);
     const net::RoutingTable routing(fabric.topology);
     const auto registry = control::PathRegistryCache::instance().get_or_build(

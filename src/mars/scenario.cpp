@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "control/path_registry_cache.hpp"
+#include "mars/scenario_spec.hpp"
 #include "mars/system_registry.hpp"
 #include "net/engine.hpp"
 #include "net/partition.hpp"
@@ -50,17 +51,11 @@ ScenarioConfig default_scenario(faults::FaultKind fault, std::uint64_t seed) {
 std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
   std::vector<std::string> errors =
       net::TopologyRegistry::instance().validate(config.topology);
-  if (config.duration <= 0) {
-    errors.push_back("scenario duration must be positive");
-  }
-  if (config.queue_capacity == 0) {
-    errors.push_back("queue capacity must be nonzero (packets would be "
-                     "dropped on arrival everywhere)");
-  }
-  if (config.background.flows < 0) {
-    errors.push_back("background flow count must be non-negative (got " +
-                     std::to_string(config.background.flows) + ")");
-  }
+  const bool topology_ok = errors.empty();
+  // Single-field bounds come from the spec table; the rest are cross-field
+  // rules or fields no spec key sets. The checks that build the fabric
+  // run only on a config whose every field is in range.
+  const bool in_range = check_spec_ranges(config, errors);
   if (config.background.flows > 0 && config.background.pps <= 0.0) {
     errors.push_back("background flow rate must be positive (got " +
                      std::to_string(config.background.pps) + " pps)");
@@ -69,106 +64,23 @@ std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
     errors.push_back("sample period must be positive when observability "
                      "is attached");
   }
-  if (config.obs.log_rate_limit_per_s <= 0.0) {
-    errors.push_back("obs.log_rate_limit_per_s must be positive (got " +
-                     std::to_string(config.obs.log_rate_limit_per_s) + ")");
-  }
-  if (config.obs.log_rate_limit_burst == 0) {
-    errors.push_back("obs.log_rate_limit_burst must be nonzero (a zero "
-                     "burst admits no events at all)");
-  }
-  if (config.obs.flight_capacity == 0) {
-    errors.push_back("obs.flight_recorder.capacity must be nonzero");
-  }
-  if (config.obs.flight_confidence_threshold < 0.0 ||
-      config.obs.flight_confidence_threshold > 1.0) {
-    errors.push_back(
-        "obs.flight_recorder.confidence_threshold must be in [0, 1] (got " +
-        std::to_string(config.obs.flight_confidence_threshold) + ")");
-  }
   const auto fault_errors = config.faults.validate(config.duration);
   errors.insert(errors.end(), fault_errors.begin(), fault_errors.end());
   const control::ChannelConfig& ch = config.mars.channel;
-  const auto check_prob = [&errors](double value, const char* path) {
-    if (value < 0.0 || value > 1.0) {
-      errors.push_back(std::string(path) + " must be a probability in " +
-                       "[0, 1] (got " + std::to_string(value) + ")");
-    }
-  };
-  check_prob(ch.notification_loss, "mars.channel.notification_loss");
-  check_prob(ch.notification_delay_prob,
-             "mars.channel.notification_delay_prob");
-  check_prob(ch.read_failure, "mars.channel.read_failure");
-  check_prob(ch.record_loss, "mars.channel.record_loss");
-  check_prob(ch.record_corruption, "mars.channel.record_corruption");
-  if (ch.notification_delay_min < 0) {
-    errors.push_back(
-        "mars.channel.notification_delay_min must be non-negative");
-  }
   if (ch.notification_delay_max < ch.notification_delay_min) {
     errors.push_back(
-        "mars.channel.notification_delay_max must be >= "
-        "notification_delay_min");
-  }
-  if (config.mars.controller.read_deadline < 0) {
-    errors.push_back("mars.controller.read_deadline must be non-negative");
-  }
-  if (config.mars.controller.retry_backoff < 0) {
-    errors.push_back("mars.controller.retry_backoff must be non-negative");
-  }
-  if (config.mars.controller.max_read_retries > 16) {
-    errors.push_back(
-        "mars.controller.max_read_retries must be at most 16 (got " +
-        std::to_string(config.mars.controller.max_read_retries) + ")");
-  }
-  if (config.mars.rca.mining.threads < 1 ||
-      config.mars.rca.mining.threads > 64) {
-    errors.push_back(
-        "mars.rca.mining.threads must be in [1, 64] (got " +
-        std::to_string(config.mars.rca.mining.threads) + ")");
-  }
-  if (config.mars.rca.accumulator.half_life <= 0) {
-    errors.push_back("mars.rca.accumulator.half_life_s must be positive");
-  }
-  if (config.mars.rca.accumulator.max_windows == 0) {
-    errors.push_back("mars.rca.accumulator.max_windows must be nonzero "
-                     "(zero windows can accumulate no evidence)");
+        "channel.notification_delay_max_s must be >= "
+        "notification_delay_min_s");
   }
   if (config.injector.manifestation_window <= 0) {
     errors.push_back("injector manifestation_window must be positive");
   }
   const telemetry::BackendConfig& be = config.mars.pipeline.backend;
-  if (config.mars.pipeline.ring_capacity == 0) {
-    errors.push_back("telemetry.ring_capacity must be nonzero (an empty "
-                     "export store can never surface evidence)");
-  }
-  if (be.int_md.sample_every == 0) {
-    errors.push_back("telemetry.int_md.sample_every must be at least 1 "
-                     "(0 samples nothing)");
-  }
-  if (be.int_md.max_hops == 0) {
-    errors.push_back("telemetry.int_md.max_hops must be at least 1");
-  }
-  if (be.histogram.buckets < 8 || be.histogram.buckets > 4096) {
-    errors.push_back("telemetry.histogram.buckets must be in [8, 4096] "
-                     "(got " + std::to_string(be.histogram.buckets) + ")");
-  }
-  if (be.histogram.sub_bucket_bits > 8) {
-    errors.push_back(
-        "telemetry.histogram.sub_bucket_bits must be at most 8 (got " +
-        std::to_string(be.histogram.sub_bucket_bits) + ")");
-  }
   if (be.histogram.marker_bytes == 0 || be.histogram.marker_bytes > 64) {
     errors.push_back("telemetry.histogram.marker_bytes must be in [1, 64] "
                      "(got " + std::to_string(be.histogram.marker_bytes) +
                      ")");
   }
-  if (be.histogram.tail_latency <= 0) {
-    errors.push_back("telemetry.histogram.tail_latency_ms must be positive");
-  }
-  check_prob(be.histogram.trigger_enter,
-             "telemetry.histogram.trigger_enter");
-  check_prob(be.histogram.trigger_exit, "telemetry.histogram.trigger_exit");
   if (be.histogram.trigger_exit > be.histogram.trigger_enter) {
     errors.push_back(
         "telemetry.histogram.trigger_exit must be <= trigger_enter "
@@ -190,15 +102,7 @@ std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
       }
     }
   }
-  if (config.sim.shards < 1 || config.sim.shards > 64) {
-    errors.push_back("sim.shards must be in [1, 64] (got " +
-                     std::to_string(config.sim.shards) + ")");
-  }
-  if (config.sim.control_latency <= 0) {
-    errors.push_back("sim.control_latency must be positive (got " +
-                     std::to_string(config.sim.control_latency) + " ns)");
-  }
-  if (config.sim.shards >= 2 && config.sim.shards <= 64) {
+  if (in_range && config.sim.shards >= 2) {
     // Shard threads run observer callbacks concurrently: only state that
     // each switch owns may be written there.
     for (const std::string& name : config.systems) {
@@ -217,7 +121,7 @@ std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
           "'; int-md and histogram keep cross-switch state that shard "
           "threads may not share)");
     }
-    if (net::TopologyRegistry::instance().validate(config.topology).empty()) {
+    if (topology_ok) {
       const net::BuiltFabric fabric =
           net::TopologyRegistry::instance().build(config.topology);
       const int capacity = net::partition_capacity(fabric.topology);
@@ -242,14 +146,9 @@ std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
     }
   }
   const telemetry::PathIdConfig& pid = config.mars.pipeline.path_id;
-  if (pid.width_bits < 1 || pid.width_bits > 32) {
-    errors.push_back("telemetry.path_id.width_bits must be in [1, 32] (got " +
-                     std::to_string(pid.width_bits) + ")");
-  } else if (std::find(config.systems.begin(), config.systems.end(),
-                       "mars") != config.systems.end() &&
-             net::TopologyRegistry::instance()
-                 .validate(config.topology)
-                 .empty()) {
+  if (in_range && topology_ok &&
+      std::find(config.systems.begin(), config.systems.end(), "mars") !=
+          config.systems.end()) {
     // An unresolved PathID collision decompresses diagnosis reports to the
     // wrong switch sequence, silently corrupting localization — so a
     // registry that cannot resolve every collision is a configuration

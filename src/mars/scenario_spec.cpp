@@ -1,597 +1,576 @@
 #include "mars/scenario_spec.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/json_reader.hpp"
-#include "obs/json_writer.hpp"
 #include "telemetry/backend.hpp"
 #include "telemetry/path_id.hpp"
 
 namespace mars {
 
+/// The names a kName key accepts.
+struct NameSet {
+  std::string_view noun;                            ///< "fault kind"
+  std::optional<int> (*resolve)(std::string_view);  ///< name -> enum value
+  std::string (*known)();                           ///< "a, b, c"
+  /// Closest known name, "" when none is close; null when not offered.
+  std::string (*suggest)(std::string_view) = nullptr;
+};
+
 namespace {
 
-sim::Time seconds_to_time(double s) {
-  return static_cast<sim::Time>(
-      std::llround(s * static_cast<double>(sim::kSecond)));
+using Kind = SpecKey::Kind;
+using Range = SpecKey::Range;
+using Assignments = std::vector<ScenarioSpec::Assignment>;
+
+[[noreturn]] void fail(std::string_view where, const std::string& message) {
+  throw std::invalid_argument(std::string(where) + ": " + message);
 }
 
-[[noreturn]] void fail(const std::string& path, const std::string& message) {
-  throw std::invalid_argument(path + ": " + message);
+/// Shortest text that reads back as `x`.
+std::string format(double x) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof(buf), x).ptr};
 }
 
-double as_number(const obs::JsonValue& v, const std::string& path) {
-  if (!v.is_number()) fail(path, std::string("expected a number, got ") +
-                                     v.kind_name());
-  return v.as_number();
+// ---- value kinds ----
+
+template <class E, std::optional<E> (*from_name)(std::string_view)>
+std::optional<int> resolve_name(std::string_view name) {
+  const std::optional<E> value = from_name(name);
+  if (!value) return std::nullopt;
+  return static_cast<int>(*value);
 }
 
-int as_count(const obs::JsonValue& v, const std::string& path) {
-  if (!v.is_number()) fail(path, std::string("expected an integer, got ") +
-                                     v.kind_name());
-  const double d = v.as_number();
-  if (d != std::floor(d)) fail(path, "expected an integer");
-  return static_cast<int>(d);
-}
-
-std::uint64_t as_uint(const obs::JsonValue& v, const std::string& path) {
-  if (!v.is_number()) fail(path, std::string("expected an unsigned integer, "
-                                             "got ") +
-                                     v.kind_name());
-  try {
-    return v.as_uint();
-  } catch (const std::exception&) {
-    fail(path, "expected a non-negative integer");
-  }
-}
-
-const std::string& as_string(const obs::JsonValue& v,
-                             const std::string& path) {
-  if (!v.is_string()) fail(path, std::string("expected a string, got ") +
-                                     v.kind_name());
-  return v.as_string();
-}
-
-bool as_bool(const obs::JsonValue& v, const std::string& path) {
-  if (!v.is_bool()) fail(path, std::string("expected a boolean, got ") +
-                                   v.kind_name());
-  return v.as_bool();
-}
-
-void reject_unknown_keys(const obs::JsonValue& object,
-                         std::initializer_list<std::string_view> known,
-                         const std::string& path) {
-  for (const auto& [key, value] : object.members()) {
-    bool ok = false;
-    for (const std::string_view k : known) {
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
+constexpr NameSet kFaultKinds{
+    "fault kind", &resolve_name<faults::FaultKind, &faults::kind_from_name>,
+    [] { return std::string(faults::known_kind_names()); }};
+constexpr NameSet kBackends{
+    "telemetry backend",
+    &resolve_name<telemetry::BackendKind, &telemetry::backend_from_name>,
+    [] {
       std::string names;
-      for (const std::string_view k : known) {
-        if (!names.empty()) names += ", ";
-        names += k;
+      for (const std::string& name : telemetry::known_backend_names()) {
+        names += (names.empty() ? "" : ", ") + name;
       }
-      fail(path, "unknown key '" + key + "' (known: " + names + ")");
+      return names;
+    },
+    &telemetry::suggest_backend};
+constexpr NameSet kHashes{
+    "path_id hash",
+    &resolve_name<telemetry::HashKind, &telemetry::hash_from_name>,
+    [] { return std::string("crc16, crc32"); }};
+constexpr NameSet kLogLevels{
+    "log level", &resolve_name<obs::LogLevel, &obs::level_from_name>,
+    [] { return std::string("debug, info, warn, error"); }};
+
+bool is_integer(Kind kind) { return kind <= Kind::kU64; }
+bool is_time(Kind kind) {
+  return kind == Kind::kSeconds || kind == Kind::kMillis ||
+         kind == Kind::kMicros;
+}
+
+/// An integer kind's values: [lo, end).
+struct IntSpan {
+  double lo, end;
+  const char* text;
+};
+IntSpan int_span(Kind kind) {
+  switch (kind) {
+    case Kind::kInt: return {-0x1p31, 0x1p31, "[-2147483648, 2147483647]"};
+    case Kind::kU16: return {0, 0x1p16, "[0, 65535]"};
+    case Kind::kU32: return {0, 0x1p32, "[0, 4294967295]"};
+    default: return {0, 0x1p64, "[0, 18446744073709551615]"};
+  }
+}
+
+/// A time kind's value in nanoseconds, before rounding.
+double to_ns(Kind kind, double x) {
+  switch (kind) {
+    case Kind::kSeconds: return x * 1e9;
+    case Kind::kMillis: return x * 1e-3 * 1e9;
+    case Kind::kMicros: return x * 1e3;
+    default: return x;
+  }
+}
+
+const char* expected(Kind kind) {
+  if (is_integer(kind)) return "an integer";
+  switch (kind) {
+    case Kind::kBool: return "a boolean";
+    case Kind::kName:
+    case Kind::kString: return "a string";
+    case Kind::kStrings: return "an array of strings";
+    default: return "a number";
+  }
+}
+
+double check_number(const SpecKey& key, double x, std::string_view where) {
+  if (is_integer(key.kind)) {
+    // Checked before any cast: out-of-range doubles must never reach one.
+    const IntSpan span = int_span(key.kind);
+    if (x != std::floor(x)) {
+      fail(where, "expected an integer, got " + format(x));
+    }
+    if (x < span.lo || x >= span.end) {
+      fail(where, std::string("expected an integer in ") + span.text +
+                      ", got " + format(x));
+    }
+  } else if (!std::isfinite(x)) {
+    fail(where, "expected a finite number, got " + format(x));
+  } else if (is_time(key.kind) && !(std::fabs(to_ns(key.kind, x)) < 0x1p63)) {
+    fail(where, format(x) + " overflows the simulator's 64-bit ns clock");
+  }
+  return x;
+}
+
+std::string check_name(const SpecKey& key, std::string name,
+                       std::string_view where) {
+  if (key.kind != Kind::kName || key.names->resolve(name)) return name;
+  const NameSet& names = *key.names;
+  std::string message = "unknown " + std::string(names.noun) + " '" + name +
+                        "' (known: " + names.known() + ")";
+  if (names.suggest != nullptr) {
+    if (const std::string hint = names.suggest(name); !hint.empty()) {
+      message += "; did you mean '" + hint + "'?";
+    }
+  }
+  fail(where, message);
+}
+
+SpecValue from_json(const SpecKey& key, const obs::JsonValue& v,
+                    std::string_view where) {
+  const auto wrong_kind = [&] {
+    fail(where,
+         std::string("expected ") + expected(key.kind) + ", got " +
+             v.kind_name());
+  };
+  switch (key.kind) {
+    case Kind::kBool:
+      if (!v.is_bool()) wrong_kind();
+      return v.as_bool();
+    case Kind::kName:
+    case Kind::kString:
+      if (!v.is_string()) wrong_kind();
+      return check_name(key, v.as_string(), where);
+    case Kind::kStrings: {
+      if (!v.is_array()) wrong_kind();
+      std::vector<std::string> items;
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        if (!v.at(i).is_string()) {
+          fail(std::string(where) + "[" + std::to_string(i) + "]",
+               std::string("expected a string, got ") + v.at(i).kind_name());
+        }
+        items.push_back(v.at(i).as_string());
+      }
+      return items;
+    }
+    default:
+      if (!v.is_number()) wrong_kind();
+      return check_number(key, v.as_number(), where);
+  }
+}
+
+SpecValue from_text(const SpecKey& key, std::string_view text,
+                    std::string_view where) {
+  switch (key.kind) {
+    case Kind::kName:
+    case Kind::kString: return check_name(key, std::string(text), where);
+    case Kind::kStrings: {
+      std::vector<std::string> items;  // "a,b,,c" -> a, b, c
+      std::size_t start = 0;
+      while (start <= text.size()) {
+        const std::size_t end = std::min(text.find(',', start), text.size());
+        if (end > start) items.emplace_back(text.substr(start, end - start));
+        start = end + 1;
+      }
+      return items;
+    }
+    default: {
+      // Numbers and booleans read as JSON, so a flag accepts exactly what
+      // the same spec key accepts.
+      obs::JsonValue v;
+      try {
+        v = obs::JsonValue::parse(text);
+      } catch (const obs::JsonParseError&) {
+        fail(where, std::string("expected ") + expected(key.kind) +
+                        ", got '" + std::string(text) + "'");
+      }
+      return from_json(key, v, where);
     }
   }
 }
 
-ScenarioSpec::Fault parse_fault(const obs::JsonValue& v,
-                                const std::string& path) {
-  if (!v.is_object()) fail(path, "expected a fault object");
-  reject_unknown_keys(
-      v,
-      {"kind", "at_s", "duration_s", "target_switch", "target_port", "gray"},
-      path);
-  ScenarioSpec::Fault fault;
-  if (const auto* kind = v.find("kind")) {
-    fault.kind = as_string(*kind, path + ".kind");
+// ---- typed access, generated per row from its member accessor ----
+
+template <class T>
+struct is_optional : std::false_type {};
+template <class T>
+struct is_optional<std::optional<T>> : std::true_type {};
+
+template <class T>
+void store(T& member, const SpecKey& key, const SpecValue& value) {
+  if constexpr (is_optional<T>::value) {
+    typename T::value_type inner{};
+    store(inner, key, value);
+    member = inner;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    member = std::get<bool>(value);
+  } else if constexpr (std::is_enum_v<T>) {
+    member = static_cast<T>(
+        key.names->resolve(std::get<std::string>(value)).value());
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    const double x = std::get<double>(value);
+    if (is_time(key.kind)) {
+      member = static_cast<T>(std::llround(to_ns(key.kind, x)));
+    } else {
+      member = static_cast<T>(x);
+    }
+  } else {
+    member = std::get<T>(value);
   }
-  if (const auto* at = v.find("at_s")) {
-    fault.at_s = as_number(*at, path + ".at_s");
+}
+
+template <class T>
+constexpr std::optional<Kind> kind_of() {
+  if constexpr (is_optional<T>::value) {
+    return kind_of<typename T::value_type>();
+  } else {
+    if (std::is_same_v<T, bool>) return Kind::kBool;
+    if (std::is_enum_v<T>) return Kind::kName;
+    if (std::is_same_v<T, int>) return Kind::kInt;
+    if (std::is_same_v<T, std::uint16_t>) return Kind::kU16;
+    if (std::is_same_v<T, std::uint32_t>) return Kind::kU32;
+    if (std::is_same_v<T, std::uint64_t>) return Kind::kU64;
+    if (std::is_same_v<T, double>) return Kind::kNumber;
+    if (std::is_same_v<T, std::string>) return Kind::kString;
+    if (std::is_same_v<T, std::vector<std::string>>) return Kind::kStrings;
+    return std::nullopt;  // sim::Time: the row names its unit
   }
-  if (const auto* d = v.find("duration_s")) {
-    fault.duration_s = as_number(*d, path + ".duration_s");
+}
+
+constexpr bool bounded(const Range& r) {
+  return r.lo != Range{}.lo || r.hi != Range{}.hi;
+}
+
+/// A row's optional parts. `kind` defaults to the member type's kind.
+struct Opts {
+  std::optional<Kind> kind = {};
+  Range range = {};
+  std::string_view flag = {};
+  const NameSet* names = nullptr;
+};
+
+/// One row over `Target` (ScenarioConfig, or faults::FaultEvent for the
+/// per-fault keys). `Get` is a captureless accessor to the member.
+template <class Target, class Get>
+constexpr SpecKey row(std::string_view path, Get, Opts opts = {}) {
+  using T = std::remove_cvref_t<decltype(Get{}(std::declval<Target&>()))>;
+  SpecKey key;
+  key.path = path;
+  key.per_fault = std::is_same_v<Target, faults::FaultEvent>;
+  key.kind = opts.kind ? *opts.kind : kind_of<T>().value();
+  key.flag = opts.flag;
+  key.range = opts.range;
+  key.names = opts.names;
+  if ((key.kind == Kind::kName) != (key.names != nullptr)) {
+    throw "a name key needs its NameSet";
   }
-  if (const auto* sw = v.find("target_switch")) {
-    fault.target_switch =
-        static_cast<net::SwitchId>(as_uint(*sw, path + ".target_switch"));
-  }
-  if (const auto* port = v.find("target_port")) {
-    fault.target_port =
-        static_cast<net::PortId>(as_uint(*port, path + ".target_port"));
-  }
-  if (const auto* gray = v.find("gray")) {
-    const std::string gpath = path + ".gray";
-    if (!gray->is_object()) fail(gpath, "expected an object");
-    reject_unknown_keys(*gray,
-                        {"mean_up_ms", "mean_down_ms", "fanout", "loss_fwd",
-                         "loss_rev", "drain_us_per_pkt", "gate_depth",
-                         "gate_delay_ms"},
-                        gpath);
-    if (const auto* g = gray->find("mean_up_ms")) {
-      fault.gray.mean_up_ms = as_number(*g, gpath + ".mean_up_ms");
-    }
-    if (const auto* g = gray->find("mean_down_ms")) {
-      fault.gray.mean_down_ms = as_number(*g, gpath + ".mean_down_ms");
-    }
-    if (const auto* g = gray->find("fanout")) {
-      fault.gray.fanout = as_count(*g, gpath + ".fanout");
-    }
-    if (const auto* g = gray->find("loss_fwd")) {
-      fault.gray.loss_fwd = as_number(*g, gpath + ".loss_fwd");
-    }
-    if (const auto* g = gray->find("loss_rev")) {
-      fault.gray.loss_rev = as_number(*g, gpath + ".loss_rev");
-    }
-    if (const auto* g = gray->find("drain_us_per_pkt")) {
-      fault.gray.drain_us_per_pkt =
-          as_number(*g, gpath + ".drain_us_per_pkt");
-    }
-    if (const auto* g = gray->find("gate_depth")) {
-      fault.gray.gate_depth =
-          static_cast<std::uint32_t>(as_uint(*g, gpath + ".gate_depth"));
-    }
-    if (const auto* g = gray->find("gate_delay_ms")) {
-      fault.gray.gate_delay_ms = as_number(*g, gpath + ".gate_delay_ms");
+  key.write = [](const SpecKey& k, void* target, const SpecValue& value) {
+    store(Get{}(*static_cast<Target*>(target)), k, value);
+  };
+  if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+    if (bounded(opts.range)) {
+      key.read = [](const SpecKey& k, const void* target) {
+        // Spec units: a time member's ns over the ns of one spec unit.
+        return static_cast<double>(Get{}(*static_cast<const Target*>(target))) /
+               to_ns(k.kind, 1.0);
+      };
     }
   }
-  return fault;
+  if (bounded(opts.range) && key.read == nullptr) {
+    throw "only numeric keys take a range";
+  }
+  return key;
+}
+
+constexpr Range in(double lo, double hi) { return {lo, hi}; }
+constexpr Range at_least(double lo) { return {.lo = lo}; }
+constexpr Range above(double lo) { return {.lo = lo, .lo_open = true}; }
+constexpr Range at_most(double hi) { return {.hi = hi}; }
+constexpr Kind kSeconds = Kind::kSeconds;
+constexpr Kind kU32 = Kind::kU32;
+
+// KEY(path, member, options...) is one row over ScenarioConfig, FAULT_KEY
+// one over each faults[i] (faults::FaultEvent).
+#define AT(member) [](auto& c) -> auto& { return c.member; }
+#define KEY(path, member, ...) \
+  row<ScenarioConfig>(path, AT(member), {__VA_ARGS__})
+#define FAULT_KEY(path, member, ...) \
+  row<faults::FaultEvent>(path, AT(member), {__VA_ARGS__})
+
+// The spec schema, one row per key. Rows carry exactly the bounds
+// validate_scenario enforces; the per-fault bounds depend on the fault
+// kind and stay in faults::FaultSchedule::validate.
+constexpr SpecKey kKeys[] = {
+    {.path = "name"},  // a label: checked, lowers to nothing
+    KEY("seed", seed, .flag = "--seed"),
+    KEY("systems", systems, .flag = "--systems"),
+    KEY("duration_s", duration, .kind = kSeconds, .range = above(0),
+        .flag = "--duration"),
+    KEY("queue_capacity", queue_capacity, .range = at_least(1)),
+
+    KEY("topology.name", topology.name, .flag = "--topology"),
+    KEY("topology.k", topology.k, .flag = "--k"),
+    KEY("topology.leaves", topology.leaves, .flag = "--leaves"),
+    KEY("topology.spines", topology.spines, .flag = "--spines"),
+    KEY("topology.edge_gbps", topology.edge_gbps),
+    KEY("topology.core_gbps", topology.core_gbps),
+    KEY("topology.propagation_us", topology.propagation,
+        .kind = Kind::kMicros),
+
+    KEY("background.flows", background.flows, .range = at_least(0),
+        .flag = "--flows"),
+    KEY("background.pps", background.pps, .flag = "--pps"),
+    KEY("background.inter_pod_fraction", background.inter_pod_fraction),
+
+    KEY("channel.notification_loss", mars.channel.notification_loss,
+        .range = in(0, 1)),
+    KEY("channel.notification_delay_prob",
+        mars.channel.notification_delay_prob, .range = in(0, 1)),
+    KEY("channel.notification_delay_min_s",
+        mars.channel.notification_delay_min, .kind = kSeconds,
+        .range = at_least(0)),
+    KEY("channel.notification_delay_max_s",
+        mars.channel.notification_delay_max, .kind = kSeconds),
+    KEY("channel.read_failure", mars.channel.read_failure, .range = in(0, 1)),
+    KEY("channel.record_loss", mars.channel.record_loss, .range = in(0, 1)),
+    KEY("channel.record_corruption", mars.channel.record_corruption,
+        .range = in(0, 1)),
+    KEY("channel.read_deadline_s", mars.controller.read_deadline,
+        .kind = kSeconds, .range = at_least(0)),
+    KEY("channel.retry_backoff_s", mars.controller.retry_backoff,
+        .kind = kSeconds, .range = at_least(0)),
+    KEY("channel.max_read_retries", mars.controller.max_read_retries,
+        .range = at_most(16)),
+
+    KEY("telemetry.backend", mars.pipeline.backend.kind,
+        .flag = "--backend", .names = &kBackends),
+    KEY("telemetry.ring_capacity", mars.pipeline.ring_capacity, .kind = kU32,
+        .range = at_least(1)),
+    KEY("telemetry.int_md.sample_every",
+        mars.pipeline.backend.int_md.sample_every, .range = at_least(1)),
+    KEY("telemetry.int_md.max_hops", mars.pipeline.backend.int_md.max_hops,
+        .range = at_least(1)),
+    KEY("telemetry.histogram.buckets",
+        mars.pipeline.backend.histogram.buckets, .range = in(8, 4096)),
+    KEY("telemetry.histogram.sub_bucket_bits",
+        mars.pipeline.backend.histogram.sub_bucket_bits, .range = at_most(8)),
+    KEY("telemetry.histogram.tail_latency_ms",
+        mars.pipeline.backend.histogram.tail_latency, .kind = Kind::kMillis,
+        .range = above(0)),
+    KEY("telemetry.histogram.trigger_enter",
+        mars.pipeline.backend.histogram.trigger_enter, .range = in(0, 1)),
+    KEY("telemetry.histogram.trigger_exit",
+        mars.pipeline.backend.histogram.trigger_exit, .range = in(0, 1)),
+    KEY("telemetry.histogram.digest_capacity",
+        mars.pipeline.backend.histogram.digest_capacity, .kind = kU32),
+    KEY("telemetry.path_id.hash", mars.pipeline.path_id.hash,
+        .flag = "--path-id-hash", .names = &kHashes),
+    KEY("telemetry.path_id.width_bits", mars.pipeline.path_id.width_bits,
+        .range = in(1, 32), .flag = "--path-id-bits"),
+
+    KEY("mining.threads", mars.rca.mining.threads, .range = in(1, 64)),
+    KEY("rca.accumulator.enabled", mars.rca.accumulator.enabled),
+    KEY("rca.accumulator.half_life_s", mars.rca.accumulator.half_life,
+        .kind = kSeconds, .range = above(0)),
+    KEY("rca.accumulator.max_windows", mars.rca.accumulator.max_windows,
+        .kind = kU32, .range = at_least(1)),
+    KEY("rca.single_window", mars.rca.single_window),
+
+    KEY("sim.shards", sim.shards, .range = in(1, 64)),
+    KEY("sim.control_latency_s", sim.control_latency, .kind = kSeconds,
+        .range = above(0)),
+
+    KEY("obs.log_level", obs.log_level, .flag = "--log-level",
+        .names = &kLogLevels),
+    KEY("obs.log_rate_limit_per_s", obs.log_rate_limit_per_s,
+        .range = above(0)),
+    KEY("obs.log_rate_limit_burst", obs.log_rate_limit_burst,
+        .range = at_least(1)),
+    KEY("obs.flight_recorder.enabled", obs.flight_recorder),
+    KEY("obs.flight_recorder.capacity", obs.flight_capacity, .kind = kU32,
+        .range = at_least(1)),
+    KEY("obs.flight_recorder.confidence_threshold",
+        obs.flight_confidence_threshold, .range = in(0, 1)),
+    KEY("obs.provenance", obs.provenance),
+
+    FAULT_KEY("kind", kind, .flag = "--fault", .names = &kFaultKinds),
+    FAULT_KEY("at_s", at, .kind = kSeconds, .flag = "--fault-at"),
+    FAULT_KEY("duration_s", duration, .kind = kSeconds),
+    FAULT_KEY("target_switch", target_switch),
+    FAULT_KEY("target_port", target_port),
+    FAULT_KEY("gray.mean_up_ms", gray.flap_mean_up_ms),
+    FAULT_KEY("gray.mean_down_ms", gray.flap_mean_down_ms),
+    FAULT_KEY("gray.fanout", gray.flap_fanout),
+    FAULT_KEY("gray.loss_fwd", gray.loss_fwd),
+    FAULT_KEY("gray.loss_rev", gray.loss_rev),
+    FAULT_KEY("gray.drain_us_per_pkt", gray.drain_us_per_pkt),
+    FAULT_KEY("gray.gate_depth", gray.gate_depth),
+    FAULT_KEY("gray.gate_delay_ms", gray.gate_delay_ms),
+};
+
+#undef FAULT_KEY
+#undef KEY
+#undef AT
+
+/// A spec event without "at_s" fires at 3 s.
+constexpr sim::Time kDefaultFaultAt = 3 * sim::kSecond;
+
+const SpecKey* find_key(std::string_view path, bool per_fault) {
+  for (const SpecKey& key : kKeys) {
+    if (key.per_fault == per_fault && key.path == path) return &key;
+  }
+  return nullptr;
+}
+
+/// The key names one level below `prefix` ("" or "telemetry."), in table
+/// order: the "known" list of an unknown-key error.
+std::string known_below(std::string_view prefix, bool per_fault) {
+  std::vector<std::string_view> names;
+  for (const SpecKey& key : kKeys) {
+    if (key.per_fault != per_fault || !key.path.starts_with(prefix)) continue;
+    std::string_view name = key.path.substr(prefix.size());
+    name = name.substr(0, name.find('.'));
+    if (std::find(names.begin(), names.end(), name) == names.end()) {
+      names.push_back(name);
+    }
+  }
+  if (prefix.empty() && !per_fault) names.push_back("faults");
+  std::string text;
+  for (const std::string_view name : names) {
+    text += (text.empty() ? "" : ", ") + std::string(name);
+  }
+  return text;
+}
+
+void assign(Assignments& list, const SpecKey& key, SpecValue value) {
+  for (auto& [k, v] : list) {
+    if (k == &key) {
+      v = std::move(value);
+      return;
+    }
+  }
+  list.emplace_back(&key, std::move(value));
+}
+
+/// Assign every key in `object`, whose JSON path starts with `prefix`.
+/// `where` is the object's spec-rooted path for error messages.
+void walk(const obs::JsonValue& object, const std::string& prefix,
+          bool per_fault, const std::string& where, Assignments& out) {
+  for (const auto& [name, value] : object.members()) {
+    const std::string path = prefix + name;
+    const std::string at = where + "." + name;
+    if (!per_fault && path == "faults") continue;  // parse_scenario_spec
+    if (const SpecKey* key = find_key(path, per_fault)) {
+      assign(out, *key, from_json(*key, value, at));
+      continue;
+    }
+    if (known_below(path + ".", per_fault).empty()) {
+      fail(where, "unknown key '" + name + "' (known: " +
+                      known_below(prefix, per_fault) + ")");
+    }
+    if (!value.is_object()) fail(at, "expected an object");
+    walk(value, path + ".", per_fault, at, out);
+  }
 }
 
 }  // namespace
 
+std::span<const SpecKey> spec_keys() { return kKeys; }
+
+const SpecKey* find_spec_key(std::string_view path_or_flag) {
+  if (path_or_flag.starts_with("--")) {
+    for (const SpecKey& key : kKeys) {
+      if (key.flag == path_or_flag) return &key;
+    }
+    return nullptr;
+  }
+  return find_key(path_or_flag, false);
+}
+
+void ScenarioSpec::set(std::string_view name, std::string_view text) {
+  const SpecKey* key = find_spec_key(name);
+  if (key == nullptr) {
+    throw std::invalid_argument("unknown spec key '" + std::string(name) +
+                                "'");
+  }
+  const std::string path =
+      (key->per_fault ? "faults[]." : "") + std::string(key->path);
+  const std::string where =
+      key->flag.empty() ? path : std::string(key->flag) + " (" + path + ")";
+  SpecValue value = from_text(*key, text, where);
+  if (!key->per_fault) {
+    assign(assignments, *key, std::move(value));
+    return;
+  }
+  if (key->names == &kFaultKinds) {
+    // A new kind replaces the schedule: one event at the first one's time.
+    Assignments event;
+    if (!faults.empty()) {
+      for (const Assignment& a : faults[0]) {
+        if (a.first->path == "at_s") event.push_back(a);
+      }
+    }
+    faults.assign(1, std::move(event));
+  }
+  for (Assignments& event : faults) assign(event, *key, value);
+}
+
 ScenarioConfig ScenarioSpec::to_config() const {
-  faults::FaultKind first_kind = faults::FaultKind::kProcessRateDecrease;
-  if (!faults.empty()) {
-    const auto kind = faults::kind_from_name(faults.front().kind);
-    if (!kind) {
-      throw std::invalid_argument(
-          "unknown fault kind '" + faults.front().kind +
-          "' (known: " + faults::known_kind_names() + ")");
-    }
-    first_kind = *kind;
+  std::vector<faults::FaultEvent> events;
+  for (const Assignments& fault : faults) {
+    faults::FaultEvent event;  // kind "rate"
+    event.at = kDefaultFaultAt;
+    for (const auto& [key, value] : fault) key->write(*key, &event, value);
+    events.push_back(std::move(event));
   }
-  // Start from the tuned paper defaults for this fault class, then apply
-  // only the fields the spec sets — a minimal spec IS default_scenario.
-  ScenarioConfig cfg = default_scenario(first_kind, seed);
-  cfg.topology.name = topology;
-  if (k) cfg.topology.k = *k;
-  if (leaves) cfg.topology.leaves = *leaves;
-  if (spines) cfg.topology.spines = *spines;
-  if (edge_gbps) cfg.topology.edge_gbps = *edge_gbps;
-  if (core_gbps) cfg.topology.core_gbps = *core_gbps;
-  if (propagation_us) {
-    cfg.topology.propagation = static_cast<sim::Time>(
-        std::llround(*propagation_us * 1e3));
+  // The tuned paper defaults for the first fault's class; the seed is a
+  // key like any other.
+  ScenarioConfig cfg = default_scenario(
+      events.empty() ? faults::FaultKind::kProcessRateDecrease
+                     : events.front().kind,
+      1);
+  for (const auto& [key, value] : assignments) {
+    if (key->write != nullptr) key->write(*key, &cfg, value);
   }
-  if (queue_capacity) cfg.queue_capacity = *queue_capacity;
-  if (flows) cfg.background.flows = *flows;
-  if (pps) cfg.background.pps = *pps;
-  if (inter_pod_fraction) {
-    cfg.background.inter_pod_fraction = *inter_pod_fraction;
-  }
-  if (duration_s) cfg.duration = seconds_to_time(*duration_s);
-  if (systems) cfg.systems = *systems;
-
-  control::ChannelConfig& ch = cfg.mars.channel;
-  if (channel.notification_loss) {
-    ch.notification_loss = *channel.notification_loss;
-  }
-  if (channel.notification_delay_prob) {
-    ch.notification_delay_prob = *channel.notification_delay_prob;
-  }
-  if (channel.notification_delay_min_s) {
-    ch.notification_delay_min = seconds_to_time(*channel.notification_delay_min_s);
-  }
-  if (channel.notification_delay_max_s) {
-    ch.notification_delay_max = seconds_to_time(*channel.notification_delay_max_s);
-  }
-  if (channel.read_failure) ch.read_failure = *channel.read_failure;
-  if (channel.record_loss) ch.record_loss = *channel.record_loss;
-  if (channel.record_corruption) {
-    ch.record_corruption = *channel.record_corruption;
-  }
-  if (channel.read_deadline_s) {
-    cfg.mars.controller.read_deadline =
-        seconds_to_time(*channel.read_deadline_s);
-  }
-  if (channel.retry_backoff_s) {
-    cfg.mars.controller.retry_backoff =
-        seconds_to_time(*channel.retry_backoff_s);
-  }
-  if (channel.max_read_retries) {
-    cfg.mars.controller.max_read_retries = *channel.max_read_retries;
-  }
-  dataplane::PipelineConfig& pl = cfg.mars.pipeline;
-  if (telemetry.backend) {
-    const auto kind = telemetry::backend_from_name(*telemetry.backend);
-    if (!kind) {
-      std::string msg = "unknown telemetry backend '" + *telemetry.backend +
-                        "' (known:";
-      for (const auto& n : telemetry::known_backend_names()) msg += " " + n;
-      msg += ")";
-      const std::string hint = telemetry::suggest_backend(*telemetry.backend);
-      if (!hint.empty()) msg += "; did you mean '" + hint + "'?";
-      throw std::invalid_argument(msg);
-    }
-    pl.backend.kind = *kind;
-  }
-  if (telemetry.ring_capacity) pl.ring_capacity = *telemetry.ring_capacity;
-  if (telemetry.int_md.sample_every) {
-    pl.backend.int_md.sample_every = *telemetry.int_md.sample_every;
-  }
-  if (telemetry.int_md.max_hops) {
-    pl.backend.int_md.max_hops = *telemetry.int_md.max_hops;
-  }
-  if (telemetry.histogram.buckets) {
-    pl.backend.histogram.buckets = *telemetry.histogram.buckets;
-  }
-  if (telemetry.histogram.sub_bucket_bits) {
-    pl.backend.histogram.sub_bucket_bits = *telemetry.histogram.sub_bucket_bits;
-  }
-  if (telemetry.histogram.tail_latency_ms) {
-    pl.backend.histogram.tail_latency =
-        seconds_to_time(*telemetry.histogram.tail_latency_ms * 1e-3);
-  }
-  if (telemetry.histogram.trigger_enter) {
-    pl.backend.histogram.trigger_enter = *telemetry.histogram.trigger_enter;
-  }
-  if (telemetry.histogram.trigger_exit) {
-    pl.backend.histogram.trigger_exit = *telemetry.histogram.trigger_exit;
-  }
-  if (telemetry.histogram.digest_capacity) {
-    pl.backend.histogram.digest_capacity = *telemetry.histogram.digest_capacity;
-  }
-  if (telemetry.path_id.hash) {
-    const auto kind = telemetry::hash_from_name(*telemetry.path_id.hash);
-    if (!kind) {
-      throw std::invalid_argument("unknown path_id hash '" +
-                                  *telemetry.path_id.hash +
-                                  "' (known: crc16, crc32)");
-    }
-    pl.path_id.hash = *kind;
-  }
-  if (telemetry.path_id.width_bits) {
-    pl.path_id.width_bits = *telemetry.path_id.width_bits;
-  }
-  if (mining.threads) cfg.mars.rca.mining.threads = *mining.threads;
-  if (rca.accumulator.enabled) {
-    cfg.mars.rca.accumulator.enabled = *rca.accumulator.enabled;
-  }
-  if (rca.accumulator.half_life_s) {
-    cfg.mars.rca.accumulator.half_life =
-        seconds_to_time(*rca.accumulator.half_life_s);
-  }
-  if (rca.accumulator.max_windows) {
-    cfg.mars.rca.accumulator.max_windows = *rca.accumulator.max_windows;
-  }
-  if (rca.single_window) {
-    cfg.mars.rca.single_window = *rca.single_window;
-  }
-  if (obs.log_level) {
-    const auto level = obs::level_from_name(*obs.log_level);
-    if (!level) {
-      throw std::invalid_argument("unknown log level '" + *obs.log_level +
-                                  "' (known: debug, info, warn, error)");
-    }
-    cfg.obs.log_level = *level;
-  }
-  if (obs.log_rate_limit_per_s) {
-    cfg.obs.log_rate_limit_per_s = *obs.log_rate_limit_per_s;
-  }
-  if (obs.log_rate_limit_burst) {
-    cfg.obs.log_rate_limit_burst = *obs.log_rate_limit_burst;
-  }
-  if (obs.flight_recorder.enabled) {
-    cfg.obs.flight_recorder = *obs.flight_recorder.enabled;
-  }
-  if (obs.flight_recorder.capacity) {
-    cfg.obs.flight_capacity = *obs.flight_recorder.capacity;
-  }
-  if (obs.flight_recorder.confidence_threshold) {
-    cfg.obs.flight_confidence_threshold =
-        *obs.flight_recorder.confidence_threshold;
-  }
-  if (obs.provenance) cfg.obs.provenance = *obs.provenance;
-  if (sim.shards) cfg.sim.shards = *sim.shards;
-  if (sim.control_latency_s) {
-    cfg.sim.control_latency = seconds_to_time(*sim.control_latency_s);
-  }
-
-  cfg.faults.events.clear();
-  for (const Fault& fault : faults) {
-    const auto kind = faults::kind_from_name(fault.kind);
-    if (!kind) {
-      throw std::invalid_argument("unknown fault kind '" + fault.kind +
-                                  "' (known: " +
-                                  faults::known_kind_names() + ")");
-    }
-    faults::FaultEvent event;
-    event.kind = *kind;
-    event.at = seconds_to_time(fault.at_s);
-    if (fault.duration_s) event.duration = seconds_to_time(*fault.duration_s);
-    event.target_switch = fault.target_switch;
-    event.target_port = fault.target_port;
-    event.gray.flap_mean_up_ms = fault.gray.mean_up_ms;
-    event.gray.flap_mean_down_ms = fault.gray.mean_down_ms;
-    event.gray.flap_fanout = fault.gray.fanout;
-    event.gray.loss_fwd = fault.gray.loss_fwd;
-    event.gray.loss_rev = fault.gray.loss_rev;
-    event.gray.drain_us_per_pkt = fault.gray.drain_us_per_pkt;
-    event.gray.gate_depth = fault.gray.gate_depth;
-    event.gray.gate_delay_ms = fault.gray.gate_delay_ms;
-    cfg.faults.add(event);
-  }
+  cfg.faults.events = std::move(events);
   return cfg;
 }
 
-std::vector<std::string> ScenarioSpec::validate() const {
-  std::vector<std::string> errors;
-  if (sim.shards && (*sim.shards < 1 || *sim.shards > 64)) {
-    errors.push_back("spec.sim.shards must be in [1, 64] (got " +
-                     std::to_string(*sim.shards) + ")");
-  }
-  if (telemetry.backend &&
-      !telemetry::backend_from_name(*telemetry.backend)) {
-    std::string msg = "spec.telemetry.backend: unknown backend '" +
-                      *telemetry.backend + "' (known:";
-    for (const auto& n : telemetry::known_backend_names()) msg += " " + n;
-    msg += ")";
-    const std::string hint = telemetry::suggest_backend(*telemetry.backend);
-    if (!hint.empty()) msg += "; did you mean '" + hint + "'?";
-    errors.push_back(std::move(msg));
-  }
-  if (telemetry.path_id.hash &&
-      !telemetry::hash_from_name(*telemetry.path_id.hash)) {
-    errors.push_back("spec.telemetry.path_id.hash: unknown hash '" +
-                     *telemetry.path_id.hash + "' (known: crc16, crc32)");
-  }
-  if (telemetry.path_id.width_bits && (*telemetry.path_id.width_bits < 1 ||
-                                       *telemetry.path_id.width_bits > 32)) {
-    errors.push_back("spec.telemetry.path_id.width_bits must be in [1, 32] "
-                     "(got " + std::to_string(*telemetry.path_id.width_bits) +
+bool check_spec_ranges(const ScenarioConfig& config,
+                       std::vector<std::string>& errors) {
+  bool ok = true;
+  for (const SpecKey& key : kKeys) {
+    if (key.read == nullptr || key.per_fault) continue;
+    const double v = key.read(key, &config);
+    const Range& r = key.range;
+    if (!(r.lo_open ? v <= r.lo : v < r.lo) && !(v > r.hi)) continue;
+    errors.push_back(std::string(key.path) + " must be in " +
+                     (r.lo_open || std::isinf(r.lo) ? "(" : "[") +
+                     format(r.lo) + ", " + format(r.hi) +
+                     (std::isinf(r.hi) ? ")" : "]") + " (got " + format(v) +
                      ")");
+    ok = false;
   }
-  if (obs.log_level && !obs::level_from_name(*obs.log_level)) {
-    errors.push_back("spec.obs.log_level: unknown level '" + *obs.log_level +
-                     "' (known: debug, info, warn, error)");
-  }
-  if (obs.log_rate_limit_per_s && *obs.log_rate_limit_per_s <= 0.0) {
-    errors.push_back("spec.obs.log_rate_limit_per_s must be positive (got " +
-                     std::to_string(*obs.log_rate_limit_per_s) + ")");
-  }
-  if (obs.log_rate_limit_burst && *obs.log_rate_limit_burst == 0) {
-    errors.push_back("spec.obs.log_rate_limit_burst must be nonzero");
-  }
-  if (obs.flight_recorder.capacity && *obs.flight_recorder.capacity == 0) {
-    errors.push_back("spec.obs.flight_recorder.capacity must be nonzero");
-  }
-  if (obs.flight_recorder.confidence_threshold &&
-      (*obs.flight_recorder.confidence_threshold < 0.0 ||
-       *obs.flight_recorder.confidence_threshold > 1.0)) {
-    errors.push_back(
-        "spec.obs.flight_recorder.confidence_threshold must be in [0, 1] "
-        "(got " +
-        std::to_string(*obs.flight_recorder.confidence_threshold) + ")");
-  }
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (!faults::kind_from_name(faults[i].kind)) {
-      errors.push_back("faults[" + std::to_string(i) +
-                       "]: unknown fault kind '" + faults[i].kind +
-                       "' (known: " + faults::known_kind_names() + ")");
-    }
-  }
-  if (!errors.empty()) return errors;  // cannot lower the spec yet
-  try {
-    const auto more = validate_scenario(to_config());
-    errors.insert(errors.end(), more.begin(), more.end());
-  } catch (const std::exception& e) {
-    errors.emplace_back(e.what());
-  }
-  return errors;
-}
-
-std::string to_json(const ScenarioSpec& spec, int indent) {
-  std::ostringstream out;
-  obs::JsonWriter w(out, indent);
-  w.begin_object();
-  w.member("name", spec.name);
-
-  w.key("topology").begin_object();
-  w.member("name", spec.topology);
-  if (spec.k) w.member("k", std::int64_t{*spec.k});
-  if (spec.leaves) w.member("leaves", std::int64_t{*spec.leaves});
-  if (spec.spines) w.member("spines", std::int64_t{*spec.spines});
-  if (spec.edge_gbps) w.member("edge_gbps", *spec.edge_gbps);
-  if (spec.core_gbps) w.member("core_gbps", *spec.core_gbps);
-  if (spec.propagation_us) w.member("propagation_us", *spec.propagation_us);
-  w.end_object();
-
-  if (spec.queue_capacity) {
-    w.member("queue_capacity", std::uint64_t{*spec.queue_capacity});
-  }
-  if (spec.flows || spec.pps || spec.inter_pod_fraction) {
-    w.key("background").begin_object();
-    if (spec.flows) w.member("flows", std::int64_t{*spec.flows});
-    if (spec.pps) w.member("pps", *spec.pps);
-    if (spec.inter_pod_fraction) {
-      w.member("inter_pod_fraction", *spec.inter_pod_fraction);
-    }
-    w.end_object();
-  }
-  if (spec.duration_s) w.member("duration_s", *spec.duration_s);
-  if (spec.channel.any_set()) {
-    const auto& ch = spec.channel;
-    w.key("channel").begin_object();
-    if (ch.notification_loss) {
-      w.member("notification_loss", *ch.notification_loss);
-    }
-    if (ch.notification_delay_prob) {
-      w.member("notification_delay_prob", *ch.notification_delay_prob);
-    }
-    if (ch.notification_delay_min_s) {
-      w.member("notification_delay_min_s", *ch.notification_delay_min_s);
-    }
-    if (ch.notification_delay_max_s) {
-      w.member("notification_delay_max_s", *ch.notification_delay_max_s);
-    }
-    if (ch.read_failure) w.member("read_failure", *ch.read_failure);
-    if (ch.record_loss) w.member("record_loss", *ch.record_loss);
-    if (ch.record_corruption) {
-      w.member("record_corruption", *ch.record_corruption);
-    }
-    if (ch.read_deadline_s) w.member("read_deadline_s", *ch.read_deadline_s);
-    if (ch.retry_backoff_s) w.member("retry_backoff_s", *ch.retry_backoff_s);
-    if (ch.max_read_retries) {
-      w.member("max_read_retries", std::uint64_t{*ch.max_read_retries});
-    }
-    w.end_object();
-  }
-  if (spec.telemetry.any_set()) {
-    const auto& te = spec.telemetry;
-    w.key("telemetry").begin_object();
-    if (te.backend) w.member("backend", *te.backend);
-    if (te.ring_capacity) {
-      w.member("ring_capacity", std::uint64_t{*te.ring_capacity});
-    }
-    if (te.int_md.any_set()) {
-      w.key("int_md").begin_object();
-      if (te.int_md.sample_every) {
-        w.member("sample_every", std::uint64_t{*te.int_md.sample_every});
-      }
-      if (te.int_md.max_hops) {
-        w.member("max_hops", std::uint64_t{*te.int_md.max_hops});
-      }
-      w.end_object();
-    }
-    if (te.histogram.any_set()) {
-      const auto& h = te.histogram;
-      w.key("histogram").begin_object();
-      if (h.buckets) w.member("buckets", std::uint64_t{*h.buckets});
-      if (h.sub_bucket_bits) {
-        w.member("sub_bucket_bits", std::uint64_t{*h.sub_bucket_bits});
-      }
-      if (h.tail_latency_ms) w.member("tail_latency_ms", *h.tail_latency_ms);
-      if (h.trigger_enter) w.member("trigger_enter", *h.trigger_enter);
-      if (h.trigger_exit) w.member("trigger_exit", *h.trigger_exit);
-      if (h.digest_capacity) {
-        w.member("digest_capacity", std::uint64_t{*h.digest_capacity});
-      }
-      w.end_object();
-    }
-    if (te.path_id.any_set()) {
-      w.key("path_id").begin_object();
-      if (te.path_id.hash) w.member("hash", *te.path_id.hash);
-      if (te.path_id.width_bits) {
-        w.member("width_bits", std::uint64_t{*te.path_id.width_bits});
-      }
-      w.end_object();
-    }
-    w.end_object();
-  }
-  if (spec.mining.any_set()) {
-    w.key("mining").begin_object();
-    if (spec.mining.threads) {
-      w.member("threads", std::uint64_t{*spec.mining.threads});
-    }
-    w.end_object();
-  }
-  if (spec.rca.any_set()) {
-    const auto& acc = spec.rca.accumulator;
-    w.key("rca").begin_object();
-    w.key("accumulator").begin_object();
-    if (acc.enabled) w.member("enabled", *acc.enabled);
-    if (acc.half_life_s) w.member("half_life_s", *acc.half_life_s);
-    if (acc.max_windows) {
-      w.member("max_windows", std::uint64_t{*acc.max_windows});
-    }
-    w.end_object();
-    if (spec.rca.single_window) {
-      w.member("single_window", *spec.rca.single_window);
-    }
-    w.end_object();
-  }
-  if (spec.sim.any_set()) {
-    w.key("sim").begin_object();
-    if (spec.sim.shards) w.member("shards", std::int64_t{*spec.sim.shards});
-    if (spec.sim.control_latency_s) {
-      w.member("control_latency_s", *spec.sim.control_latency_s);
-    }
-    w.end_object();
-  }
-  if (spec.obs.any_set()) {
-    const auto& ob = spec.obs;
-    w.key("obs").begin_object();
-    if (ob.log_level) w.member("log_level", *ob.log_level);
-    if (ob.log_rate_limit_per_s) {
-      w.member("log_rate_limit_per_s", *ob.log_rate_limit_per_s);
-    }
-    if (ob.log_rate_limit_burst) {
-      w.member("log_rate_limit_burst", std::uint64_t{*ob.log_rate_limit_burst});
-    }
-    if (ob.flight_recorder.any_set()) {
-      w.key("flight_recorder").begin_object();
-      if (ob.flight_recorder.enabled) {
-        w.member("enabled", *ob.flight_recorder.enabled);
-      }
-      if (ob.flight_recorder.capacity) {
-        w.member("capacity", std::uint64_t{*ob.flight_recorder.capacity});
-      }
-      if (ob.flight_recorder.confidence_threshold) {
-        w.member("confidence_threshold",
-                 *ob.flight_recorder.confidence_threshold);
-      }
-      w.end_object();
-    }
-    if (ob.provenance) w.member("provenance", *ob.provenance);
-    w.end_object();
-  }
-  w.member("seed", std::uint64_t{spec.seed});
-  if (spec.systems) {
-    w.key("systems").begin_array();
-    for (const auto& name : *spec.systems) w.value(name);
-    w.end_array();
-  }
-  w.key("faults").begin_array();
-  for (const auto& fault : spec.faults) {
-    w.begin_object();
-    w.member("kind", fault.kind);
-    w.member("at_s", fault.at_s);
-    if (fault.duration_s) w.member("duration_s", *fault.duration_s);
-    if (fault.target_switch) {
-      w.member("target_switch", std::uint64_t{*fault.target_switch});
-    }
-    if (fault.target_port) {
-      w.member("target_port", std::uint64_t{*fault.target_port});
-    }
-    if (fault.gray.any_set()) {
-      const auto& g = fault.gray;
-      w.key("gray").begin_object();
-      if (g.mean_up_ms) w.member("mean_up_ms", *g.mean_up_ms);
-      if (g.mean_down_ms) w.member("mean_down_ms", *g.mean_down_ms);
-      if (g.fanout) w.member("fanout", std::int64_t{*g.fanout});
-      if (g.loss_fwd) w.member("loss_fwd", *g.loss_fwd);
-      if (g.loss_rev) w.member("loss_rev", *g.loss_rev);
-      if (g.drain_us_per_pkt) {
-        w.member("drain_us_per_pkt", *g.drain_us_per_pkt);
-      }
-      if (g.gate_depth) w.member("gate_depth", std::uint64_t{*g.gate_depth});
-      if (g.gate_delay_ms) w.member("gate_delay_ms", *g.gate_delay_ms);
-      w.end_object();
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return out.str();
+  return ok;
 }
 
 ScenarioSpec parse_scenario_spec(std::string_view json) {
@@ -604,290 +583,14 @@ ScenarioSpec parse_scenario_spec(std::string_view json) {
   if (!doc.is_object()) {
     throw std::invalid_argument("spec: expected a top-level JSON object");
   }
-  reject_unknown_keys(doc,
-                      {"name", "topology", "queue_capacity", "background",
-                       "duration_s", "seed", "systems", "faults", "channel",
-                       "telemetry", "mining", "rca", "sim", "obs"},
-                      "spec");
-
   ScenarioSpec spec;
-  if (const auto* name = doc.find("name")) {
-    spec.name = as_string(*name, "spec.name");
-  }
-  if (const auto* topo = doc.find("topology")) {
-    if (!topo->is_object()) fail("spec.topology", "expected an object");
-    reject_unknown_keys(*topo,
-                        {"name", "k", "leaves", "spines", "edge_gbps",
-                         "core_gbps", "propagation_us"},
-                        "spec.topology");
-    if (const auto* n = topo->find("name")) {
-      spec.topology = as_string(*n, "spec.topology.name");
-    }
-    if (const auto* k = topo->find("k")) {
-      spec.k = as_count(*k, "spec.topology.k");
-    }
-    if (const auto* leaves = topo->find("leaves")) {
-      spec.leaves = as_count(*leaves, "spec.topology.leaves");
-    }
-    if (const auto* spines = topo->find("spines")) {
-      spec.spines = as_count(*spines, "spec.topology.spines");
-    }
-    if (const auto* e = topo->find("edge_gbps")) {
-      spec.edge_gbps = as_number(*e, "spec.topology.edge_gbps");
-    }
-    if (const auto* c = topo->find("core_gbps")) {
-      spec.core_gbps = as_number(*c, "spec.topology.core_gbps");
-    }
-    if (const auto* p = topo->find("propagation_us")) {
-      spec.propagation_us = as_number(*p, "spec.topology.propagation_us");
-    }
-  }
-  if (const auto* qc = doc.find("queue_capacity")) {
-    spec.queue_capacity =
-        static_cast<std::uint32_t>(as_uint(*qc, "spec.queue_capacity"));
-  }
-  if (const auto* bg = doc.find("background")) {
-    if (!bg->is_object()) fail("spec.background", "expected an object");
-    reject_unknown_keys(*bg, {"flows", "pps", "inter_pod_fraction"},
-                        "spec.background");
-    if (const auto* flows = bg->find("flows")) {
-      spec.flows = as_count(*flows, "spec.background.flows");
-    }
-    if (const auto* pps = bg->find("pps")) {
-      spec.pps = as_number(*pps, "spec.background.pps");
-    }
-    if (const auto* f = bg->find("inter_pod_fraction")) {
-      spec.inter_pod_fraction =
-          as_number(*f, "spec.background.inter_pod_fraction");
-    }
-  }
-  if (const auto* d = doc.find("duration_s")) {
-    spec.duration_s = as_number(*d, "spec.duration_s");
-  }
-  if (const auto* ch = doc.find("channel")) {
-    if (!ch->is_object()) fail("spec.channel", "expected an object");
-    reject_unknown_keys(
-        *ch,
-        {"notification_loss", "notification_delay_prob",
-         "notification_delay_min_s", "notification_delay_max_s",
-         "read_failure", "record_loss", "record_corruption",
-         "read_deadline_s", "retry_backoff_s", "max_read_retries"},
-        "spec.channel");
-    if (const auto* v = ch->find("notification_loss")) {
-      spec.channel.notification_loss =
-          as_number(*v, "spec.channel.notification_loss");
-    }
-    if (const auto* v = ch->find("notification_delay_prob")) {
-      spec.channel.notification_delay_prob =
-          as_number(*v, "spec.channel.notification_delay_prob");
-    }
-    if (const auto* v = ch->find("notification_delay_min_s")) {
-      spec.channel.notification_delay_min_s =
-          as_number(*v, "spec.channel.notification_delay_min_s");
-    }
-    if (const auto* v = ch->find("notification_delay_max_s")) {
-      spec.channel.notification_delay_max_s =
-          as_number(*v, "spec.channel.notification_delay_max_s");
-    }
-    if (const auto* v = ch->find("read_failure")) {
-      spec.channel.read_failure = as_number(*v, "spec.channel.read_failure");
-    }
-    if (const auto* v = ch->find("record_loss")) {
-      spec.channel.record_loss = as_number(*v, "spec.channel.record_loss");
-    }
-    if (const auto* v = ch->find("record_corruption")) {
-      spec.channel.record_corruption =
-          as_number(*v, "spec.channel.record_corruption");
-    }
-    if (const auto* v = ch->find("read_deadline_s")) {
-      spec.channel.read_deadline_s =
-          as_number(*v, "spec.channel.read_deadline_s");
-    }
-    if (const auto* v = ch->find("retry_backoff_s")) {
-      spec.channel.retry_backoff_s =
-          as_number(*v, "spec.channel.retry_backoff_s");
-    }
-    if (const auto* v = ch->find("max_read_retries")) {
-      spec.channel.max_read_retries = static_cast<std::uint32_t>(
-          as_uint(*v, "spec.channel.max_read_retries"));
-    }
-  }
-  if (const auto* te = doc.find("telemetry")) {
-    if (!te->is_object()) fail("spec.telemetry", "expected an object");
-    reject_unknown_keys(
-        *te, {"backend", "ring_capacity", "int_md", "histogram", "path_id"},
-        "spec.telemetry");
-    if (const auto* v = te->find("backend")) {
-      spec.telemetry.backend = as_string(*v, "spec.telemetry.backend");
-    }
-    if (const auto* v = te->find("ring_capacity")) {
-      spec.telemetry.ring_capacity = static_cast<std::uint32_t>(
-          as_uint(*v, "spec.telemetry.ring_capacity"));
-    }
-    if (const auto* im = te->find("int_md")) {
-      if (!im->is_object()) fail("spec.telemetry.int_md", "expected an object");
-      reject_unknown_keys(*im, {"sample_every", "max_hops"},
-                          "spec.telemetry.int_md");
-      if (const auto* v = im->find("sample_every")) {
-        spec.telemetry.int_md.sample_every = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.telemetry.int_md.sample_every"));
-      }
-      if (const auto* v = im->find("max_hops")) {
-        spec.telemetry.int_md.max_hops = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.telemetry.int_md.max_hops"));
-      }
-    }
-    if (const auto* hi = te->find("histogram")) {
-      if (!hi->is_object()) {
-        fail("spec.telemetry.histogram", "expected an object");
-      }
-      reject_unknown_keys(*hi,
-                          {"buckets", "sub_bucket_bits", "tail_latency_ms",
-                           "trigger_enter", "trigger_exit", "digest_capacity"},
-                          "spec.telemetry.histogram");
-      if (const auto* v = hi->find("buckets")) {
-        spec.telemetry.histogram.buckets = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.telemetry.histogram.buckets"));
-      }
-      if (const auto* v = hi->find("sub_bucket_bits")) {
-        spec.telemetry.histogram.sub_bucket_bits = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.telemetry.histogram.sub_bucket_bits"));
-      }
-      if (const auto* v = hi->find("tail_latency_ms")) {
-        spec.telemetry.histogram.tail_latency_ms =
-            as_number(*v, "spec.telemetry.histogram.tail_latency_ms");
-      }
-      if (const auto* v = hi->find("trigger_enter")) {
-        spec.telemetry.histogram.trigger_enter =
-            as_number(*v, "spec.telemetry.histogram.trigger_enter");
-      }
-      if (const auto* v = hi->find("trigger_exit")) {
-        spec.telemetry.histogram.trigger_exit =
-            as_number(*v, "spec.telemetry.histogram.trigger_exit");
-      }
-      if (const auto* v = hi->find("digest_capacity")) {
-        spec.telemetry.histogram.digest_capacity = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.telemetry.histogram.digest_capacity"));
-      }
-    }
-    if (const auto* pid = te->find("path_id")) {
-      if (!pid->is_object()) {
-        fail("spec.telemetry.path_id", "expected an object");
-      }
-      reject_unknown_keys(*pid, {"hash", "width_bits"},
-                          "spec.telemetry.path_id");
-      if (const auto* v = pid->find("hash")) {
-        spec.telemetry.path_id.hash =
-            as_string(*v, "spec.telemetry.path_id.hash");
-      }
-      if (const auto* v = pid->find("width_bits")) {
-        spec.telemetry.path_id.width_bits = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.telemetry.path_id.width_bits"));
-      }
-    }
-  }
-  if (const auto* mining = doc.find("mining")) {
-    if (!mining->is_object()) fail("spec.mining", "expected an object");
-    reject_unknown_keys(*mining, {"threads"}, "spec.mining");
-    if (const auto* v = mining->find("threads")) {
-      spec.mining.threads =
-          static_cast<std::uint32_t>(as_uint(*v, "spec.mining.threads"));
-    }
-  }
-  if (const auto* rca = doc.find("rca")) {
-    if (!rca->is_object()) fail("spec.rca", "expected an object");
-    reject_unknown_keys(*rca, {"accumulator", "single_window"}, "spec.rca");
-    if (const auto* acc = rca->find("accumulator")) {
-      if (!acc->is_object()) {
-        fail("spec.rca.accumulator", "expected an object");
-      }
-      reject_unknown_keys(*acc, {"enabled", "half_life_s", "max_windows"},
-                          "spec.rca.accumulator");
-      if (const auto* v = acc->find("enabled")) {
-        spec.rca.accumulator.enabled =
-            as_bool(*v, "spec.rca.accumulator.enabled");
-      }
-      if (const auto* v = acc->find("half_life_s")) {
-        spec.rca.accumulator.half_life_s =
-            as_number(*v, "spec.rca.accumulator.half_life_s");
-      }
-      if (const auto* v = acc->find("max_windows")) {
-        spec.rca.accumulator.max_windows = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.rca.accumulator.max_windows"));
-      }
-    }
-    if (const auto* v = rca->find("single_window")) {
-      spec.rca.single_window = as_bool(*v, "spec.rca.single_window");
-    }
-  }
-  if (const auto* sim = doc.find("sim")) {
-    if (!sim->is_object()) fail("spec.sim", "expected an object");
-    reject_unknown_keys(*sim, {"shards", "control_latency_s"}, "spec.sim");
-    if (const auto* v = sim->find("shards")) {
-      spec.sim.shards = as_count(*v, "spec.sim.shards");
-    }
-    if (const auto* v = sim->find("control_latency_s")) {
-      spec.sim.control_latency_s = as_number(*v, "spec.sim.control_latency_s");
-    }
-  }
-  if (const auto* ob = doc.find("obs")) {
-    if (!ob->is_object()) fail("spec.obs", "expected an object");
-    reject_unknown_keys(*ob,
-                        {"log_level", "log_rate_limit_per_s",
-                         "log_rate_limit_burst", "flight_recorder",
-                         "provenance"},
-                        "spec.obs");
-    if (const auto* v = ob->find("log_level")) {
-      spec.obs.log_level = as_string(*v, "spec.obs.log_level");
-    }
-    if (const auto* v = ob->find("log_rate_limit_per_s")) {
-      spec.obs.log_rate_limit_per_s =
-          as_number(*v, "spec.obs.log_rate_limit_per_s");
-    }
-    if (const auto* v = ob->find("log_rate_limit_burst")) {
-      spec.obs.log_rate_limit_burst = static_cast<std::uint32_t>(
-          as_uint(*v, "spec.obs.log_rate_limit_burst"));
-    }
-    if (const auto* fr = ob->find("flight_recorder")) {
-      if (!fr->is_object()) {
-        fail("spec.obs.flight_recorder", "expected an object");
-      }
-      reject_unknown_keys(*fr, {"enabled", "capacity", "confidence_threshold"},
-                          "spec.obs.flight_recorder");
-      if (const auto* v = fr->find("enabled")) {
-        spec.obs.flight_recorder.enabled =
-            as_bool(*v, "spec.obs.flight_recorder.enabled");
-      }
-      if (const auto* v = fr->find("capacity")) {
-        spec.obs.flight_recorder.capacity = static_cast<std::uint32_t>(
-            as_uint(*v, "spec.obs.flight_recorder.capacity"));
-      }
-      if (const auto* v = fr->find("confidence_threshold")) {
-        spec.obs.flight_recorder.confidence_threshold =
-            as_number(*v, "spec.obs.flight_recorder.confidence_threshold");
-      }
-    }
-    if (const auto* v = ob->find("provenance")) {
-      spec.obs.provenance = as_bool(*v, "spec.obs.provenance");
-    }
-  }
-  if (const auto* seed = doc.find("seed")) {
-    spec.seed = as_uint(*seed, "spec.seed");
-  }
-  if (const auto* systems = doc.find("systems")) {
-    if (!systems->is_array()) fail("spec.systems", "expected an array");
-    std::vector<std::string> names;
-    for (std::size_t i = 0; i < systems->size(); ++i) {
-      names.push_back(as_string(systems->at(i),
-                                "spec.systems[" + std::to_string(i) + "]"));
-    }
-    spec.systems = std::move(names);
-  }
-  if (const auto* faults = doc.find("faults")) {
+  walk(doc, "", false, "spec", spec.assignments);
+  if (const obs::JsonValue* faults = doc.find("faults")) {
     if (!faults->is_array()) fail("spec.faults", "expected an array");
     for (std::size_t i = 0; i < faults->size(); ++i) {
-      spec.faults.push_back(parse_fault(
-          faults->at(i), "spec.faults[" + std::to_string(i) + "]"));
+      const std::string where = "spec.faults[" + std::to_string(i) + "]";
+      if (!faults->at(i).is_object()) fail(where, "expected a fault object");
+      walk(faults->at(i), "", true, where, spec.faults.emplace_back());
     }
   }
   return spec;

@@ -352,7 +352,7 @@ TEST(ShardedScenarioDeterminismTest, DegradedChannelMatchesAtEveryShardCount) {
         {"kind": "rate", "at_s": 3.0}
       ]
     })");
-    spec.sim.shards = shards;
+    spec.set("sim.shards", std::to_string(shards));
     ScenarioConfig cfg = spec.to_config();
     faults::FaultEvent burst;
     burst.kind = faults::FaultKind::kNotificationLoss;

@@ -170,7 +170,7 @@ TEST(ScenarioValidationTest, RunScenarioThrowsOnInvalidConfig) {
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("queue capacity"), std::string::npos) << what;
+    EXPECT_NE(what.find("queue_capacity"), std::string::npos) << what;
     EXPECT_NE(what.find("netsight"), std::string::npos) << what;
   }
 }

@@ -187,7 +187,7 @@ TEST(GrayScenarioDeterminismTest, SpecDrivenGrayRunSurfacesPresence) {
       "gray": {"mean_up_ms": 100.0, "mean_down_ms": 50.0, "fanout": 2}
     }]
   })");
-  EXPECT_TRUE(spec.validate().empty());
+  EXPECT_TRUE(validate_scenario(spec.to_config()).empty());
   const ScenarioResult r = run_scenario(spec.to_config());
   ASSERT_EQ(r.truths.size(), 1u);
   EXPECT_GT(r.truths.front().windows_total, 0u);

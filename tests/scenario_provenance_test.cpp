@@ -165,7 +165,7 @@ TEST(ScenarioProvenanceTest, FlightRecorderDumpsOnLossyLowConfidence) {
       "flight_recorder": {"enabled": true, "confidence_threshold": 1.0}
     }
   })");
-  ASSERT_TRUE(spec.validate().empty());
+  ASSERT_TRUE(validate_scenario(spec.to_config()).empty());
 
   Observability obs;
   ScenarioConfig cfg = spec.to_config();

@@ -56,13 +56,59 @@ void sort_by_path_id(std::vector<std::uint64_t>& keys) {
 
 }  // namespace
 
+/// update_path_id(config, 0, sw, in, out, 0) for every switch and each
+/// (in port, out port) pair of it, kHostPort included: the part of a hop
+/// update that does not depend on the entering PathID. A replayed hop
+/// then costs one load here plus telemetry::path_id_term's four lookups.
+/// A switch with P ports takes (P + 1)^2 entries (81 or 289 at k=16).
+class PathRegistry::HopTerms {
+ public:
+  HopTerms(const net::Topology& topology,
+           const telemetry::PathIdConfig& config) {
+    switches_.reserve(topology.switch_count());
+    for (net::SwitchId sw = 0; sw < topology.switch_count(); ++sw) {
+      const std::size_t slots = topology.port_count(sw) + 1;
+      switches_.push_back({terms_.size(), slots});
+      for (std::size_t in = 0; in < slots; ++in) {
+        for (std::size_t out = 0; out < slots; ++out) {
+          terms_.push_back(telemetry::update_path_id(
+              config, 0, sw, port_at(in), port_at(out), 0));
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] std::uint32_t operator()(net::SwitchId sw,
+                                         const HopPorts& ports) const {
+    const Switch& s = switches_[sw];
+    return terms_[s.first + slot(ports.in_port) * s.slots +
+                  slot(ports.out_port)];
+  }
+
+ private:
+  struct Switch {
+    std::size_t first = 0;  ///< index of the switch's (slot 0, slot 0) term
+    std::size_t slots = 0;  ///< ports + 1
+  };
+  // kHostPort takes slot 0 and port p slot p + 1.
+  [[nodiscard]] static std::size_t slot(net::PortId port) {
+    return static_cast<net::PortId>(port + 1);
+  }
+  [[nodiscard]] static net::PortId port_at(std::size_t slot) {
+    return static_cast<net::PortId>(slot - 1);
+  }
+
+  std::vector<Switch> switches_;
+  std::vector<std::uint32_t> terms_;
+};
+
 PathRegistry::PathRegistry(const net::Topology& topology,
                            const net::RoutingTable& routing,
                            telemetry::PathIdConfig config)
     : config_(config) {
   const auto start = std::chrono::steady_clock::now();
   enumerate(topology, routing);
-  resolve_conflicts();
+  resolve_conflicts(HopTerms(topology, config_));
 
   audit_.config = config_;
   audit_.path_count = path_count();
@@ -78,59 +124,109 @@ PathRegistry::PathRegistry(const net::Topology& topology,
 
 void PathRegistry::enumerate(const net::Topology& topology,
                              const net::RoutingTable& routing) {
-  // Depth-first over each (source, destination) pair's shortest-path DAG:
-  // sources, then destinations, in edge-layer order, next hops in port
-  // order — RoutingTable::enumerate_edge_paths()'s order. Each hop's
-  // ports come from the DFS edge itself (the local port and the peer's
-  // port), and a finished path is appended straight to the flat arrays.
+  // The next hops towards a destination are its ECMP group's members, the
+  // ports whose neighbor is one hop closer, in port order. Faults rewrite
+  // only member weights, so the groups are the shortest-path DAG.
+  const auto next_hops = [&](net::SwitchId at, net::SwitchId dst) {
+    return std::span<const net::EcmpMember>(routing.group(at, dst).members);
+  };
   const std::vector<net::SwitchId> edges =
       topology.switches_in_layer(net::Layer::kEdge);
-  std::vector<net::SwitchId> prefix;
-  std::vector<HopPorts> prefix_ports;
-  offsets_.push_back(0);
-  for (const net::SwitchId src : edges) {
-    for (const net::SwitchId dst : edges) {
-      if (src == dst || routing.distance(src, dst) < 0) continue;
-      const auto dfs = [&](const auto& self, net::SwitchId cur,
-                           net::PortId in_port) -> void {
-        const int d = routing.distance(cur, dst);
-        if (d == 0) {
-          switches_.insert(switches_.end(), prefix.begin(), prefix.end());
-          switches_.push_back(cur);
-          ports_.insert(ports_.end(), prefix_ports.begin(),
-                        prefix_ports.end());
-          ports_.push_back({in_port, net::kHostPort});
-          offsets_.push_back(static_cast<std::uint32_t>(switches_.size()));
-          return;
-        }
-        for (net::PortId p = 0; p < topology.port_count(cur); ++p) {
-          const net::Topology::PortPeer& peer = topology.peer(cur, p);
-          if (routing.distance(peer.neighbor, dst) != d - 1) continue;
-          prefix.push_back(cur);
-          prefix_ports.push_back({in_port, p});
-          self(self, peer.neighbor, peer.neighbor_port);
-          prefix.pop_back();
-          prefix_ports.pop_back();
-        }
-      };
-      dfs(dfs, src, net::kHostPort);
+
+  // Count first, so the flat arrays are allocated once at their exact
+  // size: per destination, the paths from each switch and their length
+  // (every shortest path from one switch has the same), memoized over
+  // the DAG. An unreachable pair has an empty group and counts nothing.
+  struct Reach {
+    std::uint64_t paths = 0;
+    std::uint64_t hops = 0;  ///< per path; 0 until computed
+  };
+  std::vector<Reach> reach(topology.switch_count());
+  std::uint64_t path_total = 0;
+  std::uint64_t hop_total = 0;
+  std::uint64_t max_hops = 0;
+  for (const net::SwitchId dst : edges) {
+    std::fill(reach.begin(), reach.end(), Reach{});
+    reach[dst] = {1, 1};
+    const auto count = [&](const auto& self, net::SwitchId at) -> Reach {
+      if (reach[at].hops != 0) return reach[at];
+      Reach sum;
+      for (const net::EcmpMember& m : next_hops(at, dst)) {
+        const Reach next = self(self, topology.peer(at, m.port).neighbor);
+        sum.paths += next.paths;
+        sum.hops = next.hops + 1;
+      }
+      return reach[at] = sum;
+    };
+    for (const net::SwitchId src : edges) {
+      if (src == dst) continue;
+      const Reach r = count(count, src);
+      path_total += r.paths;
+      hop_total += r.paths * r.hops;
+      max_hops = std::max(max_hops, r.hops);
     }
   }
   // Keys pack the path index into 32 bits, and offsets the hop index.
-  if (switches_.size() > std::numeric_limits<std::uint32_t>::max()) {
+  if (hop_total > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("PathRegistry: more than 2^32 hops to register");
   }
-  ids_.resize(offsets_.size() - 1);
-  keys_.resize(ids_.size());
+  switches_.reserve(hop_total);
+  ports_.reserve(hop_total);
+  offsets_.reserve(path_total + 1);
+
+  // Depth-first over each (source, destination) pair's DAG: sources, then
+  // destinations, in edge-layer order, next hops in port order —
+  // RoutingTable::enumerate_edge_paths()'s order. Each hop's ports come
+  // from the DFS edge itself (the local port and the peer's port). The
+  // path being walked lives in `path`/`path_ports`, and each finished one
+  // is appended to the flat arrays.
+  std::vector<net::SwitchId> path(max_hops);
+  std::vector<HopPorts> path_ports(max_hops);
+  offsets_.push_back(0);
+  for (const net::SwitchId src : edges) {
+    for (const net::SwitchId dst : edges) {
+      if (src == dst || next_hops(src, dst).empty()) continue;  // no path
+      const auto dfs = [&](const auto& self, net::SwitchId cur,
+                           net::PortId in_port, std::size_t depth) -> void {
+        path[depth] = cur;
+        path_ports[depth].in_port = in_port;
+        if (cur == dst) {
+          path_ports[depth].out_port = net::kHostPort;
+          switches_.insert(switches_.end(), path.begin(),
+                           path.begin() + depth + 1);
+          ports_.insert(ports_.end(), path_ports.begin(),
+                        path_ports.begin() + depth + 1);
+          offsets_.push_back(static_cast<std::uint32_t>(switches_.size()));
+          return;
+        }
+        for (const net::EcmpMember& m : next_hops(cur, dst)) {
+          const net::Topology::PortPeer& peer = topology.peer(cur, m.port);
+          path_ports[depth].out_port = m.port;
+          self(self, peer.neighbor, peer.neighbor_port, depth + 1);
+        }
+      };
+      dfs(dfs, src, net::kHostPort, 0);
+    }
+  }
+  ids_.resize(path_total);
+  keys_.resize(path_total);
 }
 
-std::size_t PathRegistry::replay_and_group() {
+std::size_t PathRegistry::replay_and_group(const HopTerms& hop_terms) {
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     std::uint32_t id = 0;
     for (std::uint32_t h = offsets_[i]; h < offsets_[i + 1]; ++h) {
-      id = telemetry::update_path_id_with_mat(config_, mat_, id, switches_[h],
-                                              ports_[h].in_port,
-                                              ports_[h].out_port);
+      const net::SwitchId sw = switches_[h];
+      const HopPorts& ports = ports_[h];
+      std::uint32_t rest = hop_terms(sw, ports);
+      if (!mat_.empty()) {
+        const auto it = mat_.find({id, sw, ports.in_port, ports.out_port});
+        if (it != mat_.end()) {
+          rest = telemetry::update_path_id(config_, 0, sw, ports.in_port,
+                                           ports.out_port, it->second);
+        }
+      }
+      id = telemetry::path_id_term(config_, id) ^ rest;
     }
     ids_[i] = id;
     keys_[i] = (std::uint64_t{id} << 32) | i;
@@ -144,7 +240,7 @@ std::size_t PathRegistry::replay_and_group() {
   return keys_.size() - groups;
 }
 
-void PathRegistry::resolve_conflicts() {
+void PathRegistry::resolve_conflicts(const HopTerms& hop_terms) {
   // Iteratively: recompute all ids; for every group of paths sharing an
   // id, keep the first and pin a fresh control value for each of the
   // others at the first hop where their running keys diverge from the
@@ -157,14 +253,14 @@ void PathRegistry::resolve_conflicts() {
   // be injective, so 64 rounds of separation would only churn. Record the
   // raw collision census and stop — validation rejects the config.
   if (path_count() > static_cast<std::size_t>(config_.mask()) + 1) {
-    audit_.initial_collisions = replay_and_group();
+    audit_.initial_collisions = replay_and_group(hop_terms);
     audit_.residual_collisions = audit_.initial_collisions;
     audit_.pigeonhole_infeasible = true;
     audit_.conflict_free = false;
     audit_.rounds = 0;
   } else {
     for (int round = 0; round < kMaxRounds; ++round) {
-      const std::size_t conflicts = replay_and_group();
+      const std::size_t conflicts = replay_and_group(hop_terms);
       if (round == 0) audit_.initial_collisions = conflicts;
       audit_.rounds = round + 1;
       if (conflicts == 0) {

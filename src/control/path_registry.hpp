@@ -14,11 +14,13 @@
 // switch ids sit back to back in one vector, with a parallel vector of
 // hop ports, a per-path offset and PathID, and one sorted
 // (PathID << 32 | path index) key array. That is 8 B per hop plus 16 B
-// per path, with no per-path allocation. Each resolution round replays
-// every path's id and radix-sorts the keys; a run of equal ids is a
-// collision group whose lowest-index member is the keeper, and groups
-// are separated in ascending PathID order. lookup() is a binary search
-// over the same keys.
+// per path, with no per-path allocation; a counting pass over the ECMP
+// groups sizes the arrays exactly before a DFS over the same groups
+// fills them. Each resolution round replays every path's id (per hop, a
+// tabulated hop term XOR the entering PathID's term) and radix-sorts the
+// keys; a run of equal ids is a collision group whose lowest-index member
+// is the keeper, and groups are separated in ascending PathID order.
+// lookup() is a binary search over the same keys.
 //
 // A registry that fails to resolve every collision is a *diagnosed*
 // condition, not a silent one: ambiguous PathIDs decompress to an empty
@@ -139,12 +141,14 @@ class PathRegistry {
   static constexpr std::size_t kIntSightMatEntryBytes = 7;
 
  private:
+  class HopTerms;
+
   void enumerate(const net::Topology& topology,
                  const net::RoutingTable& routing);
   /// Replay every path's id under the current MAT and rebuild the sorted
   /// keys; returns the collision count (paths minus distinct ids).
-  std::size_t replay_and_group();
-  void resolve_conflicts();
+  std::size_t replay_and_group(const HopTerms& hop_terms);
+  void resolve_conflicts(const HopTerms& hop_terms);
   void separate(std::size_t keeper, std::size_t other);
   /// The run of sorted keys whose PathID is `path_id`.
   [[nodiscard]] std::span<const std::uint64_t> members(

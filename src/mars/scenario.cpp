@@ -88,6 +88,13 @@ std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
         std::to_string(be.histogram.trigger_exit) + " > enter " +
         std::to_string(be.histogram.trigger_enter) + ")");
   }
+  if (config.systems.empty()) {
+    // A trial with no system deployed simulates the whole run and grades
+    // nothing.
+    errors.push_back("systems must name at least one telemetry system "
+                     "(known: " + SystemRegistry::instance().known_names() +
+                     ")");
+  }
   for (std::size_t i = 0; i < config.systems.size(); ++i) {
     const std::string& name = config.systems[i];
     if (!SystemRegistry::instance().contains(name)) {

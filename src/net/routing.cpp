@@ -50,8 +50,7 @@ bool RoutingTable::select_port(SwitchId at, SwitchId dst,
   assert(total > 0);
   // Hash {flow, switch} so different switches decorrelate their choices —
   // this is the "imperfect hash" a real ECMP deployment uses.
-  const std::uint32_t words[2] = {flow_hash, at};
-  const std::uint32_t h = util::crc32_words(words);
+  const std::uint32_t h = util::crc32_words<2>({flow_hash, at});
   std::uint32_t r = h % total;
   for (const auto& m : g.members) {
     if (r < m.weight) {

@@ -2,8 +2,6 @@
 
 #include <array>
 
-#include "util/crc.hpp"
-
 namespace mars::telemetry {
 
 const char* hash_name(HashKind kind) {

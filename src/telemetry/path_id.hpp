@@ -20,6 +20,7 @@
 #include <unordered_map>
 
 #include "net/types.hpp"
+#include "util/crc.hpp"
 
 namespace mars::telemetry {
 
@@ -79,5 +80,18 @@ using ControlMat = std::unordered_map<HopKey, std::uint32_t, HopKeyHash>;
 [[nodiscard]] std::uint32_t update_path_id_with_mat(
     const PathIdConfig& config, const ControlMat& mat, std::uint32_t path_id,
     net::SwitchId sw, net::PortId in_port, net::PortId out_port);
+
+/// The entering PathID's share of a hop update. CRC is affine over GF(2),
+/// so the update splits into it and the rest of the hop:
+///   update_path_id(c, id, sw, in, out, ctl)
+///       == path_id_term(c, id) ^ update_path_id(c, 0, sw, in, out, ctl).
+/// The control plane tabulates the second term per hop.
+[[nodiscard]] inline std::uint32_t path_id_term(const PathIdConfig& config,
+                                                std::uint32_t path_id) {
+  const std::uint32_t term = config.hash == HashKind::kCrc16
+                                 ? util::crc16_word_term<5>(0, path_id)
+                                 : util::crc32_word_term<5>(0, path_id);
+  return term & config.mask();
+}
 
 }  // namespace mars::telemetry

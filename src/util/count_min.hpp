@@ -9,6 +9,7 @@
 // (estimates never undercount; overcount <= 2N/width with probability
 // 1 - 2^-depth).
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -56,7 +57,7 @@ class CountMinSketch {
  private:
   [[nodiscard]] std::size_t index(std::uint64_t key, std::size_t row) const {
     // Row-salted CRC32 over the key, as a P4 hash generator would do.
-    const std::uint32_t words[3] = {
+    const std::array<std::uint32_t, 3> words{
         static_cast<std::uint32_t>(key),
         static_cast<std::uint32_t>(key >> 32),
         static_cast<std::uint32_t>(row * 0x9E3779B9u + 1u)};

@@ -1,3 +1,5 @@
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -12,16 +14,19 @@
 #include "control/path_registry_cache.hpp"
 #include "net/fat_tree.hpp"
 #include "net/leaf_spine.hpp"
+#include "util/crc.hpp"
 
 namespace mars::control {
 namespace {
 
 // A deliberately plain reference for PathRegistry: per-path vectors from
-// RoutingTable::enumerate_edge_paths(), hop ports from port_towards(),
-// collision groups in a std::map (whose ascending iteration is the
-// separation order), and the same separate() rule. The flat registry must
-// reproduce it exactly: path order, hops, ports, PathIDs, the MAT (keys
-// and control values), every audit count, and every lookup.
+// RoutingTable::enumerate_edge_paths() (a scan of every port against the
+// hop distances), hop ports from port_towards(), PathIDs hashed byte by
+// byte with the oracle Crc16/Crc32, collision groups in a std::map (whose
+// ascending iteration is the separation order), and the same separate()
+// rule. The flat registry must reproduce it exactly: path order, hops,
+// ports, PathIDs, the MAT (keys and control values), every audit count,
+// and every lookup.
 struct ReferenceRegistry {
   telemetry::PathIdConfig config;
   std::vector<net::SwitchPath> switches;
@@ -54,8 +59,26 @@ struct ReferenceRegistry {
 
   std::uint32_t step(std::uint32_t id, net::SwitchId sw,
                      const HopPorts& hop) const {
-    return telemetry::update_path_id_with_mat(config, mat, id, sw,
-                                              hop.in_port, hop.out_port);
+    const auto it = mat.find({id, sw, hop.in_port, hop.out_port});
+    const std::uint32_t control = it == mat.end() ? 0 : it->second;
+    return byte_serial_update(id, sw, hop, control);
+  }
+
+  /// The PathID hop update hashed one byte at a time by the oracle CRCs:
+  /// {PathID, switch, in port, out port, control}, little-endian words.
+  std::uint32_t byte_serial_update(std::uint32_t id, net::SwitchId sw,
+                                   const HopPorts& hop,
+                                   std::uint32_t control) const {
+    const std::uint32_t words[5] = {id, sw, hop.in_port, hop.out_port,
+                                    control};
+    std::array<std::byte, 20> bytes{};
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::byte>(words[i / 4] >> (8 * (i % 4)));
+    }
+    const std::uint32_t digest = config.hash == telemetry::HashKind::kCrc16
+                                     ? util::Crc16::compute(bytes)
+                                     : util::Crc32::compute(bytes);
+    return digest & config.mask();
   }
 
   std::size_t replay() {

@@ -27,6 +27,33 @@ TEST(PathRegistryTest, RegistersAllEdgePaths) {
   EXPECT_EQ(reg.path_count(), 208u);
 }
 
+TEST(PathRegistryTest, UnreachablePairsRegisterNoPath) {
+  // Two edge switches share an aggregation switch; a third stands alone,
+  // so four of the six ordered edge pairs have no path at all.
+  net::Topology topology;
+  const net::SwitchId a = topology.add_switch(net::Layer::kEdge);
+  const net::SwitchId b = topology.add_switch(net::Layer::kEdge);
+  topology.add_switch(net::Layer::kEdge);
+  const net::SwitchId agg = topology.add_switch(net::Layer::kAggregation);
+  topology.add_link(a, agg);
+  topology.add_link(b, agg);
+  const net::RoutingTable routing(topology);
+  const PathRegistry reg(topology, routing, {});
+  ASSERT_EQ(reg.path_count(), 2u);
+  EXPECT_EQ(to_path(reg.path_switches(0)), (net::SwitchPath{a, agg, b}));
+  EXPECT_EQ(to_path(reg.path_switches(1)), (net::SwitchPath{b, agg, a}));
+  EXPECT_TRUE(reg.conflict_free());
+
+  // No pair connected: nothing to register.
+  net::Topology islands;
+  islands.add_switch(net::Layer::kEdge);
+  islands.add_switch(net::Layer::kEdge);
+  const net::RoutingTable island_routing(islands);
+  const PathRegistry empty(islands, island_routing, {});
+  EXPECT_EQ(empty.path_count(), 0u);
+  EXPECT_EQ(empty.audit().hop_count, 0u);
+}
+
 TEST(PathRegistryTest, ResolvesToUniqueIds) {
   Built b;
   const PathRegistry reg(b.ft.topology, b.routing,

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
+#include "obs/json_reader.hpp"
 #include "obs/json_writer.hpp"
 
 namespace {
 
 using namespace mars;
+using obs::JsonValue;
 using obs::JsonWriter;
 
 TEST(JsonEscape, QuotesBackslashAndShortEscapes) {
@@ -92,6 +96,30 @@ TEST(JsonWriter, KeysAreEscaped) {
   JsonWriter w(out, 0);
   w.begin_object().member("we\"ird\n", std::uint64_t{1}).end_object();
   EXPECT_EQ(out.str(), R"({"we\"ird\n":1})");
+}
+
+TEST(JsonReader, IntegerAccessorsRejectDoublesOutOfRange) {
+  // 1e20 and 2^64 are past every uint64; as_uint() once cast them anyway.
+  EXPECT_THROW((void)JsonValue::parse("1e20").as_uint(), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("1e20").as_int(), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("18446744073709551616").as_uint(),
+               std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("9223372036854775808").as_int(),
+               std::runtime_error);
+  // -2^63 - 1 has no double: it parses to -2^63 itself, which fits. The
+  // next double below it, -2^63 - 2048, does not.
+  EXPECT_EQ(JsonValue::parse("-9223372036854775809").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW((void)JsonValue::parse("-9223372036854777856").as_int(),
+               std::runtime_error);
+  // The largest doubles below 2^64 and 2^63 still convert exactly.
+  EXPECT_EQ(JsonValue::parse("18446744073709549568").as_uint(),
+            18446744073709549568ull);
+  EXPECT_EQ(JsonValue::parse("9223372036854774784").as_int(),
+            std::int64_t{9223372036854774784});
+  // The existing sign and fraction checks still hold.
+  EXPECT_THROW((void)JsonValue::parse("-1").as_uint(), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("1.5").as_int(), std::runtime_error);
 }
 
 }  // namespace

@@ -130,6 +130,15 @@ TEST(ScenarioValidationTest, RejectsUnknownAndDuplicateSystems) {
   EXPECT_TRUE(duplicate);
 }
 
+TEST(ScenarioValidationTest, RejectsEmptySystems) {
+  auto cfg = default_scenario(faults::FaultKind::kDrop, 1);
+  cfg.systems.clear();
+  const auto errors = validate_scenario(cfg);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors.front().rfind("systems must name at least one", 0), 0u)
+      << errors.front();
+}
+
 TEST(ScenarioValidationTest, RejectsPinnedPortWithoutSwitch) {
   auto cfg = default_scenario(faults::FaultKind::kDrop, 1);
   cfg.faults.events.front().target_port = 1;

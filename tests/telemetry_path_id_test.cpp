@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 
 namespace mars::telemetry {
@@ -81,6 +82,30 @@ TEST(PathIdTest, ChainedHopsReproducible) {
     }
   }
   EXPECT_EQ(id1, id2);
+}
+
+TEST(PathIdTest, PathIdTermSplitsTheUpdate) {
+  // The registry replays a hop as path_id_term(id) XOR the hop's update
+  // of PathID 0; CRC's affinity makes that the full update at every shape.
+  std::mt19937 rng(0x5EED);
+  for (const PathIdConfig cfg : {PathIdConfig{HashKind::kCrc16, 16},
+                                 PathIdConfig{HashKind::kCrc16, 10},
+                                 PathIdConfig{HashKind::kCrc32, 32},
+                                 PathIdConfig{HashKind::kCrc32, 12}}) {
+    EXPECT_EQ(path_id_term(cfg, 0), 0u);
+    for (int trial = 0; trial < 1000; ++trial) {
+      const std::uint32_t id = rng() & cfg.mask();
+      const net::SwitchId sw = rng() % 512;
+      const auto in = static_cast<net::PortId>(rng());
+      const auto out = static_cast<net::PortId>(rng());
+      const std::uint32_t control = trial % 2 == 0 ? 0 : rng();
+      EXPECT_EQ(update_path_id(cfg, id, sw, in, out, control),
+                path_id_term(cfg, id) ^
+                    update_path_id(cfg, 0, sw, in, out, control))
+          << hash_name(cfg.hash) << "/" << cfg.width_bits << " trial "
+          << trial;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstring>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -58,8 +59,8 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
 }
 
 TEST(CrcWordsTest, DeterministicAndSensitiveToOrder) {
-  const std::array<std::uint32_t, 4> a{1, 2, 3, 4};
-  const std::array<std::uint32_t, 4> b{4, 3, 2, 1};
+  const std::array<std::uint32_t, 5> a{1, 2, 3, 4, 5};
+  const std::array<std::uint32_t, 5> b{5, 4, 3, 2, 1};
   EXPECT_EQ(crc16_words(a), crc16_words(a));
   EXPECT_NE(crc16_words(a), crc16_words(b));
   EXPECT_EQ(crc32_words(a), crc32_words(a));
@@ -78,27 +79,69 @@ TEST(CrcWordsTest, SensitiveToEveryField) {
   }
 }
 
-TEST(CrcWordsTest, SlicedMatchesByteSerialOnRandomWords) {
-  // Both word hashes fold a whole word per step through slicing-by-4
-  // tables; each must equal the byte-at-a-time CRC of the same bytes.
-  Rng rng(0xC4C16);
-  for (int trial = 0; trial < 20000; ++trial) {
-    std::vector<std::uint32_t> words(rng.below(9));  // 0..8 words
-    for (auto& w : words) {
-      // Half the words look like PathID fields (small ids and ports).
-      w = rng.chance(0.5) ? static_cast<std::uint32_t>(rng())
-                          : static_cast<std::uint32_t>(rng.below(1024));
+/// Both word hashes of `words` equal the byte-serial CRCs of its bytes.
+template <std::size_t N>
+void expect_matches_byte_serial(const std::array<std::uint32_t, N>& words) {
+  const auto bytes = le_bytes_of(words);
+  ASSERT_EQ(crc16_words(words), Crc16::compute(bytes)) << N << " words";
+  ASSERT_EQ(crc32_words(words), Crc32::compute(bytes)) << N << " words";
+}
+
+/// The all-zero message and every message of N words with one non-zero
+/// byte, every bit pattern at every position.
+template <std::size_t N>
+void expect_single_bytes_match_byte_serial() {
+  std::array<std::uint32_t, N> words{};
+  ASSERT_NO_FATAL_FAILURE(expect_matches_byte_serial(words));
+  for (std::size_t w = 0; w < N; ++w) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      for (std::uint32_t b = 1; b < 256; ++b) {
+        words[w] = b << shift;
+        ASSERT_NO_FATAL_FAILURE(expect_matches_byte_serial(words))
+            << "word " << w << " byte " << shift / 8 << " = " << b;
+      }
+      words[w] = 0;
     }
-    const auto bytes = le_bytes_of(words);
-    ASSERT_EQ(crc16_words(words), Crc16::compute(bytes)) << "trial " << trial;
-    ASSERT_EQ(crc32_words(words), Crc32::compute(bytes)) << "trial " << trial;
+  }
+}
+
+TEST(CrcWordsTest, PositionTablesMatchByteSerialOnEveryByte) {
+  // A word hash is a constant XOR one table entry per byte position, so
+  // its value on a message is fixed by its values on the zero message and
+  // on the messages with one non-zero byte. The byte-serial CRCs are
+  // affine over GF(2), so agreeing on those proves agreement on every
+  // input of each length hashed: the ECMP hash (2 words), the count-min
+  // sketch (3) and the PathID update (5). Single-bit messages alone would
+  // miss a wrong table entry at an index that is not a power of two.
+  expect_single_bytes_match_byte_serial<2>();
+  expect_single_bytes_match_byte_serial<3>();
+  expect_single_bytes_match_byte_serial<5>();
+}
+
+TEST(CrcWordsTest, SlicedMatchesByteSerialOnRandomWords) {
+  // The word hashes XOR one position-table lookup per byte; each must
+  // equal the byte-at-a-time CRC of the same bytes.
+  Rng rng(0xC4C16);
+  const auto word = [&rng] {
+    // Half the words look like PathID fields (small ids and ports).
+    return rng.chance(0.5) ? static_cast<std::uint32_t>(rng())
+                           : static_cast<std::uint32_t>(rng.below(1024));
+  };
+  for (int trial = 0; trial < 20000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_NO_FATAL_FAILURE(expect_matches_byte_serial(
+        std::array<std::uint32_t, 2>{word(), word()}));
+    ASSERT_NO_FATAL_FAILURE(expect_matches_byte_serial(
+        std::array<std::uint32_t, 3>{word(), word(), word()}));
+    ASSERT_NO_FATAL_FAILURE(expect_matches_byte_serial(
+        std::array<std::uint32_t, 5>{word(), word(), word(), word(), word()}));
   }
 }
 
 // Known-answer PathID chains: three five-hop paths from PathID 0 under
 // each shape the scenarios use, one hop with a MAT control word on two of
 // them. The values were captured from the byte-serial hash; a change to
-// the sliced tables, the word order or the width mask shows up here.
+// the position tables, the word order or the width mask shows up here.
 TEST(CrcWordsTest, PathIdChainsMatchKnownAnswers) {
   using telemetry::HashKind;
   using telemetry::PathIdConfig;

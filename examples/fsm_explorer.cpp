@@ -6,7 +6,6 @@
 
 #include <cstdio>
 
-#include "fsm/brute_force.hpp"
 #include "fsm/miner.hpp"
 #include "net/fat_tree.hpp"
 #include "net/routing.hpp"

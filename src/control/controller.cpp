@@ -286,9 +286,4 @@ double Controller::mean_reservoir_fill() const {
   return sum / static_cast<double>(reservoirs_.size());
 }
 
-const detect::Reservoir* Controller::reservoir(const net::FlowId& flow) const {
-  const auto it = reservoirs_.find(flow);
-  return it != reservoirs_.end() ? &it->second : nullptr;
-}
-
 }  // namespace mars::control

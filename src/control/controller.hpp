@@ -183,10 +183,6 @@ class Controller {
   [[nodiscard]] const std::vector<DiagnosisData>& sessions() const {
     return sessions_;
   }
-  /// The reservoir maintained for one flow (tests/inspection).
-  [[nodiscard]] const detect::Reservoir* reservoir(
-      const net::FlowId& flow) const;
-
   /// Number of per-flow reservoirs currently maintained.
   [[nodiscard]] std::size_t reservoir_count() const {
     return reservoirs_.size();
@@ -212,9 +208,6 @@ class Controller {
 
   /// One polling pass (normally driven by start(); exposed for tests).
   void poll_once();
-
-  /// True while a collection (including retry rounds) is in flight.
-  [[nodiscard]] bool collection_pending() const { return collection_pending_; }
 
  private:
   [[nodiscard]] std::vector<net::SwitchId> edge_switches() const;

@@ -6,11 +6,8 @@
 
 namespace mars {
 
-namespace {
-
-SweepResult run_sweep_on(parallel::ThreadPool& pool,
-                         const std::vector<SweepPoint>& points,
-                         const SweepOptions& options) {
+SweepResult run_sweep(parallel::ThreadPool& pool,
+                      const std::vector<SweepPoint>& points) {
   // Validate every point before burning cycles on any of them: a sweep
   // that dies on point 900 of 1000 wasted an afternoon.
   for (const SweepPoint& point : points) {
@@ -31,16 +28,10 @@ SweepResult run_sweep_on(parallel::ThreadPool& pool,
   parallel::parallel_for(pool, 0, points.size(), [&](std::size_t i) {
     SweepTrial& trial = sweep.trials[i];
     trial.label = points[i].label;
-    // Each trial gets a private config copy: the caller's observability
-    // pointer (unsafe to share across threads) is replaced by a per-trial
-    // bundle or nothing.
+    // Each trial gets a private config copy without the caller's
+    // observability pointer, which is unsafe to share across threads.
     ScenarioConfig config = points[i].config;
-    if (options.collect_observability) {
-      trial.observability = std::make_unique<Observability>();
-      config.observability = trial.observability.get();
-    } else {
-      config.observability = nullptr;
-    }
+    config.observability = nullptr;
     trial.result = run_scenario(config);
   });
 
@@ -69,56 +60,6 @@ SweepResult run_sweep_on(parallel::ThreadPool& pool,
     }
   }
   return sweep;
-}
-
-}  // namespace
-
-SweepResult run_sweep(const std::vector<SweepPoint>& points,
-                      const SweepOptions& options) {
-  parallel::ThreadPool pool(options.threads);
-  return run_sweep_on(pool, points, options);
-}
-
-SweepResult run_sweep(parallel::ThreadPool& pool,
-                      const std::vector<SweepPoint>& points,
-                      const SweepOptions& options) {
-  return run_sweep_on(pool, points, options);
-}
-
-std::vector<SweepPoint> seed_sweep(const ScenarioConfig& base,
-                                   std::uint64_t first_seed,
-                                   std::size_t count,
-                                   const std::string& label_prefix) {
-  std::vector<SweepPoint> points;
-  points.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    SweepPoint point;
-    point.config = base;
-    point.config.seed = first_seed + i;
-    point.label = label_prefix + "seed=" + std::to_string(point.config.seed);
-    points.push_back(std::move(point));
-  }
-  return points;
-}
-
-std::vector<SweepPoint> fault_grid(std::uint64_t first_seed,
-                                   std::size_t seeds_per_fault) {
-  constexpr faults::FaultKind kKinds[] = {
-      faults::FaultKind::kMicroBurst,     faults::FaultKind::kEcmpImbalance,
-      faults::FaultKind::kProcessRateDecrease, faults::FaultKind::kDelay,
-      faults::FaultKind::kDrop};
-  std::vector<SweepPoint> points;
-  points.reserve(5 * seeds_per_fault);
-  for (const faults::FaultKind kind : kKinds) {
-    for (std::size_t i = 0; i < seeds_per_fault; ++i) {
-      SweepPoint point;
-      point.config = default_scenario(kind, first_seed + i);
-      point.label = std::string(faults::short_name(kind)) +
-                    "/seed=" + std::to_string(first_seed + i);
-      points.push_back(std::move(point));
-    }
-  }
-  return points;
 }
 
 }  // namespace mars

@@ -8,12 +8,7 @@
 // (Recall@k / Exam Score, Table 1) and overhead totals (Fig. 9). Results
 // are index-aligned with the input points and bit-identical to running
 // the same configs sequentially: parallelism never changes an outcome.
-//
-// With collect_observability on, each trial gets its own heap-allocated
-// Observability bundle (registry + series + traces), returned alongside
-// its result for post-hoc inspection.
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,9 +29,6 @@ struct SweepPoint {
 struct SweepTrial {
   std::string label;
   ScenarioResult result;
-  /// The trial's observability bundle; null unless
-  /// SweepOptions::collect_observability was set.
-  std::unique_ptr<Observability> observability;
 };
 
 /// Cross-trial aggregate for one telemetry system.
@@ -49,28 +41,6 @@ struct SystemAggregate {
   std::uint64_t diagnosis_bytes = 0;  ///< summed over trials
   std::size_t triggered = 0;          ///< trials where the system fired
   std::size_t deployments = 0;        ///< trials deploying this system
-
-  [[nodiscard]] double mean_telemetry_bytes() const {
-    return deployments == 0 ? 0.0
-                            : static_cast<double>(telemetry_bytes) /
-                                  static_cast<double>(deployments);
-  }
-  [[nodiscard]] double mean_diagnosis_bytes() const {
-    return deployments == 0 ? 0.0
-                            : static_cast<double>(diagnosis_bytes) /
-                                  static_cast<double>(deployments);
-  }
-};
-
-struct SweepOptions {
-  /// Worker threads; 0 = hardware concurrency. Ignored by the
-  /// pool-supplied overload.
-  std::size_t threads = 0;
-  /// Give every trial its own Observability bundle (metrics + series +
-  /// traces), returned on the SweepTrial. Samplers add events, so trials
-  /// run with observability have a different event fingerprint than bare
-  /// ones — consistently so across the whole sweep.
-  bool collect_observability = false;
 };
 
 struct SweepResult {
@@ -85,27 +55,13 @@ struct SweepResult {
   }
 };
 
-/// Run every point (validating all of them up front — throws
+/// Run every point on `pool` (validating all of them up front — throws
 /// std::invalid_argument naming the offending label before any trial
 /// runs) and merge the outcomes. Deterministic: trial i equals
-/// run_scenario(points[i].config) regardless of thread count.
-[[nodiscard]] SweepResult run_sweep(const std::vector<SweepPoint>& points,
-                                    const SweepOptions& options = {});
-
-/// Same, on a caller-owned pool (lets several sweeps share workers).
+/// run_scenario(points[i].config) regardless of the pool's thread count.
+/// Trials run without observability: a config's bundle pointer is not
+/// shared across threads.
 [[nodiscard]] SweepResult run_sweep(parallel::ThreadPool& pool,
-                                    const std::vector<SweepPoint>& points,
-                                    const SweepOptions& options = {});
-
-/// `count` copies of `base` with seeds first_seed, first_seed+1, ...
-/// labelled "<prefix>seed=<n>".
-[[nodiscard]] std::vector<SweepPoint> seed_sweep(
-    const ScenarioConfig& base, std::uint64_t first_seed, std::size_t count,
-    const std::string& label_prefix = "");
-
-/// The paper's Table-1 grid: default_scenario for every fault kind ×
-/// `seeds_per_fault` seeds starting at first_seed.
-[[nodiscard]] std::vector<SweepPoint> fault_grid(std::uint64_t first_seed,
-                                                 std::size_t seeds_per_fault);
+                                    const std::vector<SweepPoint>& points);
 
 }  // namespace mars

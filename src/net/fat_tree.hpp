@@ -27,10 +27,6 @@ struct FatTree {
   std::vector<SwitchId> edge;  ///< pod-major order
   std::vector<SwitchId> agg;   ///< pod-major order
   std::vector<SwitchId> core;
-
-  [[nodiscard]] int pod_of_edge(std::size_t edge_index, int k) const {
-    return static_cast<int>(edge_index) / (k / 2);
-  }
 };
 
 /// Build a fat-tree. Asserts on invalid K.

@@ -211,20 +211,4 @@ NetworkStats Network::stats() const {
   return total;
 }
 
-std::vector<Network::LinkUtilization> Network::link_utilization() const {
-  std::vector<LinkUtilization> out;
-  const sim::Time now = sim_->now();
-  if (now <= 0) return out;
-  for (std::size_t i = 0; i < topology_.links().size(); ++i) {
-    const Link& link = topology_.links()[i];
-    for (const LinkEnd& end : {link.a, link.b}) {
-      const auto& counters = switches_[end.sw]->counters(end.port);
-      out.push_back(LinkUtilization{
-          i, end.sw, topology_.layer(end.sw),
-          static_cast<double>(counters.busy_time) / static_cast<double>(now)});
-    }
-  }
-  return out;
-}
-
 }  // namespace mars::net

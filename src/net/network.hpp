@@ -109,17 +109,6 @@ class Network {
   /// Aggregate counters, merged across shards.
   [[nodiscard]] NetworkStats stats() const;
 
-  /// Fraction of capacity used on each direction of each link since t=0.
-  /// Returned per (link index, direction a->b then b->a), labelled by the
-  /// layer of the *upstream* switch.
-  struct LinkUtilization {
-    std::size_t link = 0;
-    SwitchId upstream = kInvalidSwitch;
-    Layer upstream_layer = Layer::kEdge;
-    double utilization = 0.0;
-  };
-  [[nodiscard]] std::vector<LinkUtilization> link_utilization() const;
-
   /// Packets in the network right now (queued, in service, or on a
   /// link), summed over every pool. Undrained cross-shard mail is not
   /// pooled and not counted here (see undrained_mail()).

@@ -64,8 +64,6 @@ struct Packet {
   sim::Time spidermon_queue_delay = 0;    ///< SpiderMon: summed hop latency
   std::uint64_t intsight_contention = 0;  ///< IntSight: bit per switch id
 
-  [[nodiscard]] bool is_telemetry() const { return telemetry.has_value(); }
-
   /// Extra bytes this packet carries on the wire because of monitoring.
   /// PathID rides in a reserved IP field (1 byte class); the INT header adds
   /// its wire size on telemetry packets.

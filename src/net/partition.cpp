@@ -33,7 +33,8 @@ Components find_components(const Topology& topology) {
     while (!stack.empty()) {
       const SwitchId sw = stack.back();
       stack.pop_back();
-      for (const SwitchId next : topology.neighbors(sw)) {
+      for (PortId p = 0; p < topology.port_count(sw); ++p) {
+        const SwitchId next = topology.peer(sw, p).neighbor;
         if (out.label[next] >= 0) continue;
         if (topology.layer(next) == Layer::kCore) continue;
         out.label[next] = comp;

@@ -22,7 +22,8 @@ RoutingTable::RoutingTable(const Topology& topology)
       const SwitchId cur = frontier.front();
       frontier.pop_front();
       const int d = dist_[index(cur, dst)];
-      for (const SwitchId nb : topology.neighbors(cur)) {
+      for (PortId p = 0; p < topology.port_count(cur); ++p) {
+        const SwitchId nb = topology.peer(cur, p).neighbor;
         if (dist_[index(nb, dst)] == -1) {
           dist_[index(nb, dst)] = d + 1;
           frontier.push_back(nb);

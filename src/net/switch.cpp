@@ -155,17 +155,6 @@ void Switch::set_gated_delay(PortId port, sim::Time delay,
   ports_[port].gate_depth = min_depth;
 }
 
-void Switch::clear_faults() {
-  for (auto& port : ports_) {
-    port.service_floor = 0;
-    port.extra_delay = 0;
-    port.drop_probability = 0.0;
-    port.drain_per_pkt = 0;
-    port.gated_delay = 0;
-    port.gate_depth = 0;
-  }
-}
-
 std::uint32_t Switch::total_queue_depth() const {
   std::uint32_t total = 0;
   for (const auto& port : ports_) {

@@ -75,8 +75,6 @@ class Switch {
   /// `min_depth` packets (counting the departing head) gain `delay` ns of
   /// post-service latency; below the threshold the port is healthy.
   void set_gated_delay(PortId port, sim::Time delay, std::uint32_t min_depth);
-  /// Reset every fault knob on every port to the healthy default.
-  void clear_faults();
 
   [[nodiscard]] const PortCounters& counters(PortId port) const {
     return ports_[port].counters;

@@ -39,13 +39,6 @@ std::vector<SwitchId> Topology::switches_in_layer(Layer layer) const {
   return out;
 }
 
-std::vector<SwitchId> Topology::neighbors(SwitchId sw) const {
-  std::vector<SwitchId> out;
-  out.reserve(ports_[sw].size());
-  for (const auto& peer : ports_[sw]) out.push_back(peer.neighbor);
-  return out;
-}
-
 std::uint64_t structural_fingerprint(const Topology& topology) {
   constexpr std::uint64_t kOffset = 1469598103934665603ull;
   constexpr std::uint64_t kPrime = 1099511628211ull;

@@ -65,9 +65,6 @@ class Topology {
   /// All switches of a given layer.
   [[nodiscard]] std::vector<SwitchId> switches_in_layer(Layer layer) const;
 
-  /// Neighbor switch ids of `sw` (one per port, in port order).
-  [[nodiscard]] std::vector<SwitchId> neighbors(SwitchId sw) const;
-
  private:
   std::vector<Layer> layers_;
   std::vector<Link> links_;

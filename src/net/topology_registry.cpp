@@ -117,10 +117,6 @@ const TopologyRegistry::Entry* TopologyRegistry::find(
   return nullptr;
 }
 
-bool TopologyRegistry::contains(std::string_view name) const {
-  return find(name) != nullptr;
-}
-
 std::vector<std::string> TopologyRegistry::names() const {
   std::vector<std::string> out;
   out.reserve(entries_.size());

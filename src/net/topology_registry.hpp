@@ -57,7 +57,6 @@ class TopologyRegistry {
 
   void add(std::string name, Builder builder, Validator validator = nullptr);
 
-  [[nodiscard]] bool contains(std::string_view name) const;
   /// Registered names, registration order.
   [[nodiscard]] std::vector<std::string> names() const;
 

@@ -264,18 +264,7 @@ double JsonValue::as_number() const {
 }
 
 // Casting a double outside the target's range to an integer is undefined
-// behaviour, so both accessors check the range before the cast.
-
-std::uint64_t JsonValue::as_uint() const {
-  const double n = as_number();
-  if (n < 0 || n != std::floor(n)) {
-    throw std::runtime_error("expected a non-negative integer");
-  }
-  if (n >= 0x1p64) {
-    throw std::runtime_error("integer out of range: expected at most 2^64 - 1");
-  }
-  return static_cast<std::uint64_t>(n);
-}
+// behaviour, so the accessor checks the range before the cast.
 
 std::int64_t JsonValue::as_int() const {
   const double n = as_number();

@@ -60,7 +60,6 @@ class JsonValue {
   JsonValue() = default;  // null
 
   [[nodiscard]] Kind kind() const { return kind_; }
-  [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
   [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }
   [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
   [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }
@@ -70,8 +69,8 @@ class JsonValue {
   /// Typed accessors; throw std::runtime_error on kind mismatch.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
-  [[nodiscard]] std::uint64_t as_uint() const;  ///< rejects negatives/frac
-  [[nodiscard]] std::int64_t as_int() const;    ///< rejects fractions
+  /// Throws on a fraction or a value outside [-2^63, 2^63).
+  [[nodiscard]] std::int64_t as_int() const;
   [[nodiscard]] const std::string& as_string() const;
 
   // ---- arrays ----

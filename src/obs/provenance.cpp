@@ -1,8 +1,6 @@
 #include "obs/provenance.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <set>
 #include <utility>
 
 #include "obs/json_writer.hpp"
@@ -53,21 +51,6 @@ void ProvenanceGraph::annotate(const std::string& id, SpanArg field) {
   fields.push_back(std::move(field));
 }
 
-const ProvenanceGraph::Node* ProvenanceGraph::find(
-    const std::string& id) const {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &nodes_[it->second];
-}
-
-std::vector<const ProvenanceGraph::Node*> ProvenanceGraph::nodes_of(
-    NodeKind kind) const {
-  std::vector<const Node*> out;
-  for (const Node& node : nodes_) {
-    if (node.kind == kind) out.push_back(&node);
-  }
-  return out;
-}
-
 std::vector<std::string> ProvenanceGraph::find_nodes(
     NodeKind kind, std::string_view field_key, std::string_view value) const {
   std::vector<std::string> out;
@@ -88,48 +71,6 @@ void ProvenanceGraph::clear() {
   edges_.clear();
   index_.clear();
   next_id_.fill(0);
-}
-
-std::vector<std::string> ProvenanceGraph::validate() const {
-  std::vector<std::string> errors;
-  for (const Edge& edge : edges_) {
-    if (index_.find(edge.from) == index_.end()) {
-      errors.push_back("edge " + edge.from + " -[" + edge.relation + "]-> " +
-                       edge.to + ": unknown source node");
-    }
-    if (index_.find(edge.to) == index_.end()) {
-      errors.push_back("edge " + edge.from + " -[" + edge.relation + "]-> " +
-                       edge.to + ": unknown target node");
-    }
-  }
-  return errors;
-}
-
-std::vector<std::string> ProvenanceGraph::reachable_from(
-    NodeKind from) const {
-  std::set<std::string> seen;
-  std::deque<std::string> frontier;
-  for (const Node& node : nodes_) {
-    if (node.kind == from && seen.insert(node.id).second) {
-      frontier.push_back(node.id);
-    }
-  }
-  // Adjacency on demand: the graphs are small (tens of nodes), so a scan
-  // per frontier pop beats building an index.
-  while (!frontier.empty()) {
-    const std::string id = std::move(frontier.front());
-    frontier.pop_front();
-    for (const Edge& edge : edges_) {
-      if (edge.from == id && seen.insert(edge.to).second) {
-        frontier.push_back(edge.to);
-      }
-    }
-  }
-  std::vector<std::string> out;
-  for (const Node& node : nodes_) {
-    if (seen.count(node.id) > 0) out.push_back(node.id);
-  }
-  return out;
 }
 
 void ProvenanceGraph::write_json(JsonWriter& w) const {

@@ -65,14 +65,12 @@ class ProvenanceGraph {
 
   /// Append a node; returns its id ("fault:0", "pattern:3", ...).
   std::string add_node(NodeKind kind, SpanArgs fields = {});
-  /// Append an edge. Endpoints need not exist yet, but validate() flags
-  /// any reference that never materializes.
+  /// Append an edge. Endpoints need not exist yet; the closure contract
+  /// requires each to materialize before the graph is exported.
   void add_edge(std::string from, std::string to, std::string relation);
   /// Set a field on an existing node (overwrites a same-key field).
   void annotate(const std::string& id, SpanArg field);
 
-  [[nodiscard]] const Node* find(const std::string& id) const;
-  [[nodiscard]] std::vector<const Node*> nodes_of(NodeKind kind) const;
   /// Node ids of `kind` whose string field `field_key` equals `value`.
   [[nodiscard]] std::vector<std::string> find_nodes(
       NodeKind kind, std::string_view field_key,
@@ -83,14 +81,6 @@ class ProvenanceGraph {
   [[nodiscard]] bool empty() const { return nodes_.empty(); }
 
   void clear();
-
-  /// Structural check: every edge endpoint resolves to a node. Returns
-  /// one message per dangling reference (empty = closed).
-  [[nodiscard]] std::vector<std::string> validate() const;
-
-  /// Ids reachable (forward, including the seeds) from every node of
-  /// `from`. Deterministic order (node insertion order).
-  [[nodiscard]] std::vector<std::string> reachable_from(NodeKind from) const;
 
   /// {"nodes": [{"id", "kind", "fields"{...}}], "edges": [{"from", "to",
   /// "relation"}]}.

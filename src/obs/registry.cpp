@@ -79,22 +79,6 @@ std::uint64_t LogHistogram::quantile(double q) const {
   return max_;
 }
 
-void LogHistogram::merge(const LogHistogram& other) {
-  assert(sub_bucket_bits_ == other.sub_bucket_bits_ &&
-         "histograms must share a bucket layout to merge");
-  if (other.total_ == 0) return;
-  if (other.counts_.size() > counts_.size()) {
-    counts_.resize(other.counts_.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  if (total_ == 0 || other.min_ < min_) min_ = other.min_;
-  max_ = std::max(max_, other.max_);
-  total_ += other.total_;
-  sum_ += other.sum_;
-}
-
 // ---- MetricsSnapshot -----------------------------------------------------
 
 namespace {
@@ -110,12 +94,6 @@ const T* find_named(const std::vector<std::pair<std::string, T>>& sorted,
 }
 
 }  // namespace
-
-double MetricsSnapshot::gauge_or(std::string_view name,
-                                 double fallback) const {
-  const double* v = find_named(gauges, name);
-  return v ? *v : fallback;
-}
 
 std::uint64_t MetricsSnapshot::counter_or(std::string_view name,
                                           std::uint64_t fallback) const {
@@ -191,18 +169,6 @@ std::size_t MetricsRegistry::remove_gauges(std::string_view prefix) {
   return removed;
 }
 
-std::vector<std::string> MetricsRegistry::gauge_names() const {
-  std::vector<std::string> names;
-  names.reserve(gauges_.size());
-  for (const auto& [name, fn] : gauges_) names.push_back(name);
-  return names;
-}
-
-double MetricsRegistry::read_gauge(const std::string& name) const {
-  const auto it = gauges_.find(name);
-  return it != gauges_.end() && it->second ? it->second() : 0.0;
-}
-
 std::vector<std::pair<std::string, double>> MetricsRegistry::read_gauges()
     const {
   std::vector<std::pair<std::string, double>> out;
@@ -241,13 +207,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-void MetricsRegistry::write_json(std::ostream& out,
-                                 const MetricsSnapshot& snap) {
-  JsonWriter w(out);
-  write_json(w, snap);
-  out << "\n";
-}
-
 void MetricsRegistry::write_json(JsonWriter& w, const MetricsSnapshot& snap) {
   w.begin_object();
   w.key("counters").begin_object();
@@ -274,23 +233,6 @@ void MetricsRegistry::write_json(JsonWriter& w, const MetricsSnapshot& snap) {
   }
   w.end_object();
   w.end_object();
-}
-
-void MetricsRegistry::write_csv(std::ostream& out,
-                                const MetricsSnapshot& snap) {
-  out << "kind,name,value\n";
-  for (const auto& [name, value] : snap.counters) {
-    out << "counter," << name << "," << value << "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    out << "gauge," << name << "," << value << "\n";
-  }
-  for (const auto& [name, view] : snap.histograms) {
-    out << "histogram," << name << ".total," << view.total << "\n";
-    out << "histogram," << name << ".sum," << view.sum << "\n";
-    out << "histogram," << name << ".min," << view.min << "\n";
-    out << "histogram," << name << ".max," << view.max << "\n";
-  }
 }
 
 }  // namespace mars::obs

@@ -1,6 +1,6 @@
 #pragma once
 // Metrics registry: named counters, lazy gauges, and log-linear histograms
-// with snapshot/delta semantics and JSON/CSV export.
+// with snapshot/delta semantics and JSON export.
 //
 // Zero-overhead discipline (same rule as the PR-1 "no observers attached"
 // fast path): nothing in this registry runs unless something reads it.
@@ -19,7 +19,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -81,9 +80,6 @@ class LogHistogram {
   /// Approximate quantile (upper bound of the bucket holding rank q*total).
   [[nodiscard]] std::uint64_t quantile(double q) const;
 
-  /// Merge another histogram (must have identical sub_bucket_bits).
-  void merge(const LogHistogram& other);
-
  private:
   std::uint32_t sub_bucket_bits_;
   std::vector<std::uint64_t> counts_;  // grown lazily to the max used index
@@ -115,7 +111,6 @@ struct MetricsSnapshot {
   /// `earlier` keep their full value); gauges keep the later reading.
   [[nodiscard]] MetricsSnapshot delta(const MetricsSnapshot& earlier) const;
 
-  [[nodiscard]] double gauge_or(std::string_view name, double fallback) const;
   [[nodiscard]] std::uint64_t counter_or(std::string_view name,
                                          std::uint64_t fallback) const;
 };
@@ -140,13 +135,6 @@ class MetricsRegistry {
 
   [[nodiscard]] std::size_t counter_count() const { return counters_.size(); }
   [[nodiscard]] std::size_t gauge_count() const { return gauges_.size(); }
-  [[nodiscard]] std::size_t histogram_count() const {
-    return histograms_.size();
-  }
-  /// Sorted names of registered gauges (sampler column discovery).
-  [[nodiscard]] std::vector<std::string> gauge_names() const;
-  /// Read one gauge now (0.0 if missing).
-  [[nodiscard]] double read_gauge(const std::string& name) const;
   /// Read every gauge now, name-sorted (the sampler's per-tick scrape;
   /// cheaper than a full snapshot because histograms are not walked).
   [[nodiscard]] std::vector<std::pair<std::string, double>> read_gauges()
@@ -154,13 +142,10 @@ class MetricsRegistry {
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Exporters (work on snapshots so they stay valid after teardown).
-  static void write_json(std::ostream& out, const MetricsSnapshot& snap);
   /// Write the snapshot as one object into an in-progress document (for
   /// callers composing a larger JSON file, e.g. mars_cli --metrics-out).
+  /// Works on a snapshot, so it stays valid after teardown.
   static void write_json(JsonWriter& w, const MetricsSnapshot& snap);
-  /// CSV rows: kind,name,value (histograms expand to one row per stat).
-  static void write_csv(std::ostream& out, const MetricsSnapshot& snap);
 
  private:
   // std::map keeps iteration (and thus every export) name-ordered and

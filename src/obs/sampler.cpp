@@ -49,26 +49,6 @@ void SeriesStore::append_row(
   }
 }
 
-void SeriesStore::write_csv(std::ostream& out) const {
-  out << "time_s";
-  for (const auto& name : names_) out << "," << name;
-  out << "\n";
-  for (std::size_t row = 0; row < times_.size(); ++row) {
-    out << sim::to_seconds(times_[row]);
-    for (const auto& col : columns_) {
-      out << ",";
-      if (std::isfinite(col[row])) out << col[row];
-    }
-    out << "\n";
-  }
-}
-
-void SeriesStore::write_json(std::ostream& out) const {
-  JsonWriter w(out);
-  write_json(w);
-  out << "\n";
-}
-
 void SeriesStore::write_json(JsonWriter& w) const {
   w.begin_object();
   w.key("times_s").begin_array();

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -49,11 +48,8 @@ class SeriesStore {
       sim::Time t,
       const std::vector<std::pair<std::string, double>>& named_values);
 
-  /// CSV: header "time_s,<col>,..." then one row per tick.
-  void write_csv(std::ostream& out) const;
-  /// JSON: {"times_s": [...], "series": {name: [...], ...}}.
-  void write_json(std::ostream& out) const;
-  /// Same object written into an in-progress document.
+  /// JSON into an in-progress document: {"times_s": [...], "series":
+  /// {name: [...], ...}}, with NaN backfill written as null.
   void write_json(JsonWriter& w) const;
 
  private:

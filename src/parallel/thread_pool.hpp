@@ -55,9 +55,6 @@ class ThreadPool {
     return result;
   }
 
-  /// Block until every task submitted so far has finished.
-  void wait_idle();
-
   /// Run a barrier-synchronized epoch loop over `lanes` parallel lanes.
   ///
   /// Each epoch e: every lane runs `body(lane, e)` exactly once, then all
@@ -122,8 +119,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  std::size_t active_ = 0;
   bool stop_ = false;
 };
 

@@ -108,55 +108,4 @@ std::string render_report(const control::DiagnosisData& session,
   return out;
 }
 
-std::string render_json(const control::DiagnosisData& session,
-                        const CulpritList& culprits,
-                        const ReportOptions& options,
-                        const fsm::MiningStats* mining) {
-  std::string out = "{";
-  out += "\"trigger\":{\"kind\":\"" +
-         std::string(trigger_name(session.trigger.kind)) +
-         "\",\"reporter\":" + std::to_string(session.trigger.reporter) +
-         ",\"at_seconds\":" +
-         std::to_string(sim::to_seconds(session.trigger.when)) + "},";
-  out += "\"records\":" + std::to_string(session.records.size()) + ",";
-  out += "\"confidence\":" + std::to_string(session.quality.confidence()) +
-         ",";
-  out += "\"coverage\":" + std::to_string(session.quality.coverage()) + ",";
-  if (options.presence) {
-    out += "\"presence\":" + std::to_string(*options.presence) + ",";
-  }
-  out += "\"quarantined\":" +
-         std::to_string(session.quality.records_quarantined) + ",";
-  if (mining != nullptr) {
-    out += "\"mining\":{\"patterns\":" + std::to_string(mining->patterns) +
-           ",\"nodes\":" + std::to_string(mining->nodes_expanded) +
-           ",\"peak_bytes\":" + std::to_string(mining->peak_bytes) +
-           ",\"wall_seconds\":" + std::to_string(mining->wall_seconds) +
-           ",\"threads\":" + std::to_string(mining->threads_used) + "},";
-  }
-  out += "\"culprits\":[";
-  const std::size_t n = std::min(culprits.size(), options.max_culprits);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Culprit& c = culprits[i];
-    if (i) out += ",";
-    out += "{\"rank\":" + std::to_string(i + 1) + ",\"level\":\"" +
-           to_string(c.level) + "\",\"cause\":\"" + to_string(c.cause) +
-           "\",\"score\":" + std::to_string(c.score) + ",\"location\":[";
-    for (std::size_t j = 0; j < c.location.size(); ++j) {
-      if (j) out += ",";
-      out += std::to_string(c.location[j]);
-    }
-    out += "]";
-    if (c.level == CulpritLevel::kPort && c.port != net::kHostPort) {
-      out += ",\"port\":" + std::to_string(c.port);
-    }
-    if (c.level == CulpritLevel::kFlow) {
-      out += ",\"flow\":\"" + net::to_string(c.flow) + "\"";
-    }
-    out += "}";
-  }
-  out += "]}";
-  return out;
-}
-
 }  // namespace mars::rca

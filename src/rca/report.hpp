@@ -3,8 +3,8 @@
 // ordered list of culprits with causes" handed to network operators
 // (§4.4.4). This module renders a diagnosis session as a readable
 // incident report — the trigger, the evidence volume, the ranked list
-// with per-cause remediation hints — and as machine-readable JSON for
-// ticketing integrations.
+// with per-cause remediation hints. (mars_cli --json carries the
+// machine-readable form.)
 
 #include <optional>
 #include <string>
@@ -20,7 +20,7 @@ struct ReportOptions {
   bool include_remediation = true;
   /// Top-suspect presence from the multi-epoch evidence accumulator
   /// (MarsSystem::presence()). Below 1 adds an INTERMITTENT line to the
-  /// text report and a "presence" field to the JSON; unset omits both.
+  /// report; unset omits it.
   std::optional<double> presence;
 };
 
@@ -31,13 +31,6 @@ struct ReportOptions {
 /// Human-readable incident report. Passing the session's MiningStats
 /// (e.g. Diagnosis::mining) adds a "mining" cost line; nullptr omits it.
 [[nodiscard]] std::string render_report(
-    const control::DiagnosisData& session, const CulpritList& culprits,
-    const ReportOptions& options = {},
-    const fsm::MiningStats* mining = nullptr);
-
-/// Machine-readable JSON (stable field order, no external dependency).
-/// Passing MiningStats adds a "mining" object; nullptr omits it.
-[[nodiscard]] std::string render_json(
     const control::DiagnosisData& session, const CulpritList& culprits,
     const ReportOptions& options = {},
     const fsm::MiningStats* mining = nullptr);

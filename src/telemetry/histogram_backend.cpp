@@ -144,16 +144,4 @@ BackendCounters HistogramBackend::counters() const {
   return total;
 }
 
-const util::LogLinearHistogram* HistogramBackend::port_latency_hist(
-    net::SwitchId sw, net::PortId port) const {
-  const auto it = state_[sw].ports.find(port);
-  return it != state_[sw].ports.end() ? &it->second.latency : nullptr;
-}
-
-const util::LogLinearHistogram* HistogramBackend::port_queue_hist(
-    net::SwitchId sw, net::PortId port) const {
-  const auto it = state_[sw].ports.find(port);
-  return it != state_[sw].ports.end() ? &it->second.queue : nullptr;
-}
-
 }  // namespace mars::telemetry

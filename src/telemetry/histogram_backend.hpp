@@ -105,18 +105,6 @@ class HistogramBackend final : public TelemetryBackend {
   /// log-linear bucket floor, scaled back to nanoseconds.
   [[nodiscard]] sim::Time quantize_latency(sim::Time latency) const;
 
-  // ---- test/introspection surface ----
-  [[nodiscard]] const util::LogLinearHistogram* port_latency_hist(
-      net::SwitchId sw, net::PortId port) const;
-  [[nodiscard]] const util::LogLinearHistogram* port_queue_hist(
-      net::SwitchId sw, net::PortId port) const;
-  [[nodiscard]] const EventDetector& detector(net::SwitchId sw) const {
-    return state_[sw].detector;
-  }
-  [[nodiscard]] const HistogramBackendConfig& config() const {
-    return config_;
-  }
-
  private:
   /// One flow's folded evidence for the epoch being aggregated at a sink.
   struct Digest {

@@ -4,15 +4,13 @@
 // every hop pushes its metadata onto a stack inside the packet header, so
 // the header grows with the path and the sink sees full per-hop detail.
 //
-// Implemented as a PacketObserver so it can be deployed on the same
-// substrate as the MARS pipeline for apples-to-apples bandwidth and
-// diagnosis-power comparisons (Fig. 3, extended Fig. 9).
+// The hop entry and the knobs shared by the int-md export backend
+// (telemetry/int_md_backend.hpp), which runs the mode inside the MARS
+// pipeline for apples-to-apples bandwidth and diagnosis-power comparisons
+// (Fig. 3, extended Fig. 9).
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
-#include "net/observer.hpp"
 #include "net/types.hpp"
 #include "sim/time.hpp"
 
@@ -39,74 +37,6 @@ struct IntMdConfig {
   /// Stop pushing metadata beyond this many hops (spec's Remaining Hop
   /// Count); deeper hops traverse without recording.
   std::uint32_t max_hops = 16;
-  /// Retention cap on sink-side records between collect() calls. A
-  /// long-lived run that never collects must not grow without bound; at
-  /// the cap the oldest half is evicted (ring-table discipline: newest
-  /// evidence wins).
-  std::size_t max_records = 4096;
-};
-
-/// Per-hop record sink-side, after the stack is popped.
-struct IntMdRecord {
-  std::uint64_t packet_id = 0;
-  net::FlowId flow;
-  sim::Time sink_time = 0;
-  std::vector<IntMdHop> hops;
-};
-
-class IntMdPipeline : public net::PacketObserver {
- public:
-  explicit IntMdPipeline(IntMdConfig config = {});
-
-  /// Records extracted at sinks since the last collect(), in delivery
-  /// order (bounded by IntMdConfig::max_records).
-  [[nodiscard]] const std::vector<IntMdRecord>& records() const {
-    return records_;
-  }
-  /// Drain retained records (the collector's read empties the store, like
-  /// a ring-table drain); delivery order, oldest first.
-  [[nodiscard]] std::vector<IntMdRecord> collect() {
-    std::vector<IntMdRecord> out;
-    out.swap(records_);
-    return out;
-  }
-  /// Records evicted because the retention cap was hit before a collect.
-  [[nodiscard]] std::uint64_t dropped_records() const {
-    return dropped_records_;
-  }
-  /// In-band bytes this mode put on the wire so far.
-  [[nodiscard]] std::uint64_t telemetry_bytes() const {
-    return telemetry_bytes_;
-  }
-
-  /// Mean hop latency per switch over records within [from, to) — the
-  /// kind of query full INT visibility makes trivial.
-  [[nodiscard]] std::unordered_map<net::SwitchId, double> mean_hop_latency(
-      sim::Time from, sim::Time to) const;
-
-  // ---- PacketObserver ----
-  void on_ingress(net::SwitchContext& ctx, net::Packet& pkt) override;
-  void on_enqueue(net::SwitchContext& ctx, net::Packet& pkt, net::PortId out,
-                  std::uint32_t queue_depth) override;
-  void on_egress(net::SwitchContext& ctx, net::Packet& pkt, net::PortId out,
-                 sim::Time hop_latency) override;
-  void on_deliver(net::SwitchContext& ctx, net::Packet& pkt) override;
-  void on_drop(net::SwitchContext& ctx, const net::Packet& pkt,
-               net::PortId out) override;
-
- private:
-  struct InFlight {
-    std::vector<IntMdHop> hops;
-    std::uint32_t pending_queue_depth = 0;
-    net::PortId pending_out = 0;
-  };
-
-  IntMdConfig config_;
-  std::unordered_map<std::uint64_t, InFlight> in_flight_;
-  std::vector<IntMdRecord> records_;
-  std::uint64_t telemetry_bytes_ = 0;
-  std::uint64_t sample_counter_ = 0;
-  std::uint64_t dropped_records_ = 0;
 };
 
 }  // namespace mars::telemetry

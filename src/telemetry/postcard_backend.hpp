@@ -41,12 +41,6 @@ class PostcardBackend final : public TelemetryBackend {
   }
   [[nodiscard]] BackendCounters counters() const override;
 
-  /// Direct Ring Table access (register-level tests, Fig. 10 memory
-  /// accounting).
-  [[nodiscard]] const RingTable& ring_table(net::SwitchId sw) const {
-    return state_[sw].ring;
-  }
-
  private:
   struct SwitchSlice {
     RingTable ring;

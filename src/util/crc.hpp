@@ -1,52 +1,21 @@
 #pragma once
-// CRC-16/CCITT-FALSE and CRC-32 (IEEE 802.3) used by the PathID engine.
+// CRC-16/CCITT-FALSE and CRC-32 (IEEE 802.3) over fixed-length words, as
+// used by the PathID engine and the ECMP hash.
 //
 // MARS updates the PathID at every hop by hashing
 // {PathID, switchID, ingress port, egress port, control} (paper §4.1).
 // The paper names CRC16/CRC32 as the hash algorithms available in the
-// Tofino hash generators, so we provide both with the standard polynomials.
+// Tofino hash generators, so we provide both with the standard polynomials:
+// CRC-16/CCITT-FALSE is poly 0x1021, init 0xFFFF, no reflection, no
+// xorout (the `crc16` extern commonly exposed by P4 targets); CRC-32 is
+// poly 0x04C11DB7 reflected (0xEDB88320), init 0xFFFFFFFF, reflected
+// in/out, final xor 0xFFFFFFFF.
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 namespace mars::util {
-
-/// CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection, no xorout.
-/// This matches the `crc16` extern commonly exposed by P4 targets.
-class Crc16 {
- public:
-  /// One-shot CRC over a byte range.
-  [[nodiscard]] static std::uint16_t compute(std::span<const std::byte> data);
-
-  /// Incremental interface: feed bytes, then read value().
-  void update(std::span<const std::byte> data);
-  void update(std::uint8_t byte);
-  [[nodiscard]] std::uint16_t value() const { return state_; }
-  void reset() { state_ = kInit; }
-
- private:
-  static constexpr std::uint16_t kInit = 0xFFFF;
-  std::uint16_t state_ = kInit;
-};
-
-/// CRC-32 (IEEE 802.3): poly 0x04C11DB7 reflected (0xEDB88320),
-/// init 0xFFFFFFFF, reflected in/out, final xor 0xFFFFFFFF.
-class Crc32 {
- public:
-  [[nodiscard]] static std::uint32_t compute(std::span<const std::byte> data);
-
-  void update(std::span<const std::byte> data);
-  void update(std::uint8_t byte);
-  [[nodiscard]] std::uint32_t value() const { return state_ ^ kXorOut; }
-  void reset() { state_ = kInit; }
-
- private:
-  static constexpr std::uint32_t kInit = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kXorOut = 0xFFFFFFFFu;
-  std::uint32_t state_ = kInit;
-};
 
 // ---- Fixed-length word hashes --------------------------------------------
 //
@@ -150,8 +119,8 @@ template <std::size_t N>
   return detail::word_term(detail::kCrc32At, 4 * (N - 1 - i), w);
 }
 
-/// CRC16 of N 32-bit words in little-endian byte order: equal to
-/// Crc16::compute over those 4N bytes.
+/// CRC16 of N 32-bit words in little-endian byte order: the CRC-16/
+/// CCITT-FALSE of those 4N bytes.
 template <std::size_t N>
 [[nodiscard]] constexpr std::uint16_t crc16_words(
     const std::array<std::uint32_t, N>& words) {
@@ -161,8 +130,8 @@ template <std::size_t N>
   return crc;
 }
 
-/// CRC32 of N 32-bit words in little-endian byte order: equal to
-/// Crc32::compute over those 4N bytes.
+/// CRC32 of N 32-bit words in little-endian byte order: the CRC-32 of
+/// those 4N bytes.
 template <std::size_t N>
 [[nodiscard]] constexpr std::uint32_t crc32_words(
     const std::array<std::uint32_t, N>& words) {

@@ -3,49 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cmath>
 
 namespace mars::util {
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) { add_n(x, 1); }
-
-void Histogram::add_n(double x, std::uint64_t n) {
-  auto idx = static_cast<std::ptrdiff_t>(std::floor((x - lo_) / width_));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(bins()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += n;
-  total_ += n;
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-  return lo_ + (static_cast<double>(bin) + 0.5) * width_;
-}
-
-double Histogram::cumulative(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i <= bin; ++i) acc += counts_[i];
-  return static_cast<double>(acc) / static_cast<double>(total_);
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(total_));
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < bins(); ++i) {
-    acc += counts_[i];
-    if (acc >= target) return lo_ + (static_cast<double>(i) + 1.0) * width_;
-  }
-  return hi_;
-}
 
 LogLinearHistogram::LogLinearHistogram(std::uint32_t sub_bucket_bits,
                                        std::size_t max_buckets)
@@ -92,19 +51,6 @@ double LogLinearHistogram::fraction_above(std::uint64_t threshold) const {
   std::uint64_t above = 0;
   for (std::size_t i = thr + 1; i < counts_.size(); ++i) above += counts_[i];
   return static_cast<double>(above) / static_cast<double>(total_);
-}
-
-CdfSeries make_cdf(std::string label, std::span<const double> samples) {
-  CdfSeries series;
-  series.label = std::move(label);
-  series.x.assign(samples.begin(), samples.end());
-  std::sort(series.x.begin(), series.x.end());
-  series.f.resize(series.x.size());
-  const auto n = static_cast<double>(series.x.size());
-  for (std::size_t i = 0; i < series.x.size(); ++i) {
-    series.f[i] = static_cast<double>(i + 1) / n;
-  }
-  return series;
 }
 
 }  // namespace mars::util

@@ -1,43 +1,11 @@
 #pragma once
-// Fixed-bin histogram and CDF summaries for evaluation figures
-// (e.g. Fig. 2's link-utilization CDF).
+// Log-linear integer histogram for the histogram telemetry backend.
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <string>
 #include <vector>
 
 namespace mars::util {
-
-/// Linear fixed-bin histogram over [lo, hi). Out-of-range samples are
-/// clamped into the first/last bin so no data is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  void add_n(double x, std::uint64_t n);
-
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::uint64_t count(std::size_t bin) const {
-    return counts_[bin];
-  }
-  /// Center value of a bin.
-  [[nodiscard]] double bin_center(std::size_t bin) const;
-  /// Cumulative fraction of samples at or below the upper edge of `bin`.
-  [[nodiscard]] double cumulative(std::size_t bin) const;
-  /// Approximate quantile from bin boundaries.
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 /// Log-linear histogram over non-negative integer samples, HdrHistogram
 /// style: values below 2^sub_bucket_bits get exact unit-width buckets;
@@ -45,10 +13,10 @@ class Histogram {
 /// sub-buckets. This is the in-switch aggregation model for the histogram
 /// telemetry backend — the layout a Tofino register array can hold (one
 /// counter per bucket, bucket index computable with a priority encoder
-/// plus a shift), unlike the float-binned Histogram above.
+/// plus a shift).
 ///
-/// Samples past the last bucket are clamped into it (same no-silent-drop
-/// contract as Histogram).
+/// Samples past the last bucket are clamped into it, so no sample is
+/// silently dropped.
 class LogLinearHistogram {
  public:
   LogLinearHistogram(std::uint32_t sub_bucket_bits, std::size_t max_buckets);
@@ -77,16 +45,5 @@ class LogLinearHistogram {
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
 };
-
-/// A (x, F(x)) point series for plotting empirical CDFs.
-struct CdfSeries {
-  std::string label;
-  std::vector<double> x;
-  std::vector<double> f;
-};
-
-/// Build an exact empirical CDF series from raw samples.
-[[nodiscard]] CdfSeries make_cdf(std::string label,
-                                 std::span<const double> samples);
 
 }  // namespace mars::util

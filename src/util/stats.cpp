@@ -5,28 +5,6 @@
 
 namespace mars::util {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::clear() { *this = RunningStats{}; }
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 double median(std::span<const double> values) {
   std::vector<double> copy(values.begin(), values.end());
   return median_inplace(copy);
@@ -78,21 +56,6 @@ double mad_sigma(std::span<const double> values) {
   deviations.reserve(values.size());
   for (double v : values) deviations.push_back(std::abs(v - m));
   return 1.4826 * median_inplace(deviations);
-}
-
-std::vector<double> ecdf(std::span<const double> values,
-                         std::span<const double> at) {
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<double> out;
-  out.reserve(at.size());
-  for (double point : at) {
-    const auto it = std::upper_bound(sorted.begin(), sorted.end(), point);
-    const auto count = static_cast<double>(it - sorted.begin());
-    out.push_back(sorted.empty() ? 0.0
-                                 : count / static_cast<double>(sorted.size()));
-  }
-  return out;
 }
 
 }  // namespace mars::util

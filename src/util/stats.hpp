@@ -1,37 +1,14 @@
 #pragma once
-// Streaming and batch statistics used across MARS.
+// Batch statistics used across MARS.
 //
 // The reservoir detector (paper Alg. 1) thresholds on median(R) + C·σ(R);
-// the evaluation computes CDFs, percentiles and classification scores.
+// RCA and the evaluation use medians, quantiles and robust spreads.
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
 namespace mars::util {
-
-/// Numerically stable streaming mean/variance (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double x);
-  void clear();
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  /// Population variance. Zero for fewer than two samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Median of a sample. Copies the input (non-destructive). Empty input -> 0.
 [[nodiscard]] double median(std::span<const double> values);
@@ -52,9 +29,5 @@ class RunningStats {
 
 /// Mean of a sample. Empty input -> 0.
 [[nodiscard]] double mean(std::span<const double> values);
-
-/// Empirical CDF: for each point in `at`, the fraction of `values` <= point.
-[[nodiscard]] std::vector<double> ecdf(std::span<const double> values,
-                                       std::span<const double> at);
 
 }  // namespace mars::util

@@ -1,9 +1,7 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
-#include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "util/rng.hpp"
 
@@ -40,25 +38,6 @@ void FlowTrace::write_csv(std::ostream& out) const {
     out << e.at << ',' << e.flow.source << ',' << e.flow.sink << ','
         << e.flow_hash << ',' << e.size_bytes << '\n';
   }
-}
-
-bool FlowTrace::read_csv(std::istream& in) {
-  events_.clear();
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    TraceEvent e;
-    char c1 = 0, c2 = 0, c3 = 0, c4 = 0;
-    if (!(fields >> e.at >> c1 >> e.flow.source >> c2 >> e.flow.sink >> c3 >>
-          e.flow_hash >> c4 >> e.size_bytes) ||
-        c1 != ',' || c2 != ',' || c3 != ',' || c4 != ',') {
-      events_.clear();
-      return false;
-    }
-    events_.push_back(e);
-  }
-  return true;
 }
 
 void TraceRecorder::on_ingress(net::SwitchContext& ctx, net::Packet& pkt) {

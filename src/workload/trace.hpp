@@ -45,12 +45,9 @@ class FlowTrace {
   /// current simulation time are skipped (counted in the return value).
   std::size_t replay(net::Network& network) const;
 
-  /// CSV: "time_ns,src,dst,flow_hash,size_bytes", one event per line,
-  /// '#' comments allowed.
+  /// CSV: a '#' header line "time_ns,src,dst,flow_hash,size_bytes",
+  /// then one event per line.
   void write_csv(std::ostream& out) const;
-  /// Parse a CSV stream. Returns false (and leaves *this empty) on any
-  /// malformed line.
-  [[nodiscard]] bool read_csv(std::istream& in);
 
  private:
   std::vector<TraceEvent> events_;

@@ -66,10 +66,12 @@ TEST(ControllerTest, PollingWarmsReservoirAndInstallsThreshold) {
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   f.traffic(flow, 3, 200, 5_ms);  // 1s of traffic -> 20 epochs of telemetry
   f.engine.run(2_s);  // bounded: the controller polls forever by design
-  const auto* res = f.controller.reservoir(flow);
-  ASSERT_NE(res, nullptr);
-  EXPECT_TRUE(res->warmed_up());
-  // The installed threshold replaced the 10s default.
+  // One reservoir, for the one flow; the controller installs a threshold
+  // exactly when that reservoir is warmed up, so the installed threshold
+  // replacing the 10s default shows it warmed up.
+  EXPECT_EQ(f.controller.reservoir_count(), 1u);
+  EXPECT_NE(f.pipeline.threshold(flow),
+            f.pipeline.config().default_threshold);
   EXPECT_LT(f.pipeline.threshold(flow), 1_s);
   EXPECT_GT(f.pipeline.threshold(flow), 0);
   EXPECT_GT(f.controller.overheads().poll_bytes, 0u);
@@ -81,8 +83,10 @@ TEST(ControllerTest, DynamicThresholdCatchesInjectedCongestion) {
   // Warm up with healthy traffic.
   f.traffic(flow, 3, 400, 5_ms);
   f.engine.run(2_s);
-  ASSERT_TRUE(f.controller.reservoir(flow) != nullptr &&
-              f.controller.reservoir(flow)->warmed_up());
+  // Warmed up: the flow's reservoir installed its threshold.
+  ASSERT_EQ(f.controller.reservoir_count(), 1u);
+  ASSERT_NE(f.pipeline.threshold(flow),
+            f.pipeline.config().default_threshold);
   EXPECT_EQ(f.diagnoses.size(), 0u);  // healthy: no diagnosis sessions
 
   // Now throttle the egress port: queueing delay blows past the dynamic

@@ -13,8 +13,8 @@
 #include "control/path_registry.hpp"
 #include "control/path_registry_cache.hpp"
 #include "net/fat_tree.hpp"
+#include "crc_oracle.hpp"
 #include "net/leaf_spine.hpp"
-#include "util/crc.hpp"
 
 namespace mars::control {
 namespace {
@@ -22,7 +22,7 @@ namespace {
 // A deliberately plain reference for PathRegistry: per-path vectors from
 // RoutingTable::enumerate_edge_paths() (a scan of every port against the
 // hop distances), hop ports from port_towards(), PathIDs hashed byte by
-// byte with the oracle Crc16/Crc32, collision groups in a std::map (whose
+// byte with the bit-serial oracle CRCs, collision groups in a std::map (whose
 // ascending iteration is the separation order), and the same separate()
 // rule. The flat registry must reproduce it exactly: path order, hops,
 // ports, PathIDs, the MAT (keys and control values), every audit count,
@@ -76,8 +76,8 @@ struct ReferenceRegistry {
       bytes[i] = static_cast<std::byte>(words[i / 4] >> (8 * (i % 4)));
     }
     const std::uint32_t digest = config.hash == telemetry::HashKind::kCrc16
-                                     ? util::Crc16::compute(bytes)
-                                     : util::Crc32::compute(bytes);
+                                     ? test_support::Crc16::compute(bytes)
+                                     : test_support::Crc32::compute(bytes);
     return digest & config.mask();
   }
 

@@ -11,6 +11,7 @@
 #include "net/fat_tree.hpp"
 #include "net/network.hpp"
 #include "path_recorder.hpp"
+#include "switch_faults.hpp"
 
 namespace mars::dataplane {
 namespace {
@@ -235,7 +236,7 @@ TEST(PipelineTest, DropDetectedByEpochGap) {
   f.net.node(flow.source).set_drop_probability(out, 1.0);
   f.traffic(flow, 5, 40, 5_ms);
   f.engine.run(299_ms);
-  f.net.node(flow.source).clear_faults();
+  test_support::clear_faults(f.net.node(flow.source));
   f.traffic(flow, 5, 10, 5_ms);
   f.engine.run();
 

@@ -9,13 +9,15 @@
 #include <map>
 #include <thread>
 
-#include "fsm/brute_force.hpp"
+#include "brute_force_miner.hpp"
 #include "fsm/miner.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace mars::fsm {
 namespace {
+
+using test_support::BruteForce;
 
 SequenceDatabase random_database(std::uint64_t seed, std::size_t max_len,
                                  Item alphabet) {

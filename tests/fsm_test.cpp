@@ -4,11 +4,13 @@
 
 #include <map>
 
-#include "fsm/brute_force.hpp"
+#include "brute_force_miner.hpp"
 #include "util/rng.hpp"
 
 namespace mars::fsm {
 namespace {
+
+using test_support::BruteForce;
 
 SequenceDatabase paper_example() {
   // §4.4.2: four <s3,s2,s4> and two <s6,s2,s7>, max len 2, min rel

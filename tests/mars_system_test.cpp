@@ -7,6 +7,7 @@
 
 #include "net/engine.hpp"
 #include "net/fat_tree.hpp"
+#include "switch_faults.hpp"
 #include "workload/traffic_gen.hpp"
 
 namespace mars {
@@ -114,7 +115,9 @@ TEST(MarsSystemTest, FaultTriggersDiagnosisAndOverheadRollup) {
     f.net.node(spec.flow.source).set_max_pps(out, 60.0);
   });
   f.engine.global().schedule_at(
-      4_s, [&f, &spec] { f.net.node(spec.flow.source).clear_faults(); });
+      4_s, [&f, &spec] {
+        test_support::clear_faults(f.net.node(spec.flow.source));
+      });
   f.engine.run(6_s);
 
   ASSERT_FALSE(f.mars.diagnoses().empty());
@@ -158,7 +161,9 @@ TEST(CrossSessionFoldTest, DropFoldsIntoSameLocationLatencyCause) {
     f.net.node(spec.flow.source).set_max_pps(out, 60.0);
   });
   f.engine.global().schedule_at(
-      4_s, [&f, &spec] { f.net.node(spec.flow.source).clear_faults(); });
+      4_s, [&f, &spec] {
+        test_support::clear_faults(f.net.node(spec.flow.source));
+      });
   f.engine.run(6_s);
 
   const auto culprits = f.mars.culprits_for(3_s);

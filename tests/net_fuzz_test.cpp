@@ -13,6 +13,7 @@
 #include "net/fat_tree.hpp"
 #include "net/network.hpp"
 #include "path_recorder.hpp"
+#include "switch_faults.hpp"
 #include "util/rng.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -58,7 +59,7 @@ TEST_P(NetFuzzTest, ConservationUnderRandomFaultChurn) {
         case 1: node.set_extra_delay(port, 1_ms + rng.below(50) * 1_ms);
           break;
         case 2: node.set_drop_probability(port, rng.uniform() * 0.9); break;
-        default: node.clear_faults(); break;
+        default: test_support::clear_faults(node); break;
       }
     });
   }

@@ -7,8 +7,11 @@
 
 #include "net/engine.hpp"
 #include "net/fat_tree.hpp"
+#include "obs/net_scrape.hpp"
+#include "obs/registry.hpp"
 #include "path_recorder.hpp"
 #include "sim/time.hpp"
+#include "switch_faults.hpp"
 
 namespace mars::net {
 namespace {
@@ -161,7 +164,7 @@ TEST(NetworkTest, ClearFaultsRestoresHealth) {
   PortId out = 0;
   ASSERT_TRUE(f.net.routing().select_port(flow.source, flow.sink, 4, out));
   f.net.node(flow.source).set_drop_probability(out, 1.0);
-  f.net.node(flow.source).clear_faults();
+  test_support::clear_faults(f.net.node(flow.source));
   f.net.inject(flow, 4, 500);
   f.engine.run();
   EXPECT_EQ(f.deliveries.size(), 1u);
@@ -195,12 +198,21 @@ TEST(NetworkTest, ObserverSeesIngressEgressDeliver) {
 
 TEST(NetworkTest, UtilizationAccountsBusyTime) {
   Fixture f;
+  obs::MetricsRegistry registry;
+  obs::scrape_network(f.net, registry,
+                      {.per_port = false, .link_utilization = true,
+                       .totals = false});
   const FlowId flow{f.ft.edge[0], f.ft.edge[1]};
   for (int i = 0; i < 100; ++i) f.net.inject(flow, 2, 1250);
   f.engine.run();
-  const auto utils = f.net.link_utilization();
+  // One link.*.util gauge per direction of every link.
+  const auto gauges = registry.read_gauges();
+  ASSERT_EQ(gauges.size(), 2 * f.ft.topology.links().size());
   double max_util = 0.0;
-  for (const auto& u : utils) max_util = std::max(max_util, u.utilization);
+  for (const auto& [name, util] : gauges) {
+    EXPECT_TRUE(name.ends_with(".util")) << name;
+    max_util = std::max(max_util, util);
+  }
   EXPECT_GT(max_util, 0.0);
   EXPECT_LE(max_util, 1.0);
 }

@@ -139,7 +139,7 @@ TEST(EventLogTest, NdjsonRoundTripsThroughJsonReader) {
   EXPECT_EQ(first.find("event")->as_string(), "session_complete");
   const JsonValue* fields = first.find("fields");
   ASSERT_NE(fields, nullptr);
-  EXPECT_EQ(fields->find("records")->as_uint(), 42u);
+  EXPECT_EQ(fields->find("records")->as_int(), 42);
   EXPECT_EQ(fields->find("trigger")->as_string(), "notification");
   EXPECT_DOUBLE_EQ(fields->find("confidence")->as_number(), 0.975);
   EXPECT_TRUE(first.contains("wall_ms"));

@@ -115,7 +115,7 @@ TEST(FlightRecorderTest, WriteJsonShape) {
   std::ostringstream out;
   recorder.write_json(out);
   const JsonValue doc = JsonValue::parse(out.str());
-  EXPECT_EQ(doc.find("triggers_total")->as_uint(), 1u);
+  EXPECT_EQ(doc.find("triggers_total")->as_int(), 1);
   const JsonValue& dumps = *doc.find("dumps");
   ASSERT_EQ(dumps.size(), 1u);
   EXPECT_EQ(dumps.at(0).find("reason")->as_string(), "low_confidence");
@@ -124,7 +124,7 @@ TEST(FlightRecorderTest, WriteJsonShape) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events.at(0).find("level")->as_string(), "warn");
   EXPECT_EQ(events.at(0).find("event")->as_string(), "quarantine");
-  EXPECT_EQ(events.at(0).find("fields")->find("switch")->as_uint(), 7u);
+  EXPECT_EQ(events.at(0).find("fields")->find("switch")->as_int(), 7);
 }
 
 TEST(FlightRecorderTest, ConfigureResetsEverything) {

@@ -99,10 +99,10 @@ TEST(JsonWriter, KeysAreEscaped) {
 }
 
 TEST(JsonReader, IntegerAccessorsRejectDoublesOutOfRange) {
-  // 1e20 and 2^64 are past every uint64; as_uint() once cast them anyway.
-  EXPECT_THROW((void)JsonValue::parse("1e20").as_uint(), std::runtime_error);
+  // 1e20, 2^64 and 2^63 are past every int64; casting them would be
+  // undefined behaviour.
   EXPECT_THROW((void)JsonValue::parse("1e20").as_int(), std::runtime_error);
-  EXPECT_THROW((void)JsonValue::parse("18446744073709551616").as_uint(),
+  EXPECT_THROW((void)JsonValue::parse("18446744073709551616").as_int(),
                std::runtime_error);
   EXPECT_THROW((void)JsonValue::parse("9223372036854775808").as_int(),
                std::runtime_error);
@@ -112,13 +112,14 @@ TEST(JsonReader, IntegerAccessorsRejectDoublesOutOfRange) {
             std::numeric_limits<std::int64_t>::min());
   EXPECT_THROW((void)JsonValue::parse("-9223372036854777856").as_int(),
                std::runtime_error);
-  // The largest doubles below 2^64 and 2^63 still convert exactly.
-  EXPECT_EQ(JsonValue::parse("18446744073709549568").as_uint(),
-            18446744073709549568ull);
+  // The largest double below 2^63 still converts exactly; the largest
+  // below 2^64 is out of range.
   EXPECT_EQ(JsonValue::parse("9223372036854774784").as_int(),
             std::int64_t{9223372036854774784});
-  // The existing sign and fraction checks still hold.
-  EXPECT_THROW((void)JsonValue::parse("-1").as_uint(), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("18446744073709549568").as_int(),
+               std::runtime_error);
+  // Negative integers convert; fractions are rejected.
+  EXPECT_EQ(JsonValue::parse("-1").as_int(), -1);
   EXPECT_THROW((void)JsonValue::parse("1.5").as_int(), std::runtime_error);
 }
 

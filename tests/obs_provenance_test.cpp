@@ -10,11 +10,16 @@
 
 #include "obs/json_reader.hpp"
 #include "obs/provenance.hpp"
+#include "provenance_queries.hpp"
 
 namespace mars::obs {
 namespace {
 
 using NodeKind = ProvenanceGraph::NodeKind;
+using test_support::find_node;
+using test_support::nodes_of;
+using test_support::reachable_from;
+using test_support::validate;
 
 TEST(ProvenanceTest, NodeIdsArePerKindSequences) {
   ProvenanceGraph g;
@@ -24,10 +29,10 @@ TEST(ProvenanceTest, NodeIdsArePerKindSequences) {
   EXPECT_EQ(g.add_node(NodeKind::kPattern), "pattern:0");
   EXPECT_EQ(g.nodes().size(), 4u);
 
-  ASSERT_NE(g.find("fault:1"), nullptr);
-  EXPECT_EQ(g.find("fault:1")->kind, NodeKind::kFault);
-  EXPECT_EQ(g.find("fault:7"), nullptr);
-  EXPECT_EQ(g.nodes_of(NodeKind::kFault).size(), 2u);
+  ASSERT_NE(find_node(g, "fault:1"), nullptr);
+  EXPECT_EQ(find_node(g, "fault:1")->kind, NodeKind::kFault);
+  EXPECT_EQ(find_node(g, "fault:7"), nullptr);
+  EXPECT_EQ(nodes_of(g, NodeKind::kFault).size(), 2u);
 }
 
 TEST(ProvenanceTest, AnnotateOverwritesSameKeyField) {
@@ -37,7 +42,7 @@ TEST(ProvenanceTest, AnnotateOverwritesSameKeyField) {
   g.annotate(id, {"final_rank", std::int64_t{2}});
   g.annotate(id, {"final_rank", std::int64_t{1}});  // overwrite
 
-  const ProvenanceGraph::Node* node = g.find(id);
+  const ProvenanceGraph::Node* node = find_node(g, id);
   ASSERT_NE(node, nullptr);
   ASSERT_EQ(node->fields.size(), 2u);
   const auto it = std::find_if(
@@ -65,10 +70,10 @@ TEST(ProvenanceTest, ValidateFlagsDanglingEdges) {
   const std::string epoch = g.add_node(NodeKind::kEpoch);
   const std::string pattern = g.add_node(NodeKind::kPattern);
   g.add_edge(epoch, pattern, "mined");
-  EXPECT_TRUE(g.validate().empty());
+  EXPECT_TRUE(validate(g).empty());
 
   g.add_edge(epoch, "suspect:9", "scored");  // never materialises
-  const auto problems = g.validate();
+  const auto problems = validate(g);
   ASSERT_EQ(problems.size(), 1u);
   EXPECT_NE(problems[0].find("suspect:9"), std::string::npos);
 }
@@ -82,7 +87,7 @@ TEST(ProvenanceTest, ReachableFromFollowsForwardEdges) {
   g.add_edge(epoch, p0, "mined");
   g.add_edge(p0, s0, "scored");
 
-  const auto reached = g.reachable_from(NodeKind::kEpoch);
+  const auto reached = reachable_from(g, NodeKind::kEpoch);
   EXPECT_NE(std::find(reached.begin(), reached.end(), s0), reached.end());
   EXPECT_NE(std::find(reached.begin(), reached.end(), epoch),
             reached.end());  // seeds included

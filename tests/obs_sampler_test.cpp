@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json_writer.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "obs/tracer.hpp"
@@ -149,7 +150,8 @@ TEST(SeriesStore, JsonRendersNanAsNull) {
   series.append_row(0, {{"a", 1.0}});
   series.append_row(100_ms, {{"a", 2.0}, {"b", 3.0}});
   std::ostringstream out;
-  series.write_json(out);
+  obs::JsonWriter w(out);
+  series.write_json(w);
   EXPECT_NE(out.str().find("null"), std::string::npos);  // b's backfill
   EXPECT_EQ(out.str().find("nan"), std::string::npos);
 }

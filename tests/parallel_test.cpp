@@ -38,14 +38,6 @@ TEST(ThreadPoolTest, PropagatesExceptions) {
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
-TEST(ThreadPoolTest, WaitIdleDrainsQueue) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 64; ++i) pool.submit([&] { ++counter; });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 64);
-}
-
 TEST(ParallelForTest, CoversFullRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> touched(1000);

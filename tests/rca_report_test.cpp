@@ -96,38 +96,5 @@ TEST(ReportTest, MiningStatsLineAppearsOnlyWhenPassed) {
   EXPECT_EQ(without.find("mining"), std::string::npos);
 }
 
-TEST(ReportJsonTest, MiningObjectAppearsOnlyWhenPassed) {
-  fsm::MiningStats mining;
-  mining.patterns = 12;
-  mining.nodes_expanded = 340;
-  mining.peak_bytes = 2048;
-  mining.threads_used = 1;
-  const auto with = render_json(make_session(), make_culprits(), {},
-                                &mining);
-  EXPECT_NE(with.find("\"mining\":{\"patterns\":12,\"nodes\":340,"
-                      "\"peak_bytes\":2048"),
-            std::string::npos);
-  const auto without = render_json(make_session(), make_culprits());
-  EXPECT_EQ(without.find("\"mining\""), std::string::npos);
-}
-
-TEST(ReportJsonTest, WellFormedAndComplete) {
-  const auto json = render_json(make_session(), make_culprits());
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"kind\":\"high latency\""), std::string::npos);
-  EXPECT_NE(json.find("\"records\":42"), std::string::npos);
-  EXPECT_NE(json.find("\"port\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"flow\":\"<s7,s11>\""), std::string::npos);
-  // Balanced braces/brackets (cheap well-formedness check).
-  int depth = 0;
-  for (const char c : json) {
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
-}
-
 }  // namespace
 }  // namespace mars::rca

@@ -12,6 +12,7 @@
 #include "mars/sweep.hpp"
 #include "net/engine.hpp"
 #include "net/fat_tree.hpp"
+#include "parallel/thread_pool.hpp"
 #include "workload/traffic_gen.hpp"
 
 namespace mars {
@@ -65,8 +66,10 @@ TEST(RobustnessTest, SweepThreadCountDoesNotChangeChaosOutcomes) {
     point.label = "chaos/seed=" + std::to_string(seed);
     points.push_back(std::move(point));
   }
-  const SweepResult serial = run_sweep(points, {.threads = 1});
-  const SweepResult parallel = run_sweep(points, {.threads = 4});
+  parallel::ThreadPool one(1);
+  parallel::ThreadPool four(4);
+  const SweepResult serial = run_sweep(one, points);
+  const SweepResult parallel = run_sweep(four, points);
   ASSERT_EQ(serial.trials.size(), parallel.trials.size());
   for (std::size_t i = 0; i < serial.trials.size(); ++i) {
     const ScenarioResult& s = serial.trials[i].result;

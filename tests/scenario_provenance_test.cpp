@@ -13,11 +13,16 @@
 
 #include "mars/scenario.hpp"
 #include "mars/scenario_spec.hpp"
+#include "provenance_queries.hpp"
 
 namespace mars {
 namespace {
 
 using NodeKind = obs::ProvenanceGraph::NodeKind;
+using test_support::find_node;
+using test_support::nodes_of;
+using test_support::reachable_from;
+using test_support::validate;
 
 ScenarioConfig mars_only(faults::FaultKind kind, std::uint64_t seed) {
   ScenarioConfig cfg = default_scenario(kind, seed);
@@ -49,25 +54,25 @@ TEST_P(ProvenanceFaultTest, GraphIsClosedAndAttributesTheFault) {
 
     // Closure: every edge endpoint resolves, and every ranked suspect is
     // evidence-backed — reachable from at least one abnormal epoch.
-    EXPECT_TRUE(g.validate().empty());
+    EXPECT_TRUE(validate(g).empty());
     if (!outcome.culprits.empty()) {
-      EXPECT_FALSE(g.nodes_of(NodeKind::kEpoch).empty());
-      const auto reached = g.reachable_from(NodeKind::kEpoch);
-      for (const auto* suspect : g.nodes_of(NodeKind::kSuspect)) {
+      EXPECT_FALSE(nodes_of(g, NodeKind::kEpoch).empty());
+      const auto reached = reachable_from(g, NodeKind::kEpoch);
+      for (const auto* suspect : nodes_of(g, NodeKind::kSuspect)) {
         EXPECT_TRUE(reachable_contains(reached, suspect->id))
             << suspect->id << " not reachable from any abnormal epoch";
       }
     }
 
     // One fault node per scheduled injection, regardless of diagnosis.
-    EXPECT_EQ(g.nodes_of(NodeKind::kFault).size(), result.truths.size());
+    EXPECT_EQ(nodes_of(g, NodeKind::kFault).size(), result.truths.size());
 
     // Attribution: when MARS ranked the truth, a fault node carries a
     // "manifested_as" edge to a suspect annotated with that final rank.
     if (!outcome.rank.has_value()) continue;
     for (const auto& edge : g.edges()) {
       if (edge.relation != "manifested_as") continue;
-      const obs::ProvenanceGraph::Node* to = g.find(edge.to);
+      const obs::ProvenanceGraph::Node* to = find_node(g, edge.to);
       ASSERT_NE(to, nullptr);
       EXPECT_EQ(to->kind, NodeKind::kSuspect);
       for (const auto& field : to->fields) {

@@ -9,11 +9,29 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "mars/scenario.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace mars {
 namespace {
+
+/// `count` copies of `base` with seeds first_seed, first_seed+1, ...
+/// labelled "seed=<n>".
+std::vector<SweepPoint> seed_points(const ScenarioConfig& base,
+                                    std::uint64_t first_seed,
+                                    std::size_t count) {
+  std::vector<SweepPoint> points;
+  for (std::size_t i = 0; i < count; ++i) {
+    SweepPoint point;
+    point.config = base;
+    point.config.seed = first_seed + i;
+    point.label = "seed=" + std::to_string(point.config.seed);
+    points.push_back(std::move(point));
+  }
+  return points;
+}
 
 void expect_same_result(const ScenarioResult& a, const ScenarioResult& b) {
   EXPECT_EQ(a.events_executed, b.events_executed);
@@ -41,14 +59,10 @@ void expect_same_result(const ScenarioResult& a, const ScenarioResult& b) {
 
 TEST(SweepTest, MatchesSequentialRunScenario) {
   const auto base = default_scenario(faults::FaultKind::kDrop, 0);
-  const auto points = seed_sweep(base, 7, 3, "drop/");
-  ASSERT_EQ(points.size(), 3u);
-  EXPECT_EQ(points[0].label, "drop/seed=7");
-  EXPECT_EQ(points[2].config.seed, 9u);
+  const auto points = seed_points(base, 7, 3);
 
-  SweepOptions options;
-  options.threads = 3;
-  const SweepResult sweep = run_sweep(points, options);
+  parallel::ThreadPool pool(3);
+  const SweepResult sweep = run_sweep(pool, points);
   ASSERT_EQ(sweep.trials.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(sweep.trials[i].label, points[i].label);
@@ -60,8 +74,9 @@ TEST(SweepTest, MatchesSequentialRunScenario) {
 TEST(SweepTest, AggregatesMatchManualMerge) {
   const auto base =
       default_scenario(faults::FaultKind::kProcessRateDecrease, 0);
-  const auto points = seed_sweep(base, 21, 2);
-  const SweepResult sweep = run_sweep(points);
+  const auto points = seed_points(base, 21, 2);
+  parallel::ThreadPool pool(2);
+  const SweepResult sweep = run_sweep(pool, points);
 
   const auto* mars_agg = sweep.find("mars");
   ASSERT_NE(mars_agg, nullptr);
@@ -85,61 +100,29 @@ TEST(SweepTest, AggregatesMatchManualMerge) {
 
 TEST(SweepTest, SingleThreadEqualsManyThreads) {
   const auto base = default_scenario(faults::FaultKind::kMicroBurst, 0);
-  const auto points = seed_sweep(base, 11, 3);
-  SweepOptions one;
-  one.threads = 1;
-  SweepOptions many;
-  many.threads = 4;
-  const auto a = run_sweep(points, one);
-  const auto b = run_sweep(points, many);
+  const auto points = seed_points(base, 11, 3);
+  parallel::ThreadPool one(1);
+  parallel::ThreadPool many(4);
+  const auto a = run_sweep(one, points);
+  const auto b = run_sweep(many, points);
   ASSERT_EQ(a.trials.size(), b.trials.size());
   for (std::size_t i = 0; i < a.trials.size(); ++i) {
     expect_same_result(a.trials[i].result, b.trials[i].result);
   }
 }
 
-TEST(SweepTest, CollectObservabilityAttachesPerTrialBundles) {
-  const auto base =
-      default_scenario(faults::FaultKind::kProcessRateDecrease, 0);
-  const auto points = seed_sweep(base, 31, 2);
-  SweepOptions options;
-  options.collect_observability = true;
-  const auto sweep = run_sweep(points, options);
-  for (const auto& trial : sweep.trials) {
-    ASSERT_NE(trial.observability, nullptr);
-    EXPECT_GT(trial.observability->snapshot.gauges.size(), 0u);
-    EXPECT_GE(trial.observability->snapshot.gauge_or("mars.telemetry_bytes",
-                                                     -1.0),
-              0.0);
-  }
-  // Without the flag, no bundle is allocated.
-  const auto bare = run_sweep(points);
-  for (const auto& trial : bare.trials) {
-    EXPECT_EQ(trial.observability, nullptr);
-  }
-}
-
 TEST(SweepTest, ValidatesEveryPointUpFront) {
   const auto base = default_scenario(faults::FaultKind::kDrop, 0);
-  auto points = seed_sweep(base, 1, 2);
+  auto points = seed_points(base, 1, 2);
   points[1].config.queue_capacity = 0;
   points[1].label = "bad-point";
+  parallel::ThreadPool pool(2);
   try {
-    (void)run_sweep(points);
+    (void)run_sweep(pool, points);
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("bad-point"), std::string::npos)
         << e.what();
-  }
-}
-
-TEST(SweepTest, FaultGridCoversAllKinds) {
-  const auto points = fault_grid(100, 2);
-  ASSERT_EQ(points.size(), 10u);
-  EXPECT_EQ(points[0].label, "microburst/seed=100");
-  EXPECT_EQ(points.back().label, "drop/seed=101");
-  for (const auto& point : points) {
-    EXPECT_TRUE(validate_scenario(point.config).empty()) << point.label;
   }
 }
 

@@ -101,26 +101,6 @@ TEST(HistogramBackendTest, DigestsQuantizeLatencyAndDropQueueDepth) {
   }
 }
 
-TEST(HistogramBackendTest, PortHistogramsObserveTrafficPerPort) {
-  Fixture f;
-  const net::FlowId flow{f.ft.edge[0], f.ft.edge[4]};
-  f.traffic(flow, 99, 25, 5_ms);
-  f.engine.run(90_ms);  // stay inside epoch 0: nothing reset yet
-  const auto& backend = f.backend();
-  // The source switch egressed every packet through exactly one uplink
-  // (single flow hash): its latency histogram saw each one.
-  std::uint64_t total = 0;
-  bool found = false;
-  for (net::PortId port = 0; port < 8; ++port) {
-    if (const auto* h = backend.port_latency_hist(flow.source, port)) {
-      total += h->total();
-      found |= h->total() > 0;
-    }
-  }
-  EXPECT_TRUE(found);
-  EXPECT_EQ(total, 18u);  // packets egressed by 90ms at 5ms spacing
-}
-
 TEST(HistogramBackendTest, RolloverSealsDigestsAndResetsHistograms) {
   Fixture f;
   const net::FlowId flow{f.ft.edge[0], f.ft.edge[1]};
@@ -135,15 +115,8 @@ TEST(HistogramBackendTest, RolloverSealsDigestsAndResetsHistograms) {
   EXPECT_GE(f.pipeline.backend().store_size(flow.sink), 1u);
   const auto records = f.pipeline.ring_snapshot(flow.sink);
   ASSERT_GE(records.size(), 2u);  // sealed epoch-0 + live epoch-2 digest
-  // The rollover cleared the source's port histograms: only the 5 late
-  // packets remain counted.
-  std::uint64_t total = 0;
-  for (net::PortId port = 0; port < 8; ++port) {
-    if (const auto* h = backend.port_latency_hist(flow.source, port)) {
-      total += h->total();
-    }
-  }
-  EXPECT_EQ(total, 5u);
+  // The per-port register reset at rollover has no reader outside the
+  // backend, so nothing here can observe it.
 }
 
 TEST(HistogramBackendTest, DigestFoldingBoundsStoreGrowth) {

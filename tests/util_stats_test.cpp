@@ -2,35 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
-
-#include "util/histogram.hpp"
-#include "util/rng.hpp"
 
 namespace mars::util {
 namespace {
-
-TEST(RunningStatsTest, MatchesBatchComputation) {
-  const std::vector<double> xs{3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0};
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-  EXPECT_EQ(rs.count(), xs.size());
-  EXPECT_DOUBLE_EQ(rs.mean(), mean(xs));
-  EXPECT_NEAR(rs.stddev(), stddev(xs), 1e-12);
-  EXPECT_DOUBLE_EQ(rs.min(), 1.0);
-  EXPECT_DOUBLE_EQ(rs.max(), 9.0);
-}
-
-TEST(RunningStatsTest, EmptyAndSingle) {
-  RunningStats rs;
-  EXPECT_EQ(rs.count(), 0u);
-  EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-  rs.add(42.0);
-  EXPECT_DOUBLE_EQ(rs.mean(), 42.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-}
 
 TEST(MedianTest, OddAndEven) {
   EXPECT_DOUBLE_EQ(median(std::vector<double>{5, 1, 3}), 3.0);
@@ -53,49 +28,6 @@ TEST(QuantileTest, Interpolates) {
   EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 10.0);
   EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 5.0);
   EXPECT_DOUBLE_EQ(quantile(xs, 0.25), 2.5);
-}
-
-TEST(EcdfTest, FractionAtOrBelow) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  const std::vector<double> at{0.5, 1.0, 2.5, 4.0, 9.0};
-  const auto f = ecdf(xs, at);
-  ASSERT_EQ(f.size(), at.size());
-  EXPECT_DOUBLE_EQ(f[0], 0.0);
-  EXPECT_DOUBLE_EQ(f[1], 0.25);
-  EXPECT_DOUBLE_EQ(f[2], 0.5);
-  EXPECT_DOUBLE_EQ(f[3], 1.0);
-  EXPECT_DOUBLE_EQ(f[4], 1.0);
-}
-
-TEST(HistogramTest, BinningAndQuantile) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_EQ(h.total(), 100u);
-  for (std::size_t b = 0; b < h.bins(); ++b) EXPECT_EQ(h.count(b), 10u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-  EXPECT_DOUBLE_EQ(h.cumulative(9), 1.0);
-}
-
-TEST(HistogramTest, ClampsOutOfRange) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(99.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(3), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(CdfSeriesTest, MonotoneAndEndsAtOne) {
-  Rng rng(1);
-  std::vector<double> xs;
-  for (int i = 0; i < 1000; ++i) xs.push_back(rng.uniform());
-  const auto cdf = make_cdf("u", xs);
-  ASSERT_EQ(cdf.x.size(), xs.size());
-  for (std::size_t i = 1; i < cdf.x.size(); ++i) {
-    EXPECT_LE(cdf.x[i - 1], cdf.x[i]);
-    EXPECT_LT(cdf.f[i - 1], cdf.f[i]);
-  }
-  EXPECT_DOUBLE_EQ(cdf.f.back(), 1.0);
 }
 
 }  // namespace

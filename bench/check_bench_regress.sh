@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Three recorded-benchmark gates:
+# Four recorded-benchmark gates:
 #
 # 1. Zero-overhead-when-disabled: the recorded pairwise ratio of
 #    BM_LeafSpine_HotPath_Instrumented to BM_LeafSpine_HotPath (an idle

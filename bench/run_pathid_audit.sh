@@ -8,8 +8,9 @@
 #
 # Usage: bench/run_pathid_audit.sh [output.json]
 #   BUILD_DIR overrides the build directory (default: <repo>/build).
-#   AUDIT_K picks the construction-timing fabric (default 16; CI smoke
-#   uses 8 to stay under a second).
+#   AUDIT_K picks the construction-timing fabric (default 16, which CI
+#   smoke runs too: a smaller fabric's ~1 ms cold build leaves gate 4's
+#   100x cache check at the mercy of timer noise).
 set -euo pipefail
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)

@@ -18,11 +18,12 @@ bool plausible_record(const telemetry::RtRecord& rec, sim::Time now) {
 
 ControlChannel::ControlChannel(sim::Simulator& simulator,
                                dataplane::MarsPipeline& pipeline,
-                               ChannelConfig config)
+                               ChannelConfig config, obs::Context obs)
     : simulator_(&simulator),
       pipeline_(&pipeline),
       config_(config),
-      rng_(config.seed) {}
+      rng_(config.seed),
+      log_(obs.log) {}
 
 void ControlChannel::offer(const dataplane::Notification& n) {
   ++stats_.notifications_offered;

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "dataplane/mars_pipeline.hpp"
+#include "obs/context.hpp"
 #include "obs/event_log.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/tables.hpp"
@@ -111,8 +112,12 @@ class ControlChannel {
     kRecordCorruption,
   };
 
+  /// `obs.log` (optional) gets one event at each degradation-window edge
+  /// (raise / restore). Logging happens inside the already-scheduled
+  /// window events, so attachment never changes the event schedule.
   ControlChannel(sim::Simulator& simulator,
-                 dataplane::MarsPipeline& pipeline, ChannelConfig config);
+                 dataplane::MarsPipeline& pipeline, ChannelConfig config,
+                 obs::Context obs = {});
 
   /// Wire the controller side. Must be set before the first offer().
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
@@ -134,12 +139,6 @@ class ControlChannel {
   void schedule_degradation(Dial dial, double severity, sim::Time at,
                             sim::Time duration);
 
-  /// Attach a structured event log (nullptr detaches): one event at each
-  /// degradation-window edge (raise / restore). Logging happens inside
-  /// the already-scheduled window events, so attachment never changes the
-  /// event schedule.
-  void set_event_log(obs::EventLog* log) { log_ = log; }
-
   [[nodiscard]] static const char* dial_name(Dial dial);
 
   [[nodiscard]] const ChannelConfig& config() const { return config_; }
@@ -155,7 +154,7 @@ class ControlChannel {
   DeliverFn deliver_;
   util::Rng rng_;
   ChannelStats stats_;
-  obs::EventLog* log_ = nullptr;
+  obs::EventLog* log_;
 };
 
 }  // namespace mars::control

@@ -1,7 +1,6 @@
 #include "control/controller.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "sim/simulator.hpp"
 
@@ -9,8 +8,8 @@ namespace mars::control {
 
 Controller::Controller(net::Network& network,
                        dataplane::MarsPipeline& pipeline,
-                       ControllerConfig config)
-    : network_(&network), pipeline_(&pipeline), config_(config) {}
+                       ControllerConfig config, obs::Context obs)
+    : network_(&network), pipeline_(&pipeline), config_(config), obs_(obs) {}
 
 std::vector<net::SwitchId> Controller::edge_switches() const {
   return network_->topology().switches_in_layer(net::Layer::kEdge);
@@ -33,11 +32,8 @@ void Controller::start() {
 
 void Controller::poll_once() {
   const sim::Time now = network_->simulator().now();
-  std::optional<obs::SpanTracer::WallSpan> span;
+  auto span = obs_.wall_span("controller.poll", "control");
   std::uint64_t samples = 0;
-  if (tracer_ != nullptr) {
-    span.emplace(tracer_->wall_span("controller.poll", "control"));
-  }
   for (const net::SwitchId sw : edge_switches()) {
     auto read = read_ring(sw);
     if (!read.ok) {
@@ -45,9 +41,9 @@ void Controller::poll_once() {
       // the watermark untouched, so the records we missed are picked up
       // by the next successful poll instead of silently skipped.
       ++overheads_.poll_reads_failed;
-      if (log_ != nullptr) {
-        log_->log(obs::LogLevel::kWarn, now, "controller",
-                  "poll_read_failed", {{"switch", std::uint64_t{sw}}});
+      if (obs_.log != nullptr) {
+        obs_.log->log(obs::LogLevel::kWarn, now, "controller",
+                      "poll_read_failed", {{"switch", std::uint64_t{sw}}});
       }
       continue;
     }
@@ -60,10 +56,10 @@ void Controller::poll_once() {
       if (!plausible_record(rec, now)) {
         // Corrupt latency samples must not steer the dynamic thresholds.
         ++overheads_.records_quarantined;
-        if (log_ != nullptr) {
-          log_->log(obs::LogLevel::kWarn, now, "controller",
-                    "poll_record_quarantined",
-                    {{"switch", std::uint64_t{sw}}});
+        if (obs_.log != nullptr) {
+          obs_.log->log(obs::LogLevel::kWarn, now, "controller",
+                        "poll_record_quarantined",
+                        {{"switch", std::uint64_t{sw}}});
         }
         continue;
       }
@@ -86,33 +82,36 @@ void Controller::on_notification(const dataplane::Notification& n) {
   if (collection_pending_) {
     // A collection is already scheduled: fold this notification into it.
     pending_.push_back(n);
-    if (tracer_ != nullptr) {
-      tracer_->instant("controller.fold_into_pending", "control", now,
-                       {{"kind", dataplane::kind_name(n.kind)}});
+    if (obs_.tracer != nullptr) {
+      obs_.tracer->instant("controller.fold_into_pending", "control", now,
+                           {{"kind", dataplane::kind_name(n.kind)}});
     }
-    if (log_ != nullptr) {
-      log_->log(obs::LogLevel::kDebug, now, "controller", "fold_into_pending",
-                {{"kind", dataplane::kind_name(n.kind)}});
+    if (obs_.log != nullptr) {
+      obs_.log->log(obs::LogLevel::kDebug, now, "controller",
+                    "fold_into_pending",
+                    {{"kind", dataplane::kind_name(n.kind)}});
     }
     return;
   }
   if (last_response_ >= 0 && now - last_response_ < config_.response_window) {
     ++overheads_.notifications_suppressed;
-    if (tracer_ != nullptr) {
-      tracer_->instant("controller.window_suppressed", "control", now,
-                       {{"kind", dataplane::kind_name(n.kind)}});
+    if (obs_.tracer != nullptr) {
+      obs_.tracer->instant("controller.window_suppressed", "control", now,
+                           {{"kind", dataplane::kind_name(n.kind)}});
     }
-    if (log_ != nullptr) {
-      log_->log(obs::LogLevel::kDebug, now, "controller", "window_suppressed",
-                {{"kind", dataplane::kind_name(n.kind)}});
+    if (obs_.log != nullptr) {
+      obs_.log->log(obs::LogLevel::kDebug, now, "controller",
+                    "window_suppressed",
+                    {{"kind", dataplane::kind_name(n.kind)}});
     }
     return;
   }
   last_response_ = now;
-  if (log_ != nullptr) {
-    log_->log(obs::LogLevel::kInfo, now, "controller", "notification_accepted",
-              {{"kind", dataplane::kind_name(n.kind)},
-               {"origin", std::uint64_t{n.origin}}});
+  if (obs_.log != nullptr) {
+    obs_.log->log(obs::LogLevel::kInfo, now, "controller",
+                  "notification_accepted",
+                  {{"kind", dataplane::kind_name(n.kind)},
+                   {"origin", std::uint64_t{n.origin}}});
   }
   pending_.clear();
   pending_.push_back(n);
@@ -143,20 +142,17 @@ void Controller::drain_round() {
   Collection& c = *collection_;
   const sim::Time now = network_->simulator().now();
   {
-    std::optional<obs::SpanTracer::WallSpan> span;
-    if (tracer_ != nullptr) {
-      span.emplace(tracer_->wall_span("controller.ring_drain", "control"));
-    }
+    auto span = obs_.wall_span("controller.ring_drain", "control");
     std::vector<net::SwitchId> failed;
     for (const net::SwitchId sw : c.remaining) {
       auto read = read_ring(sw);
       if (!read.ok) {
         ++overheads_.drain_read_failures;
-        if (log_ != nullptr) {
-          log_->log(obs::LogLevel::kWarn, now, "controller",
-                    "drain_read_failed",
-                    {{"switch", std::uint64_t{sw}},
-                     {"round", std::uint64_t{c.round}}});
+        if (obs_.log != nullptr) {
+          obs_.log->log(obs::LogLevel::kWarn, now, "controller",
+                        "drain_read_failed",
+                        {{"switch", std::uint64_t{sw}},
+                         {"round", std::uint64_t{c.round}}});
         }
         failed.push_back(sw);
         continue;
@@ -170,10 +166,10 @@ void Controller::drain_round() {
         if (!plausible_record(rec, now)) {
           ++c.data.quality.records_quarantined;
           ++overheads_.records_quarantined;
-          if (log_ != nullptr) {
-            log_->log(obs::LogLevel::kWarn, now, "controller",
-                      "drain_record_quarantined",
-                      {{"switch", std::uint64_t{sw}}});
+          if (obs_.log != nullptr) {
+            obs_.log->log(obs::LogLevel::kWarn, now, "controller",
+                          "drain_record_quarantined",
+                          {{"switch", std::uint64_t{sw}}});
           }
           continue;
         }
@@ -194,11 +190,11 @@ void Controller::drain_round() {
     // burned its deadline, then wait 2^(round-1) base backoffs.
     const sim::Time wait =
         config_.read_deadline + (config_.retry_backoff << (c.round - 1));
-    if (log_ != nullptr) {
-      log_->log(obs::LogLevel::kWarn, now, "controller", "drain_retry",
-                {{"round", std::uint64_t{c.round}},
-                 {"switches", std::uint64_t{c.remaining.size()}},
-                 {"wait_ms", sim::to_seconds(wait) * 1e3}});
+    if (obs_.log != nullptr) {
+      obs_.log->log(obs::LogLevel::kWarn, now, "controller", "drain_retry",
+                    {{"round", std::uint64_t{c.round}},
+                     {"switches", std::uint64_t{c.remaining.size()}},
+                     {"wait_ms", sim::to_seconds(wait) * 1e3}});
     }
     network_->simulator().schedule_in(wait, [this] { drain_round(); });
     return;
@@ -221,28 +217,28 @@ void Controller::finalize_collection() {
   }
   ++overheads_.diagnoses;
   if (c.data.quality.degraded()) ++overheads_.partial_sessions;
-  if (provenance_ != nullptr) {
+  if (obs_.provenance != nullptr) {
     // Session + notification nodes: the root of this diagnosis's evidence
     // chain. RCA parents its epoch/pattern/suspect nodes under the id.
-    c.data.provenance_id = provenance_->add_node(
-        obs::ProvenanceGraph::NodeKind::kSession,
-        {{"trigger", dataplane::kind_name(c.data.trigger.kind)},
-         {"collected_at_s", sim::to_seconds(c.data.collected_at)},
-         {"records", c.data.quality.records_collected},
-         {"quarantined", c.data.quality.records_quarantined},
-         {"coverage", c.data.quality.coverage()},
-         {"confidence", c.data.quality.confidence()},
-         {"retry_rounds", std::uint64_t{c.data.quality.retry_rounds}}});
+    c.data.provenance_id = obs_.provenance->add_node(
+            obs::ProvenanceGraph::NodeKind::kSession,
+            {{"trigger", dataplane::kind_name(c.data.trigger.kind)},
+             {"collected_at_s", sim::to_seconds(c.data.collected_at)},
+             {"records", c.data.quality.records_collected},
+             {"quarantined", c.data.quality.records_quarantined},
+             {"coverage", c.data.quality.coverage()},
+             {"confidence", c.data.quality.confidence()},
+             {"retry_rounds", std::uint64_t{c.data.quality.retry_rounds}}});
     for (const auto& n : c.data.notifications) {
-      const std::string nid = provenance_->add_node(
-          obs::ProvenanceGraph::NodeKind::kNotification,
-          {{"kind", dataplane::kind_name(n.kind)},
-           {"origin", std::uint64_t{n.origin}},
-           {"ts_s", sim::to_seconds(n.when)}});
-      provenance_->add_edge(nid, c.data.provenance_id, "triggered");
+      const std::string nid = obs_.provenance->add_node(
+              obs::ProvenanceGraph::NodeKind::kNotification,
+              {{"kind", dataplane::kind_name(n.kind)},
+               {"origin", std::uint64_t{n.origin}},
+               {"ts_s", sim::to_seconds(n.when)}});
+      obs_.provenance->add_edge(nid, c.data.provenance_id, "triggered");
     }
   }
-  if (tracer_ != nullptr) {
+  if (obs_.tracer != nullptr) {
     // The posterior-collection window in virtual time: notification ->
     // ring-table drain (including any retry rounds).
     obs::SpanArgs args{
@@ -252,22 +248,23 @@ void Controller::finalize_collection() {
     if (!c.data.provenance_id.empty()) {
       args.emplace_back("prov", c.data.provenance_id);
     }
-    tracer_->complete("collection_window", "control", c.data.trigger.when,
-                      c.data.collected_at, std::move(args));
+    obs_.tracer->complete("collection_window", "control", c.data.trigger.when,
+                          c.data.collected_at, std::move(args));
   }
-  if (log_ != nullptr) {
+  if (obs_.log != nullptr) {
     if (!c.remaining.empty()) {
-      log_->log(obs::LogLevel::kError, c.data.collected_at, "controller",
-                "drain_abandoned",
-                {{"switches", std::uint64_t{c.remaining.size()}},
-                 {"rounds", std::uint64_t{c.round}}});
+      obs_.log->log(obs::LogLevel::kError, c.data.collected_at, "controller",
+                    "drain_abandoned",
+                    {{"switches", std::uint64_t{c.remaining.size()}},
+                     {"rounds", std::uint64_t{c.round}}});
     }
-    log_->log(obs::LogLevel::kInfo, c.data.collected_at, "controller",
-              "session_finalized",
-              {{"records", c.data.quality.records_collected},
-               {"coverage", c.data.quality.coverage()},
-               {"confidence", c.data.quality.confidence()},
-               {"retry_rounds", std::uint64_t{c.data.quality.retry_rounds}}});
+    obs_.log->log(
+        obs::LogLevel::kInfo, c.data.collected_at, "controller",
+        "session_finalized",
+        {{"records", c.data.quality.records_collected},
+         {"coverage", c.data.quality.coverage()},
+         {"confidence", c.data.quality.confidence()},
+         {"retry_rounds", std::uint64_t{c.data.quality.retry_rounds}}});
   }
   sessions_.push_back(std::move(c.data));
   collection_.reset();

@@ -37,9 +37,9 @@
 #include "dataplane/mars_pipeline.hpp"
 #include "detect/reservoir.hpp"
 #include "net/network.hpp"
+#include "obs/context.hpp"
 #include "obs/event_log.hpp"
 #include "obs/provenance.hpp"
-#include "obs/tracer.hpp"
 #include "telemetry/tables.hpp"
 
 namespace mars::control {
@@ -161,8 +161,17 @@ class Controller {
  public:
   using DiagnosisFn = std::function<void(const DiagnosisData&)>;
 
+  /// `obs` sinks, each optional:
+  ///   - tracer: instants per notification, a virtual-time span for each
+  ///     collection window, and wall-clock spans around poll and
+  ///     ring-drain work;
+  ///   - log: poll fallbacks, quarantines, drain retries/abandons, and
+  ///     session summaries;
+  ///   - provenance: each finalized session gets a session node plus
+  ///     notification nodes, and DiagnosisData carries the session node
+  ///     id for downstream stages.
   Controller(net::Network& network, dataplane::MarsPipeline& pipeline,
-             ControllerConfig config);
+             ControllerConfig config, obs::Context obs = {});
 
   /// Begin periodic polling (schedules itself on the network's simulator).
   void start();
@@ -189,22 +198,6 @@ class Controller {
   }
   /// Mean fill fraction (size / volume) across all reservoirs; 0 if none.
   [[nodiscard]] double mean_reservoir_fill() const;
-
-  /// Attach a span tracer (nullptr detaches): instants per notification,
-  /// a virtual-time span for each collection window, and wall-clock spans
-  /// around poll and ring-drain work.
-  void set_tracer(obs::SpanTracer* tracer) { tracer_ = tracer; }
-
-  /// Attach a structured event log (nullptr detaches): poll fallbacks,
-  /// quarantines, drain retries/abandons, and session summaries.
-  void set_event_log(obs::EventLog* log) { log_ = log; }
-
-  /// Attach a provenance graph (nullptr detaches): each finalized session
-  /// gets a session node plus notification nodes, and DiagnosisData
-  /// carries the session node id for downstream stages.
-  void set_provenance(obs::ProvenanceGraph* provenance) {
-    provenance_ = provenance;
-  }
 
   /// One polling pass (normally driven by start(); exposed for tests).
   void poll_once();
@@ -238,9 +231,7 @@ class Controller {
   std::optional<Collection> collection_;
   std::vector<DiagnosisData> sessions_;
   ControllerOverheads overheads_;
-  obs::SpanTracer* tracer_ = nullptr;
-  obs::EventLog* log_ = nullptr;
-  obs::ProvenanceGraph* provenance_ = nullptr;
+  obs::Context obs_;
   std::uint64_t reservoir_seed_ = 0x7E5E4D01ull;
 };
 

@@ -8,11 +8,14 @@
 namespace mars::dataplane {
 
 MarsPipeline::MarsPipeline(std::size_t switch_count, PipelineConfig config,
-                           NotificationFn notify)
+                           NotificationFn notify, obs::Context obs)
     : config_(config), notify_fn_(std::move(notify)),
       backend_(telemetry::make_backend(config_.backend, switch_count,
                                        config_.epoch_period,
-                                       config_.ring_capacity)) {
+                                       config_.ring_capacity)),
+      latency_hist_(obs.metrics != nullptr
+                        ? &obs.metrics->histogram("mars.telemetry_latency_ns")
+                        : nullptr) {
   state_.reserve(switch_count);
   for (std::size_t i = 0; i < switch_count; ++i) {
     state_.emplace_back(config_.epoch_period);

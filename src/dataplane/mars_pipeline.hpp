@@ -21,6 +21,7 @@
 
 #include "dataplane/notification.hpp"
 #include "net/observer.hpp"
+#include "obs/context.hpp"
 #include "obs/registry.hpp"
 #include "telemetry/backend.hpp"
 #include "telemetry/path_id.hpp"
@@ -77,8 +78,12 @@ class MarsPipeline : public net::PacketObserver {
  public:
   using NotificationFn = std::function<void(const Notification&)>;
 
+  /// `obs.metrics` (optional) gets each delivered telemetry packet's
+  /// end-to-end latency in its "mars.telemetry_latency_ns" histogram. The
+  /// histogram is shared by every sink, so pass metrics only when one
+  /// thread runs every switch (one shard).
   MarsPipeline(std::size_t switch_count, PipelineConfig config,
-               NotificationFn notify);
+               NotificationFn notify, obs::Context obs = {});
 
   // ---- control-plane facing API ----
   /// Install/replace a flow's dynamic latency threshold (P4Runtime write).
@@ -111,15 +116,6 @@ class MarsPipeline : public net::PacketObserver {
   /// threads never contend on them).
   [[nodiscard]] PipelineOverheads overheads() const;
   [[nodiscard]] const PipelineConfig& config() const { return config_; }
-
-  // ---- observability (optional; nullptr = zero overhead) ----
-  /// Record each delivered telemetry packet's end-to-end latency into
-  /// "mars.telemetry_latency_ns" on `registry` (nullptr detaches). The
-  /// histogram is shared by every sink, so attach it only at one shard.
-  void set_metrics(obs::MetricsRegistry* registry) {
-    latency_hist_ =
-        registry ? &registry->histogram("mars.telemetry_latency_ns") : nullptr;
-  }
 
   // ---- PacketObserver ----
   void on_ingress(net::SwitchContext& ctx, net::Packet& pkt) override;
@@ -166,7 +162,8 @@ class MarsPipeline : public net::PacketObserver {
   std::vector<SwitchState> state_;
   telemetry::ControlMat mat_;
   std::unordered_map<net::FlowId, sim::Time> thresholds_;
-  obs::LogHistogram* latency_hist_ = nullptr;
+  /// Null when detached: one untaken branch per delivery.
+  obs::LogHistogram* latency_hist_;
 };
 
 }  // namespace mars::dataplane

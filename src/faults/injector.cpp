@@ -52,8 +52,13 @@ std::string GroundTruth::describe() const {
 
 FaultInjector::FaultInjector(net::Network& network,
                              workload::TrafficGenerator& traffic,
-                             std::uint64_t seed, InjectorConfig config)
-    : network_(&network), traffic_(&traffic), rng_(seed), config_(config) {}
+                             std::uint64_t seed, InjectorConfig config,
+                             obs::Context obs)
+    : network_(&network), traffic_(&traffic), rng_(seed), config_(config),
+      skipped_(obs.metrics != nullptr
+                   ? &obs.metrics->counter("faults.skipped")
+                   : nullptr),
+      log_(obs.log) {}
 
 std::optional<GroundTruth> FaultInjector::inject(FaultKind kind,
                                                  sim::Time at) {
@@ -103,10 +108,6 @@ std::optional<GroundTruth> FaultInjector::inject(const FaultEvent& event) {
     note_skipped(event.kind, event.at);
   }
   return truth;
-}
-
-void FaultInjector::set_metrics(obs::MetricsRegistry& registry) {
-  skipped_ = &registry.counter("faults.skipped");
 }
 
 void FaultInjector::note_skipped(FaultKind kind, sim::Time at) {

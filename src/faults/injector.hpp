@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "net/network.hpp"
+#include "obs/context.hpp"
 #include "sim/time.hpp"
 #include "util/rng.hpp"
 #include "workload/traffic_gen.hpp"
@@ -61,8 +62,6 @@ class ControlChannel;
 
 namespace mars::obs {
 class Counter;
-class EventLog;
-class MetricsRegistry;
 }  // namespace mars::obs
 
 namespace mars::faults {
@@ -198,24 +197,22 @@ struct FaultSchedule;
 
 class FaultInjector {
  public:
+  /// `obs` sinks, each optional:
+  ///   - metrics: injections that found no viable target count in its
+  ///     "faults.skipped" counter (a silent nullopt makes a vacuous trial
+  ///     look like a graded one in sweep aggregates);
+  ///   - log: one event per successful injection (with its ground truth)
+  ///     and per skip.
   FaultInjector(net::Network& network, workload::TrafficGenerator& traffic,
-                std::uint64_t seed, InjectorConfig config = {});
+                std::uint64_t seed, InjectorConfig config = {},
+                obs::Context obs = {});
 
   /// Route telemetry faults (notification-loss, read-outage) onto this
   /// control channel. Without one, telemetry injections are skipped (a
-  /// visible nullopt: counted and warned about, see set_metrics).
+  /// visible nullopt: counted and warned about).
   void attach_channel(control::ControlChannel* channel) {
     channel_ = channel;
   }
-
-  /// Count injections that found no viable target in the registry's
-  /// "faults.skipped" counter (a silent nullopt makes a vacuous trial look
-  /// like a graded one in sweep aggregates).
-  void set_metrics(obs::MetricsRegistry& registry);
-
-  /// Attach a structured event log (nullptr detaches): one event per
-  /// successful injection (with its ground truth) and per skip.
-  void set_event_log(obs::EventLog* log) { log_ = log; }
 
   /// Inject `kind` at absolute time `at`; removal is scheduled
   /// automatically. Returns the ground truth, or nullopt if no viable
@@ -288,8 +285,8 @@ class FaultInjector {
   util::Rng rng_;
   InjectorConfig config_;
   control::ControlChannel* channel_ = nullptr;
-  obs::Counter* skipped_ = nullptr;
-  obs::EventLog* log_ = nullptr;
+  obs::Counter* skipped_;
+  obs::EventLog* log_;
   std::vector<GroundTruth> history_;
   std::vector<GrayWatch> watches_;  ///< stable: indices captured by probes
 };

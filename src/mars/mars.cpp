@@ -4,21 +4,24 @@
 #include <map>
 
 #include "control/path_registry_cache.hpp"
+#include "obs/event_log.hpp"
+#include "obs/flight_recorder.hpp"
 #include "sim/sharded.hpp"
 
 namespace mars {
 
-MarsSystem::MarsSystem(net::Network& network, MarsConfig config)
-    : network_(&network), config_(config),
+MarsSystem::MarsSystem(net::Network& network, MarsConfig config,
+                       obs::Context obs)
+    : network_(&network), config_(config), obs_(obs),
       accumulator_(config.rca.accumulator) {
   registry_ = control::PathRegistryCache::instance().get_or_build(
       network.topology(), network.routing(), config_.pipeline.path_id);
-  if (config_.log != nullptr) {
-    registry_->log_audit(*config_.log, 0);
+  if (obs_.log != nullptr) {
+    registry_->log_audit(*obs_.log, 0);
   }
-  if (config_.provenance != nullptr) {
+  if (obs_.provenance != nullptr) {
     const auto& audit = registry_->audit();
-    config_.provenance->add_node(
+    obs_.provenance->add_node(
         obs::ProvenanceGraph::NodeKind::kRegistry,
         {{"paths", std::uint64_t{audit.path_count}},
          {"hash", telemetry::hash_name(audit.config.hash)},
@@ -28,6 +31,10 @@ MarsSystem::MarsSystem(net::Network& network, MarsConfig config)
          {"conflict_free", std::uint64_t{audit.conflict_free ? 1u : 0u}}});
   }
 
+  // One latency histogram serves every sink, so the pipeline gets metrics
+  // at one shard only (ROADMAP item 1).
+  const obs::Context pipeline_obs{
+      .metrics = network.pdes().shard_count() == 1 ? obs_.metrics : nullptr};
   // Notifications cross to the control plane as control mail: posted from
   // the sending switch's shard thread, keyed on its lane, and run in the
   // global (control-plane) domain one control latency later, where the
@@ -41,31 +48,24 @@ MarsSystem::MarsSystem(net::Network& network, MarsConfig config)
             network_->shard_of(n.origin), lane.now() + pdes.control_latency(),
             lane.next_key(),
             sim::EventFn([this, n] { on_notification(n); }));
-      });
+      },
+      pipeline_obs);
   pipeline_->set_control_mat(registry_->mat());
 
   // The channel and the controller live in the global domain, which runs
   // only between windows, so they work at every shard count. A perfect
   // channel forwards synchronously and draws nothing.
   channel_ = std::make_unique<control::ControlChannel>(
-      network.simulator(), *pipeline_, config_.channel);
+      network.simulator(), *pipeline_, config_.channel, obs_);
   channel_->set_deliver([this](const dataplane::Notification& n) {
     controller_->on_notification(n);
   });
 
-  controller_ = std::make_unique<control::Controller>(network, *pipeline_,
-                                                      config_.controller);
+  controller_ = std::make_unique<control::Controller>(
+      network, *pipeline_, config_.controller, obs_);
   controller_->set_channel(channel_.get());
   analyzer_ = std::make_unique<rca::RootCauseAnalyzer>(
-      *registry_, config_.rca, &network.topology());
-  if (config_.log != nullptr) {
-    controller_->set_event_log(config_.log);
-    channel_->set_event_log(config_.log);
-  }
-  if (config_.provenance != nullptr) {
-    controller_->set_provenance(config_.provenance);
-    analyzer_->set_provenance(config_.provenance);
-  }
+      *registry_, config_.rca, &network.topology(), obs_);
   controller_->set_diagnosis_callback([this](const control::DiagnosisData& d) {
     auto analysis = analyzer_->analyze_with_stats(d);
     diagnoses_.push_back(
@@ -80,20 +80,20 @@ MarsSystem::MarsSystem(net::Network& network, MarsConfig config)
       // pre-incident stats make SBFL ratios spike) into the graded range.
       accumulator_.observe(diag.culprits, d.trigger.when);
     }
-    if (config_.tracer != nullptr) {
+    if (obs_.tracer != nullptr) {
       // Close the virtual-time causal chain: trigger -> diagnosis.
       obs::SpanArgs args{
           {"trigger", dataplane::kind_name(d.trigger.kind)},
           {"culprits", std::uint64_t{diag.culprits.size()}}};
       if (!d.provenance_id.empty()) args.push_back({"prov", d.provenance_id});
-      config_.tracer->complete("diagnosis", "mars", d.trigger.when,
-                               d.collected_at, args);
+      obs_.tracer->complete("diagnosis", "mars", d.trigger.when,
+                            d.collected_at, args);
     }
-    if (config_.log != nullptr) {
+    if (obs_.log != nullptr) {
       const obs::LogLevel level = diag.culprits.empty()
                                       ? obs::LogLevel::kError
                                       : obs::LogLevel::kInfo;
-      config_.log->log(
+      obs_.log->log(
           level, d.collected_at, "mars",
           diag.culprits.empty() ? "diagnosis_empty" : "diagnosis_complete",
           {{"trigger", dataplane::kind_name(d.trigger.kind)},
@@ -102,37 +102,24 @@ MarsSystem::MarsSystem(net::Network& network, MarsConfig config)
            {"top", diag.culprits.empty() ? std::string("none")
                                          : diag.culprits.front().describe()}});
     }
-    if (config_.recorder != nullptr &&
+    if (obs_.recorder != nullptr &&
         (diag.culprits.empty() ||
-         config_.recorder->should_trigger(d.quality.confidence()))) {
+         obs_.recorder->should_trigger(d.quality.confidence()))) {
       // Black-box dump: the diagnosis either aborted (no culprits) or
       // completed on degraded evidence — preserve the recent event window.
-      config_.recorder->trigger(diag.culprits.empty() ? "diagnosis_empty"
-                                                      : "low_confidence",
-                                d.collected_at);
+      obs_.recorder->trigger(diag.culprits.empty() ? "diagnosis_empty"
+                                                   : "low_confidence",
+                             d.collected_at);
     }
   });
 
-  if (config_.tracer != nullptr) {
-    controller_->set_tracer(config_.tracer);
-    analyzer_->set_tracer(config_.tracer);
-  }
-  if (config_.metrics != nullptr) {
-    // The pipeline's callbacks run on shard threads; its latency
-    // histogram is one structure shared by every sink, so it is attached
-    // only when a single thread runs them all.
-    if (network.pdes().shard_count() == 1) {
-      pipeline_->set_metrics(config_.metrics);
-    }
-    analyzer_->set_metrics(config_.metrics);
-    register_metrics(*config_.metrics);
-  }
+  if (obs_.metrics != nullptr) register_metrics(*obs_.metrics);
 
   network.add_observer(*pipeline_);
 }
 
 void MarsSystem::on_notification(const dataplane::Notification& n) {
-  if (config_.tracer != nullptr) {
+  if (obs_.tracer != nullptr) {
     obs::SpanArgs args{{"kind", dataplane::kind_name(n.kind)},
                        {"reporter", std::uint64_t{n.reporter}},
                        {"flow", net::to_string(n.flow)}};
@@ -143,8 +130,8 @@ void MarsSystem::on_notification(const dataplane::Notification& n) {
       args.emplace_back("epoch_gap", n.epoch_gap);
       args.emplace_back("dropped_estimate", n.dropped_estimate);
     }
-    config_.tracer->instant("notification", "dataplane", n.when,
-                            std::move(args));
+    obs_.tracer->instant("notification", "dataplane", n.when,
+                         std::move(args));
   }
   channel_->offer(n);
 }
@@ -152,9 +139,9 @@ void MarsSystem::on_notification(const dataplane::Notification& n) {
 MarsSystem::~MarsSystem() {
   // The "mars." and "telemetry." gauges capture `this`; they must not
   // outlive us.
-  if (config_.metrics != nullptr) {
-    config_.metrics->remove_gauges("mars.");
-    config_.metrics->remove_gauges("telemetry.");
+  if (obs_.metrics != nullptr) {
+    obs_.metrics->remove_gauges("mars.");
+    obs_.metrics->remove_gauges("telemetry.");
   }
 }
 

@@ -12,11 +12,7 @@
 #include "control/path_registry.hpp"
 #include "dataplane/mars_pipeline.hpp"
 #include "net/network.hpp"
-#include "obs/event_log.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/provenance.hpp"
-#include "obs/registry.hpp"
-#include "obs/tracer.hpp"
+#include "obs/context.hpp"
 #include "rca/analyzer.hpp"
 #include "systems/telemetry_system.hpp"
 
@@ -30,24 +26,6 @@ struct MarsConfig {
   /// synchronously, draws no random numbers and schedules no events.
   control::ChannelConfig channel;
   rca::RcaConfig rca;
-  /// Optional observability hooks (zero overhead when null). The registry
-  /// gains "mars."-prefixed gauges reading the pipeline/controller
-  /// overheads, ring-table occupancy, and reservoir state; the tracer gets
-  /// the notification -> collection -> diagnosis span chain (the
-  /// notification instant is stamped where it was sent and emitted where
-  /// it reaches the control plane). Both must
-  /// outlive the MarsSystem (its destructor removes the "mars." gauges).
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::SpanTracer* tracer = nullptr;
-  /// Structured event log: controller retries/quarantines, channel
-  /// degradation windows, diagnosis lifecycle (null disables).
-  obs::EventLog* log = nullptr;
-  /// Diagnosis provenance DAG: session/epoch/pattern/suspect nodes are
-  /// appended by the controller and analyzer (null disables).
-  obs::ProvenanceGraph* provenance = nullptr;
-  /// Flight recorder: triggered automatically when a diagnosis completes
-  /// below its confidence threshold or with an empty culprit list.
-  obs::FlightRecorder* recorder = nullptr;
 };
 
 /// One completed diagnosis: the session data, the ranked culprits, and
@@ -62,7 +40,22 @@ class MarsSystem final : public systems::TelemetrySystem {
  public:
   /// Builds the registry, attaches the pipeline as an observer, and wires
   /// notifications -> controller -> analyzer. Does not start polling.
-  MarsSystem(net::Network& network, MarsConfig config = {});
+  ///
+  /// Every part gets `obs` and takes the sinks it emits to (see each
+  /// constructor). MarsSystem itself emits to these, each optional:
+  ///   - metrics: the "mars."/"telemetry." gauge family (register_metrics),
+  ///     removed again by the destructor;
+  ///   - tracer: the notification instant (stamped where it was sent,
+  ///     emitted where it reaches the control plane) and the diagnosis
+  ///     span that closes the notification -> collection -> diagnosis
+  ///     chain;
+  ///   - log: the PathID registry audit and each diagnosis's outcome;
+  ///   - provenance: the registry audit node;
+  ///   - recorder: a dump when a diagnosis completes below its confidence
+  ///     threshold or with an empty culprit list.
+  /// The sinks must outlive the MarsSystem.
+  MarsSystem(net::Network& network, MarsConfig config = {},
+             obs::Context obs = {});
   ~MarsSystem() override;
 
   [[nodiscard]] std::string_view name() const override { return "MARS"; }
@@ -137,6 +130,7 @@ class MarsSystem final : public systems::TelemetrySystem {
 
   net::Network* network_;
   MarsConfig config_;
+  obs::Context obs_;
   /// Shared immutable snapshot from the process-wide PathRegistryCache:
   /// sweeps and repeated trials over one topology build it exactly once.
   std::shared_ptr<const control::PathRegistry> registry_;

@@ -186,6 +186,16 @@ std::vector<std::string> validate_scenario(const ScenarioConfig& config) {
   return errors;
 }
 
+obs::Context trial_context(Observability* bundle,
+                           const ScenarioConfig::ObsConfig& flags) {
+  if (bundle == nullptr) return {};
+  return {.metrics = &bundle->registry,
+          .tracer = &bundle->tracer,
+          .log = &bundle->log,
+          .provenance = flags.provenance ? &bundle->provenance : nullptr,
+          .recorder = flags.flight_recorder ? &bundle->recorder : nullptr};
+}
+
 namespace {
 
 void throw_if_invalid(const ScenarioConfig& config) {
@@ -202,7 +212,8 @@ void throw_if_invalid(const ScenarioConfig& config) {
 /// Reset + configure the bundle's ops plane from the "obs" block. Called
 /// before any system deploys so every component sees the final admission
 /// settings.
-void configure_obs(const ScenarioConfig& config, Observability* obs) {
+void configure_obs(const ScenarioConfig& config, const obs::Context& ctx) {
+  Observability* obs = config.observability;
   if (obs == nullptr) return;
   obs::EventLogConfig log_cfg;
   log_cfg.min_level = config.obs.log_level;
@@ -216,8 +227,7 @@ void configure_obs(const ScenarioConfig& config, Observability* obs) {
   obs->recorder.configure(rec_cfg);
   // The recorder taps the log BEFORE level/rate admission: the black box
   // keeps full verbosity even when the exported log is quiet.
-  obs->log.set_recorder(config.obs.flight_recorder ? &obs->recorder
-                                                   : nullptr);
+  obs->log.set_recorder(ctx.recorder);
 }
 
 /// Post-grading provenance attribution: annotate every suspect node that
@@ -269,7 +279,7 @@ void attribute_faults(obs::ProvenanceGraph& graph,
 
 /// Result assembly: grading queries, per-system outcomes, ground truths.
 ScenarioResult assemble_result(
-    const ScenarioConfig& config,
+    const ScenarioConfig& config, const obs::Context& ctx,
     std::vector<std::unique_ptr<systems::TelemetrySystem>>& deployed,
     std::vector<faults::GroundTruth>&& truths, net::NetworkStats net_stats,
     std::uint64_t packets_injected, std::uint64_t events_executed,
@@ -315,10 +325,7 @@ ScenarioResult assemble_result(
           metrics::rank_of_truth(outcome.culprits, truth, match));
     }
     if (!outcome.ranks.empty()) outcome.rank = outcome.ranks.front();
-    if (outcome.system == "mars" && config.observability != nullptr &&
-        config.obs.provenance) {
-      outcome.provenance = &config.observability->provenance;
-    }
+    if (outcome.system == "mars") outcome.provenance = ctx.provenance;
     result.systems.push_back(std::move(outcome));
   }
   return result;
@@ -340,7 +347,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
 
   Observability* obs = config.observability;
-  configure_obs(config, obs);
+  const obs::Context ctx = trial_context(obs, config.obs);
+  configure_obs(config, ctx);
 
   // Deploy the named systems in config order onto the same packets. Order
   // matters for observer callbacks (MARS's pipeline first, as the golden
@@ -356,7 +364,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   traffic.add_background(config.background, fabric.edge, fabric.pods);
 
   faults::FaultInjector injector(network, traffic, config.seed ^ 0xFA17,
-                                 config.injector);
+                                 config.injector, ctx);
   // Telemetry faults land on the first deployed system that models a
   // degradable channel (MARS); without one they are skipped visibly.
   for (auto& system : deployed) {
@@ -365,73 +373,21 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       break;
     }
   }
-  if (obs != nullptr) {
-    injector.set_metrics(obs->registry);
-    injector.set_event_log(&obs->log);
-  }
 
   std::optional<obs::Sampler> sampler;
   if (obs != nullptr) {
-    obs::scrape_network(network, obs->registry);
-    obs->registry.gauge("sim.shards", [&ssim] {
-      return static_cast<double>(ssim.shard_count());
-    });
-    obs->registry.gauge("sim.windows", [&ssim] {
-      return static_cast<double>(ssim.sync_stats().windows);
-    });
-    obs->registry.gauge("sim.global_rounds", [&ssim] {
-      return static_cast<double>(ssim.sync_stats().global_rounds);
-    });
-    obs->registry.gauge("sim.lookahead_stalls", [&ssim] {
-      return static_cast<double>(ssim.sync_stats().lookahead_stalls);
-    });
-    obs->registry.gauge("sim.windows_capped_by_global", [&ssim] {
-      return static_cast<double>(ssim.sync_stats().windows_capped_by_global);
-    });
-    obs->registry.gauge("sim.windows_to_end", [&ssim] {
-      return static_cast<double>(ssim.sync_stats().windows_to_end);
-    });
-    obs->registry.gauge("sim.critical_path_events", [&ssim] {
-      return static_cast<double>(ssim.sync_stats().critical_path_events);
-    });
-    obs->registry.gauge("sim.mailbox.drains", [&network] {
-      return static_cast<double>(network.mailbox_stats().drains);
-    });
-    obs->registry.gauge("sim.mailbox.mail", [&network] {
-      return static_cast<double>(network.mailbox_stats().total_mail);
-    });
-    obs->registry.gauge("sim.mailbox.max_batch", [&network] {
-      return static_cast<double>(network.mailbox_stats().max_batch);
-    });
-    for (int i = 0; i < ssim.shard_count(); ++i) {
-      const std::string sp = "sim.shard." + std::to_string(i) + ".";
-      obs->registry.gauge(sp + "events", [&ssim, i] {
-        return static_cast<double>(ssim.shard(i).events_executed());
-      });
-      obs->registry.gauge(sp + "busy_windows", [&ssim, i] {
-        return static_cast<double>(ssim.shard_stats(i).busy_windows);
-      });
-      obs->registry.gauge(sp + "busy_fraction", [&ssim, i] {
-        return ssim.shard_stats(i).busy_fraction();
-      });
-      obs->registry.gauge(sp + "max_window_events", [&ssim, i] {
-        return static_cast<double>(ssim.shard_stats(i).max_window_events);
-      });
-    }
+    obs::scrape_network(network, *ctx.metrics);
     // Sampler scrapes run as global events: between windows, with every
     // shard quiescent, so the per-shard gauges read stable state.
-    sampler.emplace(ssim.global(), obs->registry, obs->series,
+    sampler.emplace(ssim.global(), *ctx.metrics, obs->series,
                     obs::SamplerConfig{.period = config.sample_period,
-                                       .until = config.duration});
-    sampler->set_tracer(&obs->tracer);
-    if (config.obs.flight_recorder) {
-      sampler->set_flight_recorder(&obs->recorder);
-    }
+                                       .until = config.duration},
+                    ctx);
     sampler->start();
   }
 
-  if (obs != nullptr) {
-    obs->log.log(obs::LogLevel::kInfo, 0, "scenario", "start",
+  if (ctx.log != nullptr) {
+    ctx.log->log(obs::LogLevel::kInfo, 0, "scenario", "start",
                  {{"topology", config.topology.name},
                   {"seed", config.seed},
                   {"duration_s", sim::to_seconds(config.duration)},
@@ -446,45 +402,41 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   for (std::size_t i = 0; i < injected.size(); ++i) {
     if (!injected[i]) continue;
     truths.push_back(*injected[i]);
-    if (obs != nullptr) {
-      obs::SpanArgs args{
-          {"fault", faults::to_string(config.faults.events[i].kind)},
-          {"truth", injected[i]->describe()}};
-      if (config.obs.provenance) {
-        // Ground-truth anchor: attribute_faults joins the graded culprits
-        // back to this node after the run.
-        fault_nodes.push_back(obs->provenance.add_node(
-            obs::ProvenanceGraph::NodeKind::kFault,
-            {{"kind", faults::to_string(config.faults.events[i].kind)},
-             {"truth", injected[i]->describe()},
-             {"ts_s", sim::to_seconds(config.faults.events[i].at)}}));
+    const faults::FaultEvent& event = config.faults.events[i];
+    if (ctx.provenance != nullptr) {
+      // Ground-truth anchor: attribute_faults joins the graded culprits
+      // back to this node after the run.
+      fault_nodes.push_back(ctx.provenance->add_node(
+          obs::ProvenanceGraph::NodeKind::kFault,
+          {{"kind", faults::to_string(event.kind)},
+           {"truth", injected[i]->describe()},
+           {"ts_s", sim::to_seconds(event.at)}}));
+    }
+    if (ctx.tracer != nullptr) {
+      obs::SpanArgs args{{"fault", faults::to_string(event.kind)},
+                         {"truth", injected[i]->describe()}};
+      if (ctx.provenance != nullptr) {
         args.push_back({"prov", fault_nodes.back()});
       }
-      obs->tracer.instant("fault_injected", "scenario",
-                          config.faults.events[i].at, args);
+      ctx.tracer->instant("fault_injected", "scenario", event.at, args);
     }
   }
 
   {
-    std::optional<obs::SpanTracer::WallSpan> run_span;
-    if (obs != nullptr) {
-      run_span.emplace(obs->tracer.wall_span(
-          "simulator.run", "sim",
-          {{"duration_s", sim::to_seconds(config.duration)},
-           {"shards", static_cast<std::uint64_t>(config.sim.shards)}}));
-    }
+    auto run_span = ctx.wall_span(
+        "simulator.run", "sim",
+        {{"duration_s", sim::to_seconds(config.duration)},
+         {"shards", static_cast<std::uint64_t>(config.sim.shards)}});
     ssim.run(config.duration);
-    if (run_span) {
-      run_span->arg({"events", ssim.events_executed()});
-    }
+    if (run_span) run_span->arg({"events", ssim.events_executed()});
   }
   // Gray manifestation accounting is filled in by the injector's probes
   // during the run; re-read the final ground truths (same order).
   truths = injector.injected();
 
-  if (obs != nullptr) {
+  if (ctx.tracer != nullptr) {
     for (int i = 0; i < ssim.shard_count(); ++i) {
-      obs->tracer.complete(
+      ctx.tracer->complete(
           "sim.shard", "sim", 0, config.duration,
           {{"shard", static_cast<std::uint64_t>(i)},
            {"events", ssim.shard(i).events_executed()},
@@ -492,25 +444,27 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
            {"busy_windows", ssim.shard_stats(i).busy_windows},
            {"max_window_events", ssim.shard_stats(i).max_window_events}});
     }
+  }
+  if (obs != nullptr) {
     sampler->stop();
-    obs->snapshot = obs->registry.snapshot();
+    obs->snapshot = ctx.metrics->snapshot();
     // Scenario-scoped gauges capture the network/systems on this stack;
     // drop them all so nothing dangles after return.
-    obs->registry.remove_gauges("");
+    ctx.metrics->remove_gauges("");
   }
 
   ScenarioResult result = assemble_result(
-      config, deployed, std::move(truths), network.stats(),
+      config, ctx, deployed, std::move(truths), network.stats(),
       traffic.packets_injected(), ssim.events_executed(),
       ssim.global().now());
-  if (obs != nullptr) {
-    obs->log.log(obs::LogLevel::kInfo, ssim.global().now(), "scenario",
+  if (ctx.log != nullptr) {
+    ctx.log->log(obs::LogLevel::kInfo, ssim.global().now(), "scenario",
                  "complete",
                  {{"events", result.events_executed},
                   {"packets", result.packets_injected}});
-    if (config.obs.provenance) {
-      attribute_faults(obs->provenance, result, fault_nodes);
-    }
+  }
+  if (ctx.provenance != nullptr) {
+    attribute_faults(*ctx.provenance, result, fault_nodes);
   }
   return result;
 }

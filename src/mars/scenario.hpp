@@ -25,6 +25,7 @@
 #include "mars/mars.hpp"
 #include "metrics/ranking.hpp"
 #include "net/topology_registry.hpp"
+#include "obs/context.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "obs/tracer.hpp"
@@ -140,6 +141,13 @@ struct ScenarioConfig {
     return faults.empty() ? duration : faults.events.front().at;
   }
 };
+
+/// The sinks a trial's components get: every sink of `bundle`, but
+/// provenance and the flight recorder only when `flags` switch them on;
+/// all null when `bundle` is. run_scenario and the "mars" factory take
+/// their sinks from here and nowhere else.
+[[nodiscard]] obs::Context trial_context(
+    Observability* bundle, const ScenarioConfig::ObsConfig& flags);
 
 /// Everything wrong with a config, as descriptive sentences; empty means
 /// run_scenario will accept it.

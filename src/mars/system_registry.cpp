@@ -22,16 +22,10 @@ std::unique_ptr<systems::TelemetrySystem> make_mars(
   // two trials that differ only in seed must see different drops.
   std::uint64_t trial_seed = config.seed;
   mars_config.channel.seed ^= util::splitmix64(trial_seed);
-  if (obs != nullptr) {
-    mars_config.metrics = &obs->registry;
-    mars_config.tracer = &obs->tracer;
-    mars_config.log = &obs->log;
-    if (config.obs.provenance) mars_config.provenance = &obs->provenance;
-    if (config.obs.flight_recorder) mars_config.recorder = &obs->recorder;
-  }
   // The MarsSystem constructor attaches its pipeline observer and
   // registers the "mars." gauge family itself.
-  return std::make_unique<MarsSystem>(network, mars_config);
+  return std::make_unique<MarsSystem>(network, mars_config,
+                                      trial_context(obs, config.obs));
 }
 
 /// Construct a baseline, attach it as a packet observer, and register its

@@ -5,8 +5,8 @@
 //
 // This is the "triggered, condition-scoped evidence" half of the ops
 // plane (PAPERS.md, "Programmable Event Detection for INT"): components
-// that already hold a nullable MetricsRegistry*/SpanTracer* gain a third
-// nullable obs::EventLog* and emit discrete, queryable events on the rare
+// take the log from their obs::Context (obs/context.hpp), keep it as a
+// nullable pointer, and emit discrete, queryable events on the rare
 // control-plane paths — controller retries and quarantines, channel
 // degradation windows, injector firings — never on the packet hot path.
 //

@@ -70,6 +70,53 @@ void scrape_network(net::Network& network, MetricsRegistry& registry,
     registry.gauge("sim.packet_pool.peak", [&network] {
       return static_cast<double>(network.pool_peak_in_flight());
     });
+    // The engine's windows, barriers and mailboxes, and each shard's work.
+    sim::ShardedSimulator& pdes = network.pdes();
+    registry.gauge("sim.shards", [&pdes] {
+      return static_cast<double>(pdes.shard_count());
+    });
+    registry.gauge("sim.windows", [&pdes] {
+      return static_cast<double>(pdes.sync_stats().windows);
+    });
+    registry.gauge("sim.global_rounds", [&pdes] {
+      return static_cast<double>(pdes.sync_stats().global_rounds);
+    });
+    registry.gauge("sim.lookahead_stalls", [&pdes] {
+      return static_cast<double>(pdes.sync_stats().lookahead_stalls);
+    });
+    registry.gauge("sim.windows_capped_by_global", [&pdes] {
+      return static_cast<double>(pdes.sync_stats().windows_capped_by_global);
+    });
+    registry.gauge("sim.windows_to_end", [&pdes] {
+      return static_cast<double>(pdes.sync_stats().windows_to_end);
+    });
+    registry.gauge("sim.critical_path_events", [&pdes] {
+      return static_cast<double>(pdes.sync_stats().critical_path_events);
+    });
+    registry.gauge("sim.mailbox.drains", [&network] {
+      return static_cast<double>(network.mailbox_stats().drains);
+    });
+    registry.gauge("sim.mailbox.mail", [&network] {
+      return static_cast<double>(network.mailbox_stats().total_mail);
+    });
+    registry.gauge("sim.mailbox.max_batch", [&network] {
+      return static_cast<double>(network.mailbox_stats().max_batch);
+    });
+    for (int i = 0; i < pdes.shard_count(); ++i) {
+      const std::string sp = "sim.shard." + std::to_string(i) + ".";
+      registry.gauge(sp + "events", [&pdes, i] {
+        return static_cast<double>(pdes.shard(i).events_executed());
+      });
+      registry.gauge(sp + "busy_windows", [&pdes, i] {
+        return static_cast<double>(pdes.shard_stats(i).busy_windows);
+      });
+      registry.gauge(sp + "busy_fraction", [&pdes, i] {
+        return pdes.shard_stats(i).busy_fraction();
+      });
+      registry.gauge(sp + "max_window_events", [&pdes, i] {
+        return static_cast<double>(pdes.shard_stats(i).max_window_events);
+      });
+    }
     registry.gauge(p + "injected", [&network] {
       return static_cast<double>(network.stats().injected);
     });

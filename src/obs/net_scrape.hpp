@@ -27,7 +27,10 @@ struct ScrapeOptions {
   /// classified like Fig. 2: a link touching an edge switch belongs to the
   /// edge layer, anything else to the core.
   bool link_utilization = true;
-  /// Simulator + aggregate NetworkStats gauges under "sim." / {prefix}.
+  /// Simulator + aggregate NetworkStats gauges under "sim." / {prefix}:
+  /// every "sim.*" gauge — event queues, packet pool, PDES windows and
+  /// stalls, mailboxes, and sim.shard.N.{events,busy_windows,
+  /// busy_fraction,max_window_events} per shard.
   bool totals = true;
 };
 

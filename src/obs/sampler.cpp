@@ -67,8 +67,9 @@ void SeriesStore::write_json(JsonWriter& w) const {
 // ---- Sampler -------------------------------------------------------------
 
 Sampler::Sampler(sim::Simulator& sim, MetricsRegistry& registry,
-                 SeriesStore& series, SamplerConfig config)
-    : sim_(&sim), registry_(&registry), series_(&series), config_(config) {}
+                 SeriesStore& series, SamplerConfig config, Context obs)
+    : sim_(&sim), registry_(&registry), series_(&series), config_(config),
+      tracer_(obs.tracer), recorder_(obs.recorder) {}
 
 void Sampler::start() {
   stop();
@@ -107,7 +108,7 @@ void Sampler::tick(sim::Time at, bool periodic) {
   ++ticks_;
   const auto row = registry_->read_gauges();
   series_->append_row(at, row);
-  if (tracer_ != nullptr && config_.counters_to_tracer) {
+  if (tracer_ != nullptr) {
     for (const auto& [name, value] : row) {
       if (std::isfinite(value)) tracer_->counter(name, at, value);
     }

@@ -16,9 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/context.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/registry.hpp"
-#include "obs/tracer.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -62,17 +62,19 @@ struct SamplerConfig {
   sim::Time period = 100 * sim::kMillisecond;
   /// Stop sampling after this time (inclusive); the run's end.
   sim::Time until = std::numeric_limits<sim::Time>::max();
-  /// Also emit each sample as a Perfetto counter event when a tracer is
-  /// attached, so the metrics show up as area tracks next to the spans.
-  bool counters_to_tracer = true;
 };
 
 class Sampler {
  public:
   /// Does not start sampling; call start(). `series` and `registry` must
-  /// outlive the simulation run.
+  /// outlive the simulation run. Of `obs`, only two sinks are read, each
+  /// optional:
+  ///   - tracer: each sample also becomes Perfetto counter events, so the
+  ///     metrics show up as area tracks next to the spans;
+  ///   - recorder: gains one "metrics/delta" event per tick with every
+  ///     counter that moved since the previous tick.
   Sampler(sim::Simulator& sim, MetricsRegistry& registry, SeriesStore& series,
-          SamplerConfig config = {});
+          SamplerConfig config = {}, Context obs = {});
 
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;
@@ -87,13 +89,6 @@ class Sampler {
   /// final scrape at end-of-run, off the periodic grid).
   void sample_now();
 
-  void set_tracer(SpanTracer* tracer) { tracer_ = tracer; }
-
-  /// Feed each tick's counter snapshot into a flight recorder (nullptr
-  /// detaches): the recorder's ring gains one "metrics/delta" event per
-  /// tick with every counter that moved since the previous tick.
-  void set_flight_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
-
   [[nodiscard]] sim::Time period() const { return config_.period; }
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
 
@@ -105,8 +100,8 @@ class Sampler {
   MetricsRegistry* registry_;
   SeriesStore* series_;
   SamplerConfig config_;
-  SpanTracer* tracer_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
+  SpanTracer* tracer_;
+  FlightRecorder* recorder_;
   std::uint64_t pending_event_ = 0;
   bool pending_valid_ = false;
   std::uint64_t ticks_ = 0;

@@ -11,9 +11,11 @@
 //     takes (ring drain, FSM mining per miner, SBFL, report) — the profile
 //     the paper's "diagnosis cost" discussion needs.
 //
-// Zero-overhead discipline: components hold a nullable SpanTracer* and
-// guard every emission with one branch; with no tracer attached the only
-// cost is that untaken branch on already-rare control-plane paths.
+// Zero-overhead discipline: components get the tracer through their
+// obs::Context (obs/context.hpp) at construction, keep it as a nullable
+// pointer and guard every emission with one branch; with no tracer
+// attached the only cost is that untaken branch on already-rare
+// control-plane paths.
 
 #include <chrono>
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -62,29 +63,25 @@ struct RootCauseAnalyzer::ProvScratch {
 
 RootCauseAnalyzer::RootCauseAnalyzer(const control::PathRegistry& registry,
                                      RcaConfig config,
-                                     const net::Topology* topology)
-    : registry_(&registry), config_(config), topology_(topology) {
+                                     const net::Topology* topology,
+                                     obs::Context obs)
+    : registry_(&registry), config_(config), topology_(topology), obs_(obs) {
   if (config_.mining.threads > 1) {
     mining_pool_ = std::make_unique<parallel::ThreadPool>(
         config_.mining.threads);
   }
-}
-
-void RootCauseAnalyzer::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    mine_calls_ = mine_patterns_ = mine_nodes_ = nullptr;
-    return;
+  if (obs_.metrics != nullptr) {
+    mine_calls_ = &obs_.metrics->counter("mars.rca.mine.calls");
+    mine_patterns_ = &obs_.metrics->counter("mars.rca.mine.patterns");
+    mine_nodes_ = &obs_.metrics->counter("mars.rca.mine.nodes");
   }
-  mine_calls_ = &metrics->counter("mars.rca.mine.calls");
-  mine_patterns_ = &metrics->counter("mars.rca.mine.patterns");
-  mine_nodes_ = &metrics->counter("mars.rca.mine.nodes");
 }
 
 std::vector<fsm::Pattern> RootCauseAnalyzer::mine_abnormal(
     const fsm::SequenceDatabase& abnormal, fsm::MiningStats& mining) const {
   const auto miner = fsm::make_miner(config_.miner);
-  auto mine_span = phase_span(
-      "rca.mine:" + std::string(fsm::miner_name(config_.miner)));
+  auto mine_span = obs_.wall_span(
+      "rca.mine:" + std::string(fsm::miner_name(config_.miner)), "rca");
   auto result =
       miner->mine_with_stats(abnormal, config_.mining, mining_pool_.get());
   if (mine_span) {
@@ -110,15 +107,6 @@ std::vector<fsm::Pattern> RootCauseAnalyzer::mine_abnormal(
   return std::move(result.patterns);
 }
 
-std::optional<obs::SpanTracer::WallSpan> RootCauseAnalyzer::phase_span(
-    std::string name) const {
-  std::optional<obs::SpanTracer::WallSpan> span;
-  if (tracer_ != nullptr) {
-    span.emplace(tracer_->wall_span(std::move(name), "rca"));
-  }
-  return span;
-}
-
 void RootCauseAnalyzer::assign_location(Culprit& culprit,
                                         const fsm::Sequence& pattern) const {
   // A link pattern <a,b> with a port-scoped cause names a's egress port
@@ -138,21 +126,21 @@ void RootCauseAnalyzer::assign_location(Culprit& culprit,
 AnalysisResult RootCauseAnalyzer::analyze_with_stats(
     const control::DiagnosisData& data) const {
   AnalysisResult result;
-  auto span = phase_span("rca.analyze");
+  auto span = obs_.wall_span("rca.analyze", "rca");
   if (span) {
     span->arg({"trigger", dataplane::kind_name(data.trigger.kind)});
     span->arg({"records", std::uint64_t{data.records.size()}});
   }
   std::optional<ProvScratch> prov;
-  if (provenance_ != nullptr) {
+  if (obs_.provenance != nullptr) {
     prov.emplace();
-    prov->graph = provenance_;
+    prov->graph = obs_.provenance;
     // The controller normally created the session node; a standalone
     // analyzer (tests, tools) gets a minimal one so the chain still roots.
     prov->session_id =
         !data.provenance_id.empty()
             ? data.provenance_id
-            : provenance_->add_node(
+            : obs_.provenance->add_node(
                   obs::ProvenanceGraph::NodeKind::kSession,
                   {{"trigger", dataplane::kind_name(data.trigger.kind)}});
   }
@@ -291,7 +279,7 @@ CulpritList RootCauseAnalyzer::analyze_latency(
 
   // (1) Restore an approximate packet-level view from the samples.
   EstimatorConfig est_cfg = config_.estimator;
-  auto estimate_span = phase_span("rca.estimate");
+  auto estimate_span = obs_.wall_span("rca.estimate", "rca");
   const auto estimated = estimate_traffic(recent, est_cfg);
   if (estimate_span) {
     estimate_span->arg({"packets", std::uint64_t{estimated.size()}});
@@ -355,7 +343,7 @@ CulpritList RootCauseAnalyzer::analyze_latency(
   if (patterns.empty()) return {};
 
   // (4) Relative-risk SBFL scores.
-  auto sbfl_span = phase_span("rca.sbfl");
+  auto sbfl_span = obs_.wall_span("rca.sbfl", "rca");
   auto scored = score_patterns(patterns, abnormal, normal,
                                config_.mining.contiguous, config_.formula);
   sbfl_span.reset();
@@ -367,7 +355,7 @@ CulpritList RootCauseAnalyzer::analyze_latency(
       data.trigger.when - config_.signatures.problem_window;
 
   // (5) Alg. 3: assign a cause per (pattern, flow) and score it.
-  auto localize_span = phase_span("rca.localize");
+  auto localize_span = obs_.wall_span("rca.localize", "rca");
   std::vector<Culprit> raw;
   for (const auto& sp : scored) {
     if (sp.score <= 0.0) continue;
@@ -623,7 +611,7 @@ CulpritList RootCauseAnalyzer::analyze_drop(
   }
 
   const auto patterns = mine_abnormal(abnormal, mining);
-  auto sbfl_span = phase_span("rca.sbfl");
+  auto sbfl_span = obs_.wall_span("rca.sbfl", "rca");
   auto scored = score_patterns(patterns, abnormal, normal,
                                config_.mining.contiguous, config_.formula);
   sbfl_span.reset();

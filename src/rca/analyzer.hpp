@@ -8,16 +8,15 @@
 // and the separate second SBFL pass for drop events (§4.4.4 "Drop").
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "control/controller.hpp"
 #include "control/path_registry.hpp"
 #include "fsm/miner.hpp"
+#include "obs/context.hpp"
 #include "obs/provenance.hpp"
 #include "obs/registry.hpp"
-#include "obs/tracer.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rca/accumulator.hpp"
 #include "rca/sbfl.hpp"
@@ -75,10 +74,21 @@ class RootCauseAnalyzer {
   /// pattern <a,b> with a port-scoped cause names a's egress port towards
   /// b. Without it, culprits stay at link/switch granularity.
   /// `config.mining.threads > 1` makes the analyzer own a thread pool,
-  /// shared by every mining pass it runs.
+  /// shared by every mining pass it runs. `obs` sinks, each optional:
+  ///   - tracer: wall-clock spans around each analysis phase — traffic
+  ///     estimation, FSM mining (named per miner), SBFL scoring,
+  ///     localization — the paper's "diagnosis cost" profile;
+  ///   - metrics: every mining pass bumps the
+  ///     mars.rca.mine.{calls,patterns,nodes} counters;
+  ///   - provenance: each analysis adds epoch nodes (abnormal path
+  ///     groups), pattern nodes (mined + scored), and suspect nodes (the
+  ///     final ranked list), chained session -> epoch -> pattern ->
+  ///     suspect. Suspect nodes carry the canonical provenance_key() so
+  ///     outcomes can be joined back to nodes.
   explicit RootCauseAnalyzer(const control::PathRegistry& registry,
                              RcaConfig config = {},
-                             const net::Topology* topology = nullptr);
+                             const net::Topology* topology = nullptr,
+                             obs::Context obs = {});
 
   /// Produce the ranked culprit list for one diagnosis session.
   [[nodiscard]] CulpritList analyze(const control::DiagnosisData& data) const {
@@ -90,24 +100,6 @@ class RootCauseAnalyzer {
       const control::DiagnosisData& data) const;
 
   [[nodiscard]] const RcaConfig& config() const { return config_; }
-
-  /// Attach a span tracer (nullptr detaches): wall-clock spans around each
-  /// analysis phase — traffic estimation, FSM mining (named per miner),
-  /// SBFL scoring, localization — the paper's "diagnosis cost" profile.
-  void set_tracer(obs::SpanTracer* tracer) { tracer_ = tracer; }
-
-  /// Attach a metrics registry (nullptr detaches): every mining pass bumps
-  /// the mars.rca.mine.{calls,patterns,nodes} counters.
-  void set_metrics(obs::MetricsRegistry* metrics);
-
-  /// Attach a provenance graph (nullptr detaches): each analysis adds
-  /// epoch nodes (abnormal path groups), pattern nodes (mined + scored),
-  /// and suspect nodes (the final ranked list), chained session ->
-  /// epoch -> pattern -> suspect. Suspect nodes carry the canonical
-  /// provenance_key() so outcomes can be joined back to nodes.
-  void set_provenance(obs::ProvenanceGraph* provenance) {
-    provenance_ = provenance;
-  }
 
  private:
   /// Per-analysis provenance scratch (defined in the .cpp); null when no
@@ -135,15 +127,11 @@ class RootCauseAnalyzer {
   /// Refine a link-pattern culprit to port level when topology is known.
   void assign_location(Culprit& culprit, const fsm::Sequence& pattern) const;
 
-  /// RAII wall span helper: inactive (and free) when no tracer is attached.
-  [[nodiscard]] std::optional<obs::SpanTracer::WallSpan> phase_span(
-      std::string name) const;
-
   const control::PathRegistry* registry_;
   RcaConfig config_;
   const net::Topology* topology_;
-  obs::SpanTracer* tracer_ = nullptr;
-  obs::ProvenanceGraph* provenance_ = nullptr;
+  obs::Context obs_;
+  /// The mining counters; all null when no registry is attached.
   obs::Counter* mine_calls_ = nullptr;
   obs::Counter* mine_patterns_ = nullptr;
   obs::Counter* mine_nodes_ = nullptr;

@@ -62,15 +62,14 @@ enum class BackendKind { kPostcard, kIntMd, kHistogram };
 
 /// Histogram backend tuning (see histogram_backend.hpp for the model).
 struct HistogramBackendConfig {
-  /// Log-linear layout of the per-port in-switch histograms (and of the
-  /// digest latency quantizer, in microsecond units: 96 buckets at 2
-  /// sub-bucket bits span ~16 s).
+  /// Log-linear layout of the sink's delivered-latency histogram (the
+  /// trigger signal) and of the digest latency quantizer, in microsecond
+  /// units: 96 buckets at 2 sub-bucket bits span ~16 s.
   std::uint32_t buckets = 96;
   std::uint32_t sub_bucket_bits = 2;
   /// In-band marker replacing the 11-byte postcard header in this mode's
   /// wire-format accounting: 4B source timestamp + 2B last-epoch count +
-  /// 1B epoch id (queue depths live in the switch histograms, not in the
-  /// packet).
+  /// 1B epoch id (queue depths are not carried).
   std::uint32_t marker_bytes = 7;
   /// Event-detection trigger: fires when the fraction of this epoch's
   /// delivered telemetry latencies above `tail_latency` rises through

@@ -22,28 +22,12 @@ HistogramBackend::HistogramBackend(HistogramBackendConfig config,
 
 std::uint32_t HistogramBackend::on_hop_egress(net::SwitchContext& ctx,
                                               const net::Packet& pkt,
-                                              net::PortId out,
-                                              sim::Time hop_latency) {
-  SwitchSlice& st = state_[ctx.id];
-  auto [it, inserted] = st.ports.try_emplace(out, config_.sub_bucket_bits,
-                                             config_.buckets);
-  it->second.latency.add(
-      static_cast<std::uint64_t>(std::max<sim::Time>(hop_latency, 0)) /
-      static_cast<std::uint64_t>(sim::kMicrosecond));
+                                              net::PortId /*out*/,
+                                              sim::Time /*hop_latency*/) {
   std::uint32_t bytes = pkt.has_path_id ? 1u : 0u;
   if (pkt.telemetry) bytes += config_.marker_bytes;
-  st.counters.inband_bytes += bytes;
+  state_[ctx.id].counters.inband_bytes += bytes;
   return bytes;
-}
-
-void HistogramBackend::on_hop_enqueue(net::SwitchContext& ctx,
-                                      const net::Packet& /*pkt*/,
-                                      net::PortId out,
-                                      std::uint32_t queue_depth) {
-  SwitchSlice& st = state_[ctx.id];
-  auto [it, inserted] = st.ports.try_emplace(out, config_.sub_bucket_bits,
-                                             config_.buckets);
-  it->second.queue.add(queue_depth);
 }
 
 sim::Time HistogramBackend::quantize_latency(sim::Time latency) const {
@@ -88,8 +72,8 @@ RtRecord HistogramBackend::to_record(const Digest& d) const {
   // Keep the drained record self-consistent (and past the controller's
   // plausibility check): latency must equal sink - source exactly.
   rec.source_timestamp = rec.sink_timestamp - rec.latency;
-  // Queue depths stay in the switch histograms; the digest does not carry
-  // them — the backend's deliberate accuracy/bandwidth trade.
+  // The digest does not carry queue depths — the backend's deliberate
+  // accuracy/bandwidth trade.
   rec.total_queue_depth = 0;
   rec.epoch_gap = d.max_gap;
   return rec;
@@ -111,10 +95,6 @@ void HistogramBackend::on_epoch_rollover(net::SwitchId sw, EpochId /*epoch*/,
   seal_live(st);
   // In-switch registers reset each epoch (the rollover is the register
   // swap a real pipeline performs).
-  for (auto& [port, hists] : st.ports) {
-    hists.latency.clear();
-    hists.queue.clear();
-  }
   st.sink_latency.clear();
 }
 

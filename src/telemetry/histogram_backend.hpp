@@ -3,14 +3,10 @@
 // "Programmable Event Detection for INT" direction): switches aggregate
 // telemetry locally instead of exporting per-packet records.
 //
-//   every switch:  per-egress-port log-linear histograms of hop latency
-//                  (microseconds) and queue depth, reset at each local
-//                  epoch rollover — the register-array state a Tofino
-//                  pipeline can maintain at line rate;
 //   sink switch:   per-flow epoch digests folded from delivered telemetry
 //                  packets (latency quantized to its log-linear bucket,
-//                  queue depths left to the switch histograms), sealed
-//                  into a bounded digest ring at epoch rollover;
+//                  queue depths not carried), sealed into a bounded
+//                  digest ring at epoch rollover;
 //   triggers:      a per-sink hysteresis detector over the fraction of
 //                  this epoch's delivered latencies above a tail bound —
 //                  on a rising edge the current digests are sealed early
@@ -23,9 +19,8 @@
 // win. Drained digests are also cheaper than full RtRecords
 // (kDigestWireBytes vs RtRecord::kWireBytes).
 //
-// One shard only: digests aggregate at sinks while latency evidence
-// accrues at transit switches of other shards, so at two or more shards
-// the shard threads would race on them (validate_scenario rejects that).
+// One shard only: validate_scenario rejects this backend at two or more
+// shards until every observer's state is made per shard (ROADMAP item 1).
 
 #include <cstdint>
 #include <map>
@@ -84,8 +79,6 @@ class HistogramBackend final : public TelemetryBackend {
                                             const net::Packet& pkt,
                                             net::PortId out,
                                             sim::Time hop_latency) override;
-  void on_hop_enqueue(net::SwitchContext& ctx, const net::Packet& pkt,
-                      net::PortId out, std::uint32_t queue_depth) override;
   void on_sink_record(net::SwitchContext& ctx, const net::Packet& pkt,
                       const RtRecord& rec) override;
   void on_epoch_rollover(net::SwitchId sw, EpochId epoch,
@@ -113,14 +106,7 @@ class HistogramBackend final : public TelemetryBackend {
     std::uint32_t max_gap = 0;
     std::uint32_t merged = 0; ///< records folded in
   };
-  struct PortHists {
-    util::LogLinearHistogram latency;
-    util::LogLinearHistogram queue;
-    PortHists(std::uint32_t sub_bits, std::size_t buckets)
-        : latency(sub_bits, buckets), queue(sub_bits, buckets) {}
-  };
   struct SwitchSlice {
-    std::map<net::PortId, PortHists> ports;  ///< ordered for determinism
     util::LogLinearHistogram sink_latency;   ///< delivered telemetry, us
     std::map<net::FlowId, Digest> live;      ///< current-epoch digests
     util::RingBuffer<RtRecord> sealed;

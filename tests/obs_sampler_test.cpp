@@ -138,8 +138,8 @@ TEST(Sampler, ForwardsSamplesToTracerAsCounters) {
   obs::SeriesStore series;
   obs::SpanTracer tracer;
   obs::Sampler sampler(simulator, registry, series,
-                       {.period = 100_ms, .until = 200_ms});
-  sampler.set_tracer(&tracer);
+                       {.period = 100_ms, .until = 200_ms},
+                       {.tracer = &tracer});
   sampler.start();
   simulator.run(1_s);
   EXPECT_EQ(tracer.size(), 3u);  // one 'C' event per tick

@@ -2,7 +2,9 @@
 // dangling refs, every suspect reachable from an abnormal epoch) and
 // attributes the injected fault to a ranked suspect on every clean fault
 // kind; the structured event log captures the trial lifecycle; the flight
-// recorder dumps on a low-confidence lossy-telemetry diagnosis.
+// recorder dumps on a low-confidence lossy-telemetry diagnosis; and every
+// emitting component reaches the sinks a trial attaches, at one shard and
+// at two.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 
 #include "mars/scenario.hpp"
 #include "mars/scenario_spec.hpp"
+#include "obs/json_reader.hpp"
 #include "provenance_queries.hpp"
 
 namespace mars {
@@ -194,6 +197,118 @@ TEST(ScenarioProvenanceTest, FlightRecorderDumpsOnLossyLowConfidence) {
   }
   EXPECT_TRUE(degradation_logged);
 }
+
+// One trial with every sink attached: a data fault, a telemetry fault
+// (its degradation window is the channel's only log source; the read
+// outage covers the fault's collection, so that session is degraded),
+// provenance, the flight recorder at a threshold any degraded session
+// falls under, and a debug log. Each assertion names one component's
+// emission, so a component that loses its sinks fails here.
+class ObsWiringShardTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ObsWiringShardTest, EveryComponentReachesItsSinks) {
+  const int shards = GetParam();
+  const ScenarioSpec spec = parse_scenario_spec(R"({
+    "name": "obs-wiring",
+    "topology": {"name": "fat-tree", "k": 4},
+    "seed": 7,
+    "systems": ["mars"],
+    "faults": [
+      {"kind": "rate", "at_s": 3.0},
+      {"kind": "read-outage", "at_s": 4.0, "duration_s": 1.0}
+    ],
+    "obs": {
+      "log_level": "debug",
+      "provenance": true,
+      "flight_recorder": {"enabled": true, "confidence_threshold": 1.0}
+    }
+  })");
+  Observability obs;
+  ScenarioConfig cfg = spec.to_config();
+  cfg.sim.shards = shards;
+  cfg.observability = &obs;
+  ASSERT_TRUE(validate_scenario(cfg).empty());
+  const ScenarioResult result = run_scenario(cfg);
+  ASSERT_TRUE(result.fault_injected);
+
+  // Event log: the scenario runner, the injector, the controller, the
+  // channel and MARS itself.
+  for (const char* component :
+       {"scenario", "injector", "controller", "channel", "mars"}) {
+    EXPECT_TRUE(std::any_of(obs.log.events().begin(), obs.log.events().end(),
+                            [&](const obs::LogEvent& e) {
+                              return e.component == component;
+                            }))
+        << "no log event from " << component;
+  }
+
+  // Metrics: the analyzer's mining counters, the injector's skip counter,
+  // and the pipeline's latency histogram, which attaches at one shard
+  // only (every sink shares it).
+  const obs::MetricsSnapshot& snap = obs.snapshot;
+  EXPECT_GT(snap.counter_or("mars.rca.mine.calls", 0), 0u);
+  EXPECT_TRUE(std::any_of(snap.counters.begin(), snap.counters.end(),
+                          [](const auto& c) {
+                            return c.first == "faults.skipped";
+                          }));
+  const auto hist = std::find_if(
+      snap.histograms.begin(), snap.histograms.end(),
+      [](const auto& h) { return h.first == "mars.telemetry_latency_ns"; });
+  if (shards == 1) {
+    ASSERT_NE(hist, snap.histograms.end());
+    EXPECT_GT(hist->second.total, 0u);
+  } else {
+    EXPECT_EQ(hist, snap.histograms.end());
+  }
+
+  // Trace: wall spans from the controller and the analyzer, virtual spans
+  // from the controller and MARS, instants from MARS and the runner, and
+  // the sampler's counter tracks.
+  std::ostringstream trace;
+  obs.tracer.write_chrome_json(trace);
+  const obs::JsonValue doc = obs::JsonValue::parse(trace.str());
+  auto has_event = [&](char ph, int pid, std::string_view prefix) {
+    for (const obs::JsonValue& e : doc.find("traceEvents")->items()) {
+      if (e.find("ph")->as_string() == std::string(1, ph) &&
+          e.find("pid")->as_int() == pid &&
+          e.find("name")->as_string().starts_with(prefix)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  constexpr int kWall = obs::SpanTracer::kWallPid;
+  constexpr int kVirtual = obs::SpanTracer::kVirtualPid;
+  EXPECT_TRUE(has_event('X', kWall, "controller.poll"));
+  EXPECT_TRUE(has_event('X', kWall, "rca.analyze"));
+  EXPECT_TRUE(has_event('X', kWall, "rca.mine:"));
+  EXPECT_TRUE(has_event('X', kVirtual, "collection_window"));
+  EXPECT_TRUE(has_event('X', kVirtual, "diagnosis"));
+  EXPECT_TRUE(has_event('i', kVirtual, "notification"));
+  EXPECT_TRUE(has_event('i', kVirtual, "fault_injected"));
+  EXPECT_TRUE(has_event('C', kVirtual, "sim."));
+
+  // Flight recorder: a low-confidence dump that holds the sampler's
+  // counter deltas.
+  bool metrics_delta = false;
+  for (const auto& dump : obs.recorder.dumps()) {
+    for (const obs::LogEvent& e : dump.events) {
+      metrics_delta |= e.component == "metrics" && e.event == "delta";
+    }
+  }
+  EXPECT_TRUE(metrics_delta);
+
+  // Provenance: the runner's fault nodes, the controller's sessions, and
+  // the analyzer's epochs, patterns and suspects.
+  for (const NodeKind kind : {NodeKind::kFault, NodeKind::kSession,
+                              NodeKind::kEpoch, NodeKind::kPattern,
+                              NodeKind::kSuspect}) {
+    EXPECT_FALSE(nodes_of(obs.provenance, kind).empty())
+        << obs::ProvenanceGraph::kind_name(kind);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ObsWiringShardTest, ::testing::Values(1, 2));
 
 }  // namespace
 }  // namespace mars

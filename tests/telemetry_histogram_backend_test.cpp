@@ -95,8 +95,8 @@ TEST(HistogramBackendTest, DigestsQuantizeLatencyAndDropQueueDepth) {
     // controller's latency == sink - source plausibility check happy.
     EXPECT_EQ(rec.latency, backend.quantize_latency(rec.latency));
     EXPECT_EQ(rec.latency, rec.sink_timestamp - rec.source_timestamp);
-    // The accuracy cost this backend trades for bandwidth: queue depths
-    // live in the in-switch histograms, not in the digests.
+    // The accuracy cost this backend trades for bandwidth: the digests
+    // do not carry queue depths.
     EXPECT_EQ(rec.total_queue_depth, 0u);
   }
 }
@@ -115,8 +115,6 @@ TEST(HistogramBackendTest, RolloverSealsDigestsAndResetsHistograms) {
   EXPECT_GE(f.pipeline.backend().store_size(flow.sink), 1u);
   const auto records = f.pipeline.ring_snapshot(flow.sink);
   ASSERT_GE(records.size(), 2u);  // sealed epoch-0 + live epoch-2 digest
-  // The per-port register reset at rollover has no reader outside the
-  // backend, so nothing here can observe it.
 }
 
 TEST(HistogramBackendTest, DigestFoldingBoundsStoreGrowth) {
